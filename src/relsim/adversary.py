@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from random import Random
 from typing import TYPE_CHECKING
 
+from . import baseline
 from .errors import TopologyError
 from .packets import (
-    BaseRepPayload,
     BaseReqPayload,
     DriRepPayload,
     DriReqPayload,
@@ -98,21 +98,11 @@ def blackhole_on_rreq(node: Node, pkt: Packet) -> None:
     forged_path = payload.path + tail  # true prefix up to the previous relay
     forged_seq = payload.requested_seq + profile.seq_inflation
     claimed_hops = len(payload.path) - 1 + profile.claimed_hop_count
-    reply = Packet(
-        kind=PacketKind.RREP,
-        origin=node.id,
-        final_dst=payload.path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
+    node.send(
+        PacketKind.RREP, payload.path[0], payload.path[-1],
+        RrepPayload(payload.request_id, forged_seq, forged_path, len(payload.path) - 1),
         hop_count=claimed_hops,
-        payload=RrepPayload(
-            request_id=payload.request_id,
-            dest_seq=forged_seq,
-            path=forged_path,
-            pos=len(payload.path) - 1,
-        ),
     )
-    node.sim.transmit_or_drop(node.id, payload.path[-1], reply)
 
 
 def blackhole_on_data(node: Node, pkt: Packet) -> None:
@@ -120,48 +110,30 @@ def blackhole_on_data(node: Node, pkt: Packet) -> None:
     node.sim.collector.on_blackhole_drop(pkt)
 
 
+def _stays_silent(node: Node) -> bool:
+    """Whether a queried black hole ignores this query; a ``reply_prob``
+    strictly between 0 and 1 costs one draw."""
+    prob = node.profile.reply_prob
+    return prob <= 0.0 or (prob < 1.0 and node.rng.random() >= prob)
+
+
 def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
-    if node.profile.reply_prob <= 0.0 or (
-        node.profile.reply_prob < 1.0 and node.rng.random() >= node.profile.reply_prob
-    ):
-        return  # stay silent; the asker's feedback timer will burn out
+    if _stays_silent(node):
+        return  # the asker's feedback timer will burn out
     subject_profile = node.sim.profiles[payload.asker]
     sent, received = fabricated_counts(node, subject_profile)
-    reply = Packet(
-        kind=PacketKind.DRI_REP,
-        origin=node.id,
-        final_dst=payload.asker,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=DriRepPayload(payload.vet_id, payload.asker, payload.attempt, sent, received),
-    )
-    node.sim.transmit_or_drop(node.id, payload.asker, reply)
+    node.send(PacketKind.DRI_REP, payload.asker, payload.asker,
+              DriRepPayload(payload.vet_id, payload.asker, payload.attempt, sent, received))
 
 
 def blackhole_on_base_request(node: Node, pkt: Packet) -> None:
     """Answer a flag-table interrogation with uniformly rosy lies."""
     payload: BaseReqPayload = pkt.payload
-    if node.profile.reply_prob <= 0.0 or (
-        node.profile.reply_prob < 1.0 and node.rng.random() >= node.profile.reply_prob
-    ):
+    if _stays_silent(node):
         return
-    if payload.piece == 2:
-        value: object = payload.expected_next
-    else:
-        value = (True, True)
-    reply = Packet(
-        kind=PacketKind.BASE_REP,
-        origin=node.id,
-        final_dst=payload.relay_path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=BaseRepPayload(
-            payload.vet_id, payload.piece, payload.subject, value,
-            payload.relay_path, len(payload.relay_path) - 2, payload.attempt,
-        ),
-    )
-    node.sim.transmit_or_drop(node.id, payload.relay_path[-2], reply)
+    value = payload.expected_next if payload.piece == 2 else (True, True)
+    baseline.answer(node, payload, value)
 
 
 def assign_adversaries(

@@ -178,16 +178,8 @@ def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int
     my_pos = path.index(node.id)
     if my_pos == 0:
         return
-    reply = Packet(
-        kind=PacketKind.RREP,
-        origin=node.id,
-        final_dst=path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        hop_count=len(path) - 1,
-        payload=RrepPayload(request_id, dest_seq, path, my_pos - 1),
-    )
-    node.sim.transmit_or_drop(node.id, path[my_pos - 1], reply)
+    node.send(PacketKind.RREP, path[0], path[my_pos - 1],
+              RrepPayload(request_id, dest_seq, path, my_pos - 1), hop_count=len(path) - 1)
 
 
 def handle_rrep(node: Node, pkt: Packet) -> None:
@@ -219,16 +211,7 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
                           adv_hops=pkt.hop_count)
             )
         return
-    relay = Packet(
-        kind=PacketKind.RREP,
-        origin=pkt.origin,
-        final_dst=payload.path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        hop_count=pkt.hop_count,
-        payload=RrepPayload(payload.request_id, payload.dest_seq, payload.path, pos - 1),
-    )
-    node.sim.transmit_or_drop(node.id, payload.path[pos - 1], relay)
+    node.relay(pkt, -1)
 
 
 def handle_discovery_timer(node: Node, payload: tuple) -> None:
@@ -258,15 +241,7 @@ def ping_destination(
     if timeout_ms is None:
         timeout_ms = 4 * len(entry.path) * 3 + 50  # generous round trip bound
     node.ping_waits[ping_id] = (entry.path, on_result)
-    pkt = Packet(
-        kind=PacketKind.PING,
-        origin=node.id,
-        final_dst=destination,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=PingPayload(ping_id, entry.path, 1),
-    )
-    node.sim.transmit_or_drop(node.id, entry.path[1], pkt)
+    node.send(PacketKind.PING, destination, entry.path[1], PingPayload(ping_id, entry.path, 1))
     node.sim.schedule_timer(node.id, timeout_ms * MICROS_PER_MS, ("ping", ping_id))
 
 
@@ -275,25 +250,10 @@ def handle_ping(node: Node, pkt: Packet) -> None:
     if payload.path[payload.pos] != node.id:
         return
     if payload.pos == len(payload.path) - 1:
-        pong = Packet(
-            kind=PacketKind.PONG,
-            origin=node.id,
-            final_dst=payload.path[0],
-            prev_hop=node.id,
-            seq_no=node.next_seq(),
-            payload=PongPayload(payload.ping_id, payload.path, payload.pos - 1),
-        )
-        node.sim.transmit_or_drop(node.id, payload.path[payload.pos - 1], pong)
+        node.send(PacketKind.PONG, payload.path[0], payload.path[payload.pos - 1],
+                  PongPayload(payload.ping_id, payload.path, payload.pos - 1))
         return
-    fwd = Packet(
-        kind=PacketKind.PING,
-        origin=pkt.origin,
-        final_dst=pkt.final_dst,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=PingPayload(payload.ping_id, payload.path, payload.pos + 1),
-    )
-    node.sim.transmit_or_drop(node.id, payload.path[payload.pos + 1], fwd)
+    node.relay(pkt, +1)
 
 
 def handle_pong(node: Node, pkt: Packet) -> None:
@@ -306,15 +266,7 @@ def handle_pong(node: Node, pkt: Packet) -> None:
             path, on_result = waiter
             on_result(True, path)
         return
-    back = Packet(
-        kind=PacketKind.PONG,
-        origin=pkt.origin,
-        final_dst=pkt.final_dst,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=PongPayload(payload.ping_id, payload.path, payload.pos - 1),
-    )
-    node.sim.transmit_or_drop(node.id, payload.path[payload.pos - 1], back)
+    node.relay(pkt, -1)
 
 
 def handle_ping_timer(node: Node, payload: tuple) -> None:

@@ -13,12 +13,19 @@ acceptance-on-self-evidence is what adjacent colluders exploit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .defense import VetStatus, VettingConfig, VettingResult
+from .defense import (
+    VetStatus,
+    VettingConfig,
+    VettingResult,
+    conclude,
+    expire,
+    open_vetting,
+    run_vetting,
+)
 from .engine import MICROS_PER_MS
-from .errors import NoRouteError
 from .packets import BaseRepPayload, BaseReqPayload, Packet, PacketKind
 
 if TYPE_CHECKING:
@@ -57,7 +64,7 @@ class Interrogation:
     subject: int
     voucher: int
     expected_next: int | None  # None when the voucher is the destination
-    relay_path: tuple[int, ...]
+    path: tuple[int, ...]  # source .. voucher
 
 
 @dataclass(slots=True)
@@ -73,7 +80,6 @@ class BaselineState:
     timeouts: int = 0
     strikes: int = 0
     hops_cleared: int = 0
-    answers: dict = field(default_factory=dict)
 
 
 def begin_baseline_vetting(
@@ -82,33 +88,21 @@ def begin_baseline_vetting(
     cfg: VettingConfig,
     on_done: Callable[[VettingResult], None],
 ) -> int:
-    if len(path) < 2 or path[0] != node.id:
-        raise NoRouteError("vetting needs a source..destination path starting here")
-    sim = node.sim
-    vet_id = sim.next_vet_id()
+    vet_id = open_vetting(node, path)
     inner = path[1:-1]
     if not inner:
-        result = VettingResult(VetStatus.TRUSTED, 0.0, 0, path)
-        sim.collector.on_vetting_done(result)
-        on_done(result)
+        conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return vet_id
     first = node.flags.get(inner[0])
     if first is None or not (first.from_flag and first.through_flag):
         # the source's own table already refuses the first hop
-        result = VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path)
-        sim.collector.on_vetting_done(result)
-        on_done(result)
+        conclude(node, VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path), on_done)
         return vet_id
     if len(inner) == 1:
         plan = [Interrogation(inner[0], path[-1], None, path)]
     else:
         plan = [
-            Interrogation(
-                subject=path[i],
-                voucher=path[i + 1],
-                expected_next=path[i + 2],
-                relay_path=path[: i + 2],
-            )
+            Interrogation(path[i], path[i + 1], path[i + 2], path[: i + 2])
             for i in range(1, len(path) - 2)
         ]
         if len(inner) == 2:
@@ -117,13 +111,11 @@ def begin_baseline_vetting(
             # intermediates that evidence already arrived as an onward-hop
             # answer, and is taken at face value
             plan.append(Interrogation(inner[-1], path[-1], None, path))
-    state = BaselineState(
-        vet_id=vet_id, path=path, cfg=cfg, on_done=on_done, interrogations=plan
-    )
+    state = BaselineState(vet_id, path, cfg, on_done, plan)
     node.base_vets[vet_id] = state
-    worst_ms = (cfg.k_m + 2) * cfg.k_r * cfg.t1_ms + 200
-    deadline_us = len(plan) * PIECES_PER_HOP * worst_ms * MICROS_PER_MS
-    sim.schedule_timer(node.id, deadline_us, ("base_deadline", vet_id))
+    node.sim.schedule_timer(
+        node.id, cfg.deadline_us(len(plan) * PIECES_PER_HOP), ("base_deadline", vet_id)
+    )
     _send_piece(node, state)
     return vet_id
 
@@ -137,19 +129,11 @@ def _send_piece(node: Node, state: BaselineState) -> None:
         voucher=inter.voucher,
         destination=state.path[-1],
         expected_next=inter.expected_next,
-        relay_path=inter.relay_path,
+        path=inter.path,
         pos=1,
         attempt=state.attempt,
     )
-    pkt = Packet(
-        kind=PacketKind.BASE_REQ,
-        origin=node.id,
-        final_dst=inter.voucher,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=payload,
-    )
-    node.sim.transmit_or_drop(node.id, inter.relay_path[1], pkt)
+    node.send(PacketKind.BASE_REQ, inter.voucher, inter.path[1], payload)
     node.sim.schedule_timer(
         node.id,
         state.cfg.t1_ms * MICROS_PER_MS,
@@ -160,36 +144,21 @@ def _send_piece(node: Node, state: BaselineState) -> None:
 def handle_base_req(node: Node, pkt: Packet) -> None:
     """Relay toward the voucher, or answer truthfully if we are it."""
     payload: BaseReqPayload = pkt.payload
-    if payload.relay_path[payload.pos] != node.id:
+    if payload.path[payload.pos] != node.id:
         return
-    if payload.pos < len(payload.relay_path) - 1:
-        fwd = Packet(
-            kind=PacketKind.BASE_REQ,
-            origin=pkt.origin,
-            final_dst=payload.voucher,
-            prev_hop=node.id,
-            seq_no=node.next_seq(),
-            payload=BaseReqPayload(
-                payload.vet_id, payload.piece, payload.subject, payload.voucher,
-                payload.destination, payload.expected_next, payload.relay_path,
-                payload.pos + 1, payload.attempt,
-            ),
-        )
-        node.sim.transmit_or_drop(node.id, payload.relay_path[payload.pos + 1], fwd)
+    if payload.pos < len(payload.path) - 1:
+        node.relay(pkt, +1)
         return
-    value = _honest_answer(node, payload)
-    reply = Packet(
-        kind=PacketKind.BASE_REP,
-        origin=node.id,
-        final_dst=payload.relay_path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=BaseRepPayload(
-            payload.vet_id, payload.piece, payload.subject, value,
-            payload.relay_path, len(payload.relay_path) - 2, payload.attempt,
-        ),
-    )
-    node.sim.transmit_or_drop(node.id, payload.relay_path[-2], reply)
+    answer(node, payload, _honest_answer(node, payload))
+
+
+def answer(node: Node, payload: BaseReqPayload, value) -> None:
+    """The voucher's reply, honest or not, retraces the request's path."""
+    back = len(payload.path) - 2
+    node.send(PacketKind.BASE_REP, payload.path[0], payload.path[back], BaseRepPayload(
+        payload.vet_id, payload.piece, payload.subject, value, payload.path, back,
+        payload.attempt,
+    ))
 
 
 def _honest_answer(node: Node, payload: BaseReqPayload):
@@ -215,21 +184,10 @@ def _honest_answer(node: Node, payload: BaseReqPayload):
 
 def handle_base_rep(node: Node, pkt: Packet) -> None:
     payload: BaseRepPayload = pkt.payload
-    if payload.relay_path[payload.pos] != node.id:
+    if payload.path[payload.pos] != node.id:
         return
     if payload.pos > 0:
-        back = Packet(
-            kind=PacketKind.BASE_REP,
-            origin=pkt.origin,
-            final_dst=payload.relay_path[0],
-            prev_hop=node.id,
-            seq_no=node.next_seq(),
-            payload=BaseRepPayload(
-                payload.vet_id, payload.piece, payload.subject, payload.value,
-                payload.relay_path, payload.pos - 1, payload.attempt,
-            ),
-        )
-        node.sim.transmit_or_drop(node.id, payload.relay_path[payload.pos - 1], back)
+        node.relay(pkt, -1)
         return
     state = node.base_vets.get(payload.vet_id)
     if (
@@ -244,8 +202,6 @@ def handle_base_rep(node: Node, pkt: Packet) -> None:
 
 def _judge_piece(node: Node, state: BaselineState, value) -> None:
     inter = state.interrogations[state.idx]
-    last_hop = inter.expected_next is None or inter.expected_next == state.path[-1]
-    ok = True
     if state.piece == 1:
         ok = _both_true(value)
     elif state.piece == 2:
@@ -253,50 +209,36 @@ def _judge_piece(node: Node, state: BaselineState, value) -> None:
     else:
         # flags about the onward hop; answers about the destination itself
         # are accepted unchecked (the voucher's own route self-evidence)
+        last_hop = inter.expected_next is None or inter.expected_next == state.path[-1]
         ok = last_hop or _both_true(value)
     if not ok:
         _finish(node, state, VetStatus.UNTRUSTED)
         return
-    state.answers[(state.idx, state.piece)] = value
     if state.piece < PIECES_PER_HOP:
         state.piece += 1
-        state.attempt = 1
-        state.timeouts = 0
-        _send_piece(node, state)
-        return
-    state.hops_cleared += 1
-    if state.idx + 1 < len(state.interrogations):
+    else:
+        state.hops_cleared += 1
+        if state.idx + 1 == len(state.interrogations):
+            _finish(node, state, VetStatus.TRUSTED)
+            return
         state.idx += 1
         state.piece = 1
-        state.attempt = 1
-        state.timeouts = 0
-        _send_piece(node, state)
-        return
-    _finish(node, state, VetStatus.TRUSTED)
+    state.attempt = 1
+    state.timeouts = 0
+    _send_piece(node, state)
 
 
 def handle_base_timer(node: Node, payload: tuple) -> None:
     _, vet_id, idx, piece, attempt, timeouts = payload
     state = node.base_vets.get(vet_id)
-    if (
-        state is None
-        or state.idx != idx
-        or state.piece != piece
-        or state.attempt != attempt
-        or state.timeouts != timeouts
+    if state is None or (state.idx, state.piece, state.attempt, state.timeouts) != (
+        idx, piece, attempt, timeouts
     ):
-        return
-    state.timeouts += 1
-    if state.timeouts < state.cfg.k_r:
-        _send_piece(node, state)
-        return
-    state.timeouts = 0
-    state.strikes += 1
-    if state.strikes > state.cfg.k_m:
+        return  # answered or superseded in the meantime
+    if expire(state, state.cfg):
         _finish(node, state, VetStatus.UNTRUSTED)
-        return
-    state.attempt += 1
-    _send_piece(node, state)
+    else:
+        _send_piece(node, state)
 
 
 def handle_base_deadline(node: Node, payload: tuple) -> None:
@@ -309,21 +251,9 @@ def handle_base_deadline(node: Node, payload: tuple) -> None:
 def _finish(node: Node, state: BaselineState, status: VetStatus) -> None:
     if node.base_vets.pop(state.vet_id, None) is None:
         return
-    result = VettingResult(
-        status=status,
-        rel=0.0,
-        vetted_hops=state.hops_cleared,
-        path=state.path,
-    )
-    node.sim.collector.on_vetting_done(result)
-    state.on_done(result)
+    conclude(node, VettingResult(status, 0.0, state.hops_cleared, state.path), state.on_done)
 
 
 def baseline_vet(sim, source: int, path, cfg: VettingConfig | None = None) -> VettingResult:
     """Synchronous facade mirroring the count-based scheme's ``vet_path``."""
-    if cfg is None:
-        cfg = sim.vetting_config or VettingConfig()
-    done: list[VettingResult] = []
-    begin_baseline_vetting(sim.nodes[source], tuple(path), cfg, done.append)
-    sim.run(stop=lambda: bool(done))
-    return done[0]
+    return run_vetting(begin_baseline_vetting, sim, source, path, cfg)

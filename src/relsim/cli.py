@@ -15,11 +15,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from scipy import stats as scipy_stats
-
 from .errors import ConfigError
 from .runner import RunRecord, run_scenario
-from .scenario import SCHEMES, ScenarioConfig, parse_config
+from .scenario import SCHEMES, SEED_LIMIT, ScenarioConfig, parse_config
 
 CSV_HEADER = (
     "scenario,scheme,blackholes,seed,throughput_pct,loss_pct,delay_s,"
@@ -64,6 +62,48 @@ def write_csv(records: list[RunRecord], path: str | Path,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _t_cdf(t: float, df: int) -> float:
+    """P(T <= t) for Student's t with integer ``df`` >= 1: the finite
+    series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df)."""
+    theta = math.atan(t / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    if df % 2:
+        term = total = math.cos(theta) if df > 1 else 0.0
+        for k in range(1, (df - 1) // 2):
+            term *= cos2 * (2 * k) / (2 * k + 1)
+            total += term
+        two_sided = 2 / math.pi * (theta + math.sin(theta) * total)
+    else:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= cos2 * (2 * k - 1) / (2 * k)
+            total += term
+        two_sided = math.sin(theta) * total
+    return 0.5 + two_sided / 2
+
+
+def t_quantile(p: float, df: int) -> float:
+    """Quantile of Student's t with integer ``df`` >= 1, for 0 < p < 1.
+
+    Newton's method on the exact CDF, started from the normal quantile;
+    the CDF is concave above 0 and convex below, so the iterates approach
+    the root monotonically from that start.  Convergence is quadratic, so
+    a step below 1e-12 of ``t`` leaves an error at the rounding floor of
+    the CDF series.
+    """
+    log_norm = (
+        math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    )
+    t = statistics.NormalDist().inv_cdf(p)
+    for _ in range(100):
+        density = math.exp(log_norm - (df + 1) / 2 * math.log1p(t * t / df))
+        step = (_t_cdf(t, df) - p) / density
+        t -= step
+        if abs(step) <= 1e-12 * abs(t):
+            break
+    return t
+
+
 def confidence_half_width(values: list[float], level: float = 0.95) -> float:
     """Student-t half width of the mean's confidence interval."""
     if len(values) < 2:
@@ -71,7 +111,7 @@ def confidence_half_width(values: list[float], level: float = 0.95) -> float:
     spread = statistics.stdev(values)
     if spread == 0.0:
         return 0.0
-    t_crit = float(scipy_stats.t.ppf(0.5 + level / 2, len(values) - 1))
+    t_crit = t_quantile(0.5 + level / 2, len(values) - 1)
     return t_crit * spread / math.sqrt(len(values))
 
 
@@ -258,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
         blackhole_values = [cfg.blackholes]
     if args.seeds < 1:
         print("config error: --seeds must be >= 1", file=sys.stderr)
+        return 1
+    if cfg.seed + args.seeds > SEED_LIMIT:
+        print("config error: seed: --seed + --seeds - 1 must be below 2**64",
+              file=sys.stderr)
         return 1
     seeds = [cfg.seed + i for i in range(args.seeds)]
     records = sweep_records(cfg, blackhole_values, seeds, schemes)

@@ -12,25 +12,16 @@ burn retry and strike counters until the path is declared untrusted.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Callable
 
 from .engine import MICROS_PER_MS
 from .errors import NoRouteError
-from .packets import (
-    DriRepPayload,
-    DriReqPayload,
-    Packet,
-    PacketKind,
-    RelPayload,
-)
+from .packets import DriRepPayload, DriReqPayload, Packet, PacketKind, RelPayload
 
 if TYPE_CHECKING:
     from .node import Node
-
-RECENT_IDS_KEPT = 8
 
 
 class VetStatus(IntEnum):
@@ -46,7 +37,6 @@ class DriEntry:
 
     sent: int = 0
     received: int = 0
-    recent_packet_ids: deque = field(default_factory=lambda: deque(maxlen=RECENT_IDS_KEPT))
 
 
 EMPTY_ENTRY = DriEntry()
@@ -60,6 +50,12 @@ class VettingConfig:
     delta_match: int = 2
     ratio_cap: float = 1.0
 
+    def deadline_us(self, hops: int) -> int:
+        """Generous bound on a whole vetting of ``hops`` interrogated hops,
+        in case a reply or a return leg is lost: each hop may burn k_r
+        silent periods in each of k_m + 2 attempts."""
+        return hops * ((self.k_m + 2) * self.k_r * self.t1_ms + 200) * MICROS_PER_MS
+
 
 @dataclass(slots=True)
 class VettingResult:
@@ -69,8 +65,8 @@ class VettingResult:
     path: tuple[int, ...]
 
 
-def record_data_packet(table: dict[int, DriEntry], neighbor: int, direction: str,
-                       packet_id: int | None = None) -> dict[int, DriEntry]:
+def record_data_packet(table: dict[int, DriEntry], neighbor: int,
+                       direction: str) -> dict[int, DriEntry]:
     """Bump the sent or received count for ``neighbor`` by one."""
     entry = table.get(neighbor)
     if entry is None:
@@ -82,8 +78,6 @@ def record_data_packet(table: dict[int, DriEntry], neighbor: int, direction: str
         entry.received += 1
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if packet_id is not None:
-        entry.recent_packet_ids.append(packet_id)
     return table
 
 
@@ -159,6 +153,54 @@ def select_route(
 
 
 # ---------------------------------------------------------------------------
+# Vetting conversations shared with the flag-table scheme (baseline.py).
+# ---------------------------------------------------------------------------
+
+
+def open_vetting(node: Node, path: tuple[int, ...]) -> int:
+    """Check that ``path`` (full source..destination sequence) starts at
+    ``node`` and hand out a fresh vetting id."""
+    if len(path) < 2 or path[0] != node.id:
+        raise NoRouteError("vetting needs a source..destination path starting here")
+    return node.sim.next_vet_id()
+
+
+def conclude(node: Node, result: VettingResult,
+             on_done: Callable[[VettingResult], None]) -> None:
+    """Report a finished vetting to the collector, then to the caller."""
+    node.sim.collector.on_vetting_done(result)
+    on_done(result)
+
+
+def expire(state, cfg: VettingConfig) -> bool:
+    """One silent ``t1`` period on a request whose retry state is the
+    ``attempt``/``timeouts``/``strikes`` triple of ``state``.
+
+    ``k_r`` timeouts cost a strike and open a fresh attempt; returns True,
+    leaving ``attempt`` as it was, once more than ``k_m`` strikes burned.
+    """
+    state.timeouts += 1
+    if state.timeouts < cfg.k_r:
+        return False
+    state.timeouts = 0
+    state.strikes += 1
+    if state.strikes > cfg.k_m:
+        return True
+    state.attempt += 1
+    return False
+
+
+def run_vetting(begin, sim, source: int, path, cfg: VettingConfig | None) -> VettingResult:
+    """Start ``begin`` on the live simulator and run it until the result."""
+    if cfg is None:
+        cfg = sim.vetting_config or VettingConfig()
+    done: list[VettingResult] = []
+    begin(sim.nodes[source], tuple(path), cfg, done.append)
+    sim.run(stop=lambda: bool(done))
+    return done[0]
+
+
+# ---------------------------------------------------------------------------
 # Distributed walk: holder-side state machine driven by the event loop.
 # ---------------------------------------------------------------------------
 
@@ -169,13 +211,13 @@ class HopProbe:
 
     vet_id: int
     path: tuple[int, ...]
-    hop_index: int  # index of the holder within path
+    pos: int  # index of the holder within path
     rel: float
     strikes: int  # mismatches / exhausted hops so far on this walk
     checked_hops: int
-    attempt: int
-    timeouts: int  # feedback-timer expiries within the current attempt
     cfg: VettingConfig
+    attempt: int = 1
+    timeouts: int = 0  # feedback-timer expiries within the current attempt
 
 
 def begin_vetting(
@@ -185,67 +227,32 @@ def begin_vetting(
     on_done: Callable[[VettingResult], None],
 ) -> int:
     """Start vetting ``path`` (full source..destination sequence) at its source."""
-    if len(path) < 2 or path[0] != node.id:
-        raise NoRouteError("vetting needs a source..destination path starting here")
-    sim = node.sim
-    vet_id = sim.next_vet_id()
+    vet_id = open_vetting(node, path)
     if len(path) == 2:
         # direct neighbor: the walk is skipped entirely
-        result = VettingResult(VetStatus.TRUSTED, 0.0, 0, path)
-        sim.collector.on_vetting_done(result)
-        on_done(result)
+        conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return vet_id
-    node.vet_waiters[vet_id] = (path, cfg, on_done)
-    # generous upper bound on the whole walk, in case a return leg is lost
-    worst_hop_ms = (cfg.k_m + 2) * cfg.k_r * cfg.t1_ms + 200
-    deadline_us = len(path) * worst_hop_ms * MICROS_PER_MS
-    sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
+    node.vet_waiters[vet_id] = (path, on_done)
+    node.sim.schedule_timer(node.id, cfg.deadline_us(len(path)), ("vet_deadline", vet_id))
     _advance(node, vet_id, path, 0, 0.0, 0, 0, cfg)
     return vet_id
 
 
-def _advance(
-    node: Node,
-    vet_id: int,
-    path: tuple[int, ...],
-    hop_index: int,
-    rel: float,
-    strikes: int,
-    checked: int,
-    cfg: VettingConfig,
-) -> None:
-    """Holder at path[hop_index] inspects its next-hop neighbour."""
-    if hop_index + 1 == len(path) - 1:
+def _advance(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: float,
+             strikes: int, checked: int, cfg: VettingConfig) -> None:
+    """Holder at path[pos] inspects its next-hop neighbour."""
+    if pos + 1 == len(path) - 1:
         # next hop is the destination: send the accumulator home as-is
-        _send_home(node, vet_id, path, hop_index, rel, strikes, checked,
-                   VetStatus.TRUSTED)
+        _send_home(node, vet_id, path, pos, rel, strikes, checked, VetStatus.TRUSTED)
         return
-    probe = HopProbe(
-        vet_id=vet_id,
-        path=path,
-        hop_index=hop_index,
-        rel=rel,
-        strikes=strikes,
-        checked_hops=checked,
-        attempt=1,
-        timeouts=0,
-        cfg=cfg,
-    )
+    probe = HopProbe(vet_id, path, pos, rel, strikes, checked, cfg)
     node.rel_pending[vet_id] = probe
     _send_dri_request(node, probe)
 
 
 def _send_dri_request(node: Node, probe: HopProbe) -> None:
-    nhn = probe.path[probe.hop_index + 1]
-    pkt = Packet(
-        kind=PacketKind.DRI_REQ,
-        origin=node.id,
-        final_dst=nhn,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=DriReqPayload(probe.vet_id, node.id, probe.attempt),
-    )
-    node.sim.transmit_or_drop(node.id, nhn, pkt)
+    nhn = probe.path[probe.pos + 1]
+    node.send(PacketKind.DRI_REQ, nhn, nhn, DriReqPayload(probe.vet_id, node.id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
         probe.cfg.t1_ms * MICROS_PER_MS,
@@ -258,11 +265,7 @@ def handle_dri_req(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
     entry = node.dri.get(payload.asker, EMPTY_ENTRY)
     reply = Packet(
-        kind=PacketKind.DRI_REP,
-        origin=node.id,
-        final_dst=payload.asker,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
+        PacketKind.DRI_REP, node.id, payload.asker, node.id, node.next_seq(),
         payload=DriRepPayload(
             payload.vet_id, payload.asker, payload.attempt, entry.sent, entry.received
         ),
@@ -277,19 +280,21 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
         return  # stale or duplicate reply
     del node.rel_pending[payload.vet_id]
     cfg = probe.cfg
-    nhn = probe.path[probe.hop_index + 1]
+    nhn = probe.path[probe.pos + 1]
     local = node.dri.get(nhn, EMPTY_ENTRY)
     reported = DriEntry(sent=payload.sent, received=payload.received)
+    checked = probe.checked_hops + 1
     if cross_check(local, reported, cfg.delta_match):
+        # matched: the accumulator moves one hop down the path
         rel = accumulate_rel(probe.rel, reliability_ratio(reported, cfg))
-        _forward_rel(node, probe, rel)
+        node.send(PacketKind.REL, nhn, nhn, RelPayload(
+            probe.vet_id, rel, probe.path, probe.pos + 1, probe.strikes, checked,
+            False, int(VetStatus.IN_PROGRESS), cfg,
+        ))
     else:
         strikes = probe.strikes + 1
         status = VetStatus.UNTRUSTED if strikes > cfg.k_m else VetStatus.REL_ZEROED
-        _send_home(
-            node, probe.vet_id, probe.path, probe.hop_index, 0.0, strikes,
-            probe.checked_hops + 1, status,
-        )
+        _send_home(node, probe.vet_id, probe.path, probe.pos, 0.0, strikes, checked, status)
 
 
 def handle_feedback_timer(node: Node, payload: tuple) -> None:
@@ -297,119 +302,34 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
     probe = node.rel_pending.get(vet_id)
     if probe is None or probe.attempt != attempt or probe.timeouts != timeouts:
         return  # answered or superseded in the meantime
-    cfg = probe.cfg
-    probe.timeouts += 1
-    if probe.timeouts < cfg.k_r:
+    if not expire(probe, probe.cfg):
         _send_dri_request(node, probe)
         return
-    # retry budget exhausted: strike the hop and, if allowed, try it afresh
-    probe.timeouts = 0
-    probe.strikes += 1
-    if probe.strikes > cfg.k_m:
-        del node.rel_pending[vet_id]
-        _send_home(
-            node, probe.vet_id, probe.path, probe.hop_index, 0.0, probe.strikes,
-            probe.checked_hops, VetStatus.UNTRUSTED,
-        )
-        return
-    probe.attempt += 1
-    _send_dri_request(node, probe)
+    del node.rel_pending[vet_id]
+    _send_home(node, vet_id, probe.path, probe.pos, 0.0, probe.strikes,
+               probe.checked_hops, VetStatus.UNTRUSTED)
 
 
-def _forward_rel(node: Node, probe: HopProbe, rel: float) -> None:
-    """Matched: the accumulator moves one hop down the path."""
-    nhn = probe.path[probe.hop_index + 1]
-    payload = RelPayload(
-        vet_id=probe.vet_id,
-        source=probe.path[0],
-        destination=probe.path[-1],
-        next_hop_neighbour=nhn,
-        rel=rel,
-        path=probe.path,
-        hop_index=probe.hop_index + 1,
-        strikes=probe.strikes,
-        checked_hops=probe.checked_hops + 1,
-        returning=False,
-        status=int(VetStatus.IN_PROGRESS),
-        cfg=probe.cfg,
-    )
-    pkt = Packet(
-        kind=PacketKind.REL,
-        origin=node.id,
-        final_dst=nhn,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=payload,
-    )
-    node.sim.transmit_or_drop(node.id, nhn, pkt)
-
-
-def _send_home(
-    node: Node,
-    vet_id: int,
-    path: tuple[int, ...],
-    hop_index: int,
-    rel: float,
-    strikes: int,
-    checked: int,
-    status: VetStatus,
-) -> None:
-    if hop_index == 0:
+def _send_home(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: float,
+               strikes: int, checked: int, status: VetStatus) -> None:
+    if pos == 0:
         _finalize(node, vet_id, rel, checked, status)
         return
-    payload = RelPayload(
-        vet_id=vet_id,
-        source=path[0],
-        destination=path[-1],
-        next_hop_neighbour=path[hop_index],
-        rel=rel,
-        path=path,
-        hop_index=hop_index - 1,
-        strikes=strikes,
-        checked_hops=checked,
-        returning=True,
-        status=int(status),
-    )
-    pkt = Packet(
-        kind=PacketKind.REL,
-        origin=node.id,
-        final_dst=path[0],
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        payload=payload,
-    )
-    node.sim.transmit_or_drop(node.id, path[hop_index - 1], pkt)
+    node.send(PacketKind.REL, path[0], path[pos - 1],
+              RelPayload(vet_id, rel, path, pos - 1, strikes, checked, True, int(status)))
 
 
 def handle_rel(node: Node, pkt: Packet) -> None:
     payload: RelPayload = pkt.payload
-    if payload.returning:
-        if payload.hop_index == 0:
-            _finalize(
-                node, payload.vet_id, payload.rel, payload.checked_hops,
-                VetStatus(payload.status),
-            )
-        else:
-            relay = Packet(
-                kind=PacketKind.REL,
-                origin=pkt.origin,
-                final_dst=payload.source,
-                prev_hop=node.id,
-                seq_no=node.next_seq(),
-                payload=RelPayload(
-                    payload.vet_id, payload.source, payload.destination,
-                    payload.next_hop_neighbour, payload.rel, payload.path,
-                    payload.hop_index - 1, payload.strikes, payload.checked_hops,
-                    True, payload.status,
-                ),
-            )
-            node.sim.transmit_or_drop(node.id, payload.path[payload.hop_index - 1], relay)
-        return
-    # forward leg: this node is the new holder
-    _advance(
-        node, payload.vet_id, payload.path, payload.hop_index, payload.rel,
-        payload.strikes, payload.checked_hops, payload.cfg,
-    )
+    if not payload.returning:
+        # forward leg: this node is the new holder
+        _advance(node, payload.vet_id, payload.path, payload.pos, payload.rel,
+                 payload.strikes, payload.checked_hops, payload.cfg)
+    elif payload.pos == 0:
+        _finalize(node, payload.vet_id, payload.rel, payload.checked_hops,
+                  VetStatus(payload.status))
+    else:
+        node.relay(pkt, -1)
 
 
 def handle_vet_deadline(node: Node, payload: tuple) -> None:
@@ -423,17 +343,10 @@ def _finalize(node: Node, vet_id: int, rel: float, checked: int, status: VetStat
     waiter = node.vet_waiters.pop(vet_id, None)
     if waiter is None:
         return  # deadline already resolved it
-    path, _cfg, on_done = waiter
-    result = VettingResult(status=status, rel=rel, vetted_hops=checked, path=path)
-    node.sim.collector.on_vetting_done(result)
-    on_done(result)
+    path, on_done = waiter
+    conclude(node, VettingResult(status, rel, checked, path), on_done)
 
 
 def vet_path(sim, source: int, path, cfg: VettingConfig | None = None) -> VettingResult:
     """Synchronous facade: run the walk on the live simulator and block on it."""
-    if cfg is None:
-        cfg = sim.vetting_config or VettingConfig()
-    done: list[VettingResult] = []
-    begin_vetting(sim.nodes[source], tuple(path), cfg, done.append)
-    sim.run(stop=lambda: bool(done))
-    return done[0]
+    return run_vetting(begin_vetting, sim, source, path, cfg)

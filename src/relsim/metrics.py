@@ -31,22 +31,9 @@ class FlowStats:
     app_id: int
     packets_sent: int = 0
     packets_received: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     send_throughput: float = 0.0  # bytes/second
     recv_throughput: float = 0.0
-    delay_sum_s: float = 0.0
     mean_delay_s: float = 0.0
-
-
-@dataclass(slots=True)
-class MetricsReport:
-    throughput_pct: float
-    loss_pct: float
-    mean_delay_s: float
-    starved_flows: int
-    selected_route_mrr: float
-    reliability_series: list[tuple[float, float]]
 
 
 def throughput_ratio(flows: list[FlowStats]) -> float:
@@ -179,11 +166,8 @@ class RunCollector:
                 app_id=flow_id,
                 packets_sent=sent,
                 packets_received=received,
-                bytes_sent=sent * packet_size,
-                bytes_received=received * packet_size,
                 send_throughput=sent * packet_size / duration_s,
                 recv_throughput=received * packet_size / duration_s,
-                delay_sum_s=ledger.delay_sum_us / 1e6,
                 mean_delay_s=(ledger.delay_sum_us / 1e6 / received) if received else 0.0,
             )
             stats.append(f)

@@ -11,10 +11,11 @@ is what keeps the lying path alive long enough to be interrogated.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import adversary, aodv, baseline, defense
-from .packets import DATA_PLANE, AckPayload, DataPayload, Packet, PacketKind
+from .packets import DATA_PLANE, DataPayload, Packet, PacketKind
 
 if TYPE_CHECKING:
     from .engine import Simulator
@@ -48,6 +49,21 @@ class Node:
     def note_data_sent(self, dst: int) -> None:
         defense.record_data_packet(self.dri, dst, "sent")
 
+    def send(self, kind: PacketKind, final_dst: int, to: int, payload,
+             hop_count: int = 0) -> None:
+        """Originate a unicast to neighbour ``to`` along a path that may be
+        forged: a hop that does not exist drops the packet."""
+        pkt = Packet(kind, self.id, final_dst, self.id, self.next_seq(), hop_count, payload)
+        self.sim.transmit_or_drop(self.id, to, pkt)
+
+    def relay(self, pkt: Packet, step: int) -> None:
+        """Move a source-routed control packet one hop, ``step`` = +1 toward
+        the end of ``payload.path`` or -1 back toward its start."""
+        pos = pkt.payload.pos + step
+        fwd = Packet(pkt.kind, pkt.origin, pkt.final_dst, self.id, self.next_seq(),
+                     pkt.hop_count, replace(pkt.payload, pos=pos))
+        self.sim.transmit_or_drop(self.id, pkt.payload.path[pos], fwd)
+
     # -- dispatch -------------------------------------------------------
 
     def on_packet(self, pkt: Packet) -> None:
@@ -64,8 +80,8 @@ class Node:
                 return
             if kind is PacketKind.BASE_REQ:
                 payload = pkt.payload
-                if payload.relay_path[payload.pos] == self.id and (
-                    payload.pos == len(payload.relay_path) - 1
+                if payload.path[payload.pos] == self.id and (
+                    payload.pos == len(payload.path) - 1
                 ):
                     adversary.blackhole_on_base_request(self, pkt)
                 else:
@@ -97,7 +113,7 @@ class Node:
 
     def _on_data(self, pkt: Packet) -> None:
         payload = pkt.payload
-        defense.record_data_packet(self.dri, pkt.prev_hop, "received", pkt.seq_no)
+        defense.record_data_packet(self.dri, pkt.prev_hop, "received")
         baseline.baseline_update(self.flags, pkt.prev_hop, "from")
         if payload.path[payload.pos] != self.id:
             return
@@ -105,14 +121,7 @@ class Node:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its flag table
             if payload.flow_id < 0:
-                ack = Packet(
-                    kind=PacketKind.ACK,
-                    origin=self.id,
-                    final_dst=pkt.prev_hop,
-                    prev_hop=self.id,
-                    seq_no=self.next_seq(),
-                    payload=AckPayload(probe_from=pkt.prev_hop),
-                )
+                ack = Packet(PacketKind.ACK, self.id, pkt.prev_hop, self.id, self.next_seq())
                 self.sim.transmit(self.id, pkt.prev_hop, ack)
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)

@@ -2,9 +2,11 @@
 
 Payloads are immutable; a forwarded packet is a fresh ``Packet`` carrying
 either the same payload object or a rebuilt one (e.g. an extended RREQ
-path).  Control-plane kinds are relayed even by misbehaving nodes; the
-data-plane kinds listed in ``DATA_PLANE`` are the ones a black hole
-silently absorbs.
+path).  Source-routed payloads carry the whole ``path`` and ``pos``, the
+index of the node the packet is addressed to, so one relay step is the
+same ``pos`` shift for every kind.  Control-plane kinds are relayed even
+by misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE`` are
+the ones a black hole silently absorbs.
 """
 
 from __future__ import annotations
@@ -80,11 +82,6 @@ class DataPayload:
 
 
 @dataclass(frozen=True, slots=True)
-class AckPayload:
-    probe_from: int
-
-
-@dataclass(frozen=True, slots=True)
 class PingPayload:
     ping_id: int
     path: tuple[int, ...]
@@ -119,12 +116,9 @@ class RelPayload:
     """The traveling reliability accumulator plus its walk bookkeeping."""
 
     vet_id: int
-    source: int
-    destination: int
-    next_hop_neighbour: int
     rel: float
     path: tuple[int, ...]
-    hop_index: int  # index of the node the packet is moving to / from
+    pos: int  # index of the node the packet is moving to
     strikes: int
     checked_hops: int
     returning: bool
@@ -140,7 +134,7 @@ class BaseReqPayload:
     voucher: int
     destination: int
     expected_next: int | None
-    relay_path: tuple[int, ...]  # source .. voucher
+    path: tuple[int, ...]  # source .. voucher
     pos: int
     attempt: int
 
@@ -151,6 +145,6 @@ class BaseRepPayload:
     piece: int
     subject: int
     value: object  # piece 1/3: (from_flag, through_flag); piece 2: node id or None
-    relay_path: tuple[int, ...]
+    path: tuple[int, ...]
     pos: int
     attempt: int

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import aodv, baseline, defense, metrics
 from .adversary import assign_adversaries
 from .engine import MICROS_PER_MS, MICROS_PER_S, EventKind, LinkParams, Simulator, derive_stream
-from .errors import TopologyError, UndefinedMetricError
+from .errors import SimulationError, TopologyError, UndefinedMetricError
 from .packets import DataPayload, Packet, PacketKind
 from .scenario import ScenarioConfig
 from .topology import build_connected_topology
@@ -26,6 +26,8 @@ WARMUP_START_MS = 50
 PROBE_SPACING_MS = 5
 FIRST_FLOW_START_S = 1.0
 FLOW_STAGGER_S = 0.1
+# per-node conversation maps that must all be empty once a run has ended
+OPEN_CONVERSATIONS = ("rel_pending", "vet_waiters", "base_vets", "discoveries", "ping_waits")
 
 
 @dataclass(slots=True)
@@ -174,16 +176,10 @@ class ScenarioRun:
             )
 
     def _send_data(self, flow: _FlowDriver, created_us: int) -> None:
-        node = self.sim.nodes[flow.source]
-        pkt = Packet(
-            kind=PacketKind.DATA,
-            origin=flow.source,
-            final_dst=flow.destination,
-            prev_hop=flow.source,
-            seq_no=node.next_seq(),
-            payload=DataPayload(flow.flow_id, created_us, flow.route, 1),
+        self.sim.nodes[flow.source].send(
+            PacketKind.DATA, flow.destination, flow.route[1],
+            DataPayload(flow.flow_id, created_us, flow.route, 1),
         )
-        self.sim.transmit_or_drop(flow.source, flow.route[1], pkt)
 
     # -- route acquisition ------------------------------------------------
 
@@ -292,13 +288,14 @@ class ScenarioRun:
         self.schedule_warmup()
         self.schedule_flows()
         self.sim.run()
+        for flow in self.flows:
+            self.sim.collector.flows[flow.flow_id].never_sent = len(flow.buffer)
+        check_invariants(self.sim)
         return self._record()
 
     def _record(self) -> RunRecord:
         cfg = self.cfg
         collector = self.sim.collector
-        for flow in self.flows:
-            collector.flows[flow.flow_id].never_sent = len(flow.buffer)
         stats = collector.flow_stats(cfg.duration, cfg.packet_size)
         try:
             throughput = metrics.throughput_ratio(stats)
@@ -323,6 +320,27 @@ class ScenarioRun:
             untrusted_paths=collector.untrusted_paths,
             starved_flows=metrics.starved_flow_count(stats),
         )
+
+
+def check_invariants(sim: Simulator) -> None:
+    """Raise ``SimulationError`` unless every flow ledger balances and, the
+    queue having drained, no node still holds an open conversation."""
+    for ledger in sim.collector.flows.values():
+        accounted = (
+            ledger.delivered + ledger.blackhole_drops + ledger.link_drops
+            + ledger.undeliverable + ledger.never_sent
+        )
+        if ledger.generated != accounted:
+            raise SimulationError(
+                f"flow {ledger.flow_id}: {ledger.generated} packets generated "
+                f"but {accounted} accounted for"
+            )
+    for node in sim.nodes:
+        for name in OPEN_CONVERSATIONS:
+            if getattr(node, name):
+                raise SimulationError(
+                    f"node {node.id}: {name} still open for {sorted(getattr(node, name))}"
+                )
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:

@@ -8,6 +8,8 @@ from pathlib import Path
 from .errors import ConfigError
 
 SCHEMES = ("undefended", "baseline", "proposed")
+#: Seeds are 64-bit: the RNG streams mask wider values, which would alias.
+SEED_LIMIT = 1 << 64
 
 
 @dataclass(slots=True)
@@ -59,6 +61,8 @@ class ScenarioConfig:
             raise ConfigError("packet_size: must be positive")
         if self.duration <= 0:
             raise ConfigError("duration: must be positive")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError("seed: must be within [0, 2**64)")
         if self.t1_ms <= 0:
             raise ConfigError("t1_ms: must be positive")
         if self.k_r < 1:

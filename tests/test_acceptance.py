@@ -37,7 +37,6 @@ def _report(number: int, passed: bool, detail: str) -> None:
 def _flow(sent, received, send_tp, recv_tp, delay=0.0, app_id=0):
     return FlowStats(
         app_id=app_id, packets_sent=sent, packets_received=received,
-        bytes_sent=sent * 64, bytes_received=received * 64,
         send_throughput=send_tp, recv_throughput=recv_tp, mean_delay_s=delay,
     )
 

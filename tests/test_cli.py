@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from relsim.cli import (
     summarize,
     summary_rows,
     sweep_records,
+    t_quantile,
     write_csv,
 )
 from relsim.runner import RunRecord
@@ -159,3 +164,46 @@ def test_cli_compare_writes_summaries(tmp_path):
         line for line in text.splitlines()[1:] if not line.startswith("summary")
     ]
     assert len(data_rows) == 4  # 2 schemes x 2 seeds at one attack size
+
+
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-18446744073709551616"])
+def test_cli_run_rejects_seed_outside_64_bits(seed, capsys):
+    assert main(["run", "--seed", seed]) == 1
+    assert "config error: seed" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_seed_range_past_64_bits(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    last = str(2**64 - 1)
+    assert main(["sweep", "--seed", last, "--seeds", "2", "--out", str(out)]) == 1
+    assert "config error: seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# df 1..200 densely, then a sample of large df: the CDF series is O(df)
+T_QUANTILE_DFS = list(range(1, 201)) + [250, 500, 1000, 2000, 5000, 10_000]
+
+
+def test_t_quantile_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for df in T_QUANTILE_DFS:
+        for p in (0.9, 0.95, 0.975, 0.995):
+            expected = float(stats.t.ppf(p, df))
+            assert t_quantile(p, df) == pytest.approx(expected, rel=1e-12), (p, df)
+
+
+def test_t_quantile_known_values():
+    # Cauchy (df 1) has a closed form; large df tends to the normal quantile
+    assert t_quantile(0.975, 1) == pytest.approx(math.tan(math.pi * 0.475), rel=1e-12)
+    assert t_quantile(0.5, 7) == 0.0
+    assert t_quantile(0.025, 9) == pytest.approx(-t_quantile(0.975, 9), rel=1e-12)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import relsim.cli, sys; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

@@ -49,8 +49,6 @@ def test_simulated_symmetric_link_counts_match_event_log():
     warm_up(sim, packets=10)
     assert (sim.nodes[0].dri[1].sent, sim.nodes[0].dri[1].received) == (10, 10)
     assert (sim.nodes[1].dri[0].sent, sim.nodes[1].dri[0].received) == (10, 10)
-    # the diagnostic id log stays bounded however much traffic flows
-    assert len(sim.nodes[0].dri[1].recent_packet_ids) <= 8
 
 
 def test_counts_never_decrease_during_run():

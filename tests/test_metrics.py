@@ -24,8 +24,6 @@ def _flow(app_id=0, sent=0, received=0, send_tp=0.0, recv_tp=0.0, delay=0.0):
         app_id=app_id,
         packets_sent=sent,
         packets_received=received,
-        bytes_sent=sent * 64,
-        bytes_received=received * 64,
         send_throughput=send_tp,
         recv_throughput=recv_tp,
         mean_delay_s=delay,

@@ -1,5 +1,9 @@
 import math
 
+import pytest
+
+from relsim import aodv
+from relsim.errors import SimulationError
 from relsim.runner import ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
@@ -63,6 +67,20 @@ def test_per_flow_ledger_balances_exactly():
                 + led.undeliverable
                 + led.never_sent
             ), (kwargs, led)
+
+
+def test_unbalanced_ledger_raises_naming_the_flow():
+    run = ScenarioRun(_cfg(scheme="undefended", blackholes=4))
+    run.sim.collector.on_blackhole_drop = lambda pkt: None  # drops go uncounted
+    with pytest.raises(SimulationError, match=r"flow \d+: \d+ packets generated"):
+        run.execute()
+
+
+def test_conversation_left_open_raises_naming_node_and_map():
+    run = ScenarioRun(_cfg(scheme="proposed"))
+    run.sim.nodes[5].discoveries[999] = aodv.DiscoveryState(999, 0)  # no timer behind it
+    with pytest.raises(SimulationError, match=r"node 5: discoveries still open for \[999\]"):
+        run.execute()
 
 
 def test_defended_run_reroutes_around_attack():

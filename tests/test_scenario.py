@@ -32,6 +32,14 @@ def test_colluding_pairs_count_toward_the_bound():
         parse_config(overrides={"nodes": 10, "blackholes": 3, "colluding_pairs": 3})
 
 
+def test_seed_must_fit_in_64_bits():
+    assert parse_config(overrides={"seed": 0}).seed == 0
+    assert parse_config(overrides={"seed": 2**64 - 1}).seed == 2**64 - 1
+    for seed in (2**64, -(2**64), -1):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(overrides={"seed": seed})
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed = 9\n")
