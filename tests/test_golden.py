@@ -25,6 +25,18 @@ EVENT_LOG_DIGESTS = {
     ("proposed", 0.03): "2c15b09233bd717ed8ce250dbae07943800750e0963f262ec5520ea63352821e",
 }
 
+# Each of these runs pings a stored route that answers once: undefended
+# activates the path, the defenses vet it again.  The golden runs above
+# ping only dead routes.
+ALIVE_PING_DIGESTS = {
+    ("undefended", 0.0): "a871b57e3fc5731b5c2bdffe306540a3b11bede212aaf617931bb5a84b1e0b4a",
+    ("undefended", 0.01): "9872d6088f1631bcc10c1dee7f35039c717586bcb52c35f23eb2da2954e70671",
+    ("baseline", 0.0): "e15b2a856b6f09d67e28ed3d66e7579b59a88866cbfb709cc8b5401d8868380b",
+    ("baseline", 0.01): "049fcd195c021cd615a16ec258167c00c44fe4111a3132476b08dcd9b1745d54",
+    ("proposed", 0.0): "d086c6401e3eae8989b2ebd289a069478a11d85720f5adb85ab9b68b170c6453",
+    ("proposed", 0.01): "4f0292790861ea98181c3c736cbc834d8dc4f398fc3d898d60505e5f4bd5029d",
+}
+
 SWEEP_ARGS = [
     "sweep", "--max-blackholes", "3", "--seeds", "2", "--duration", "10",
     "--colluding_pairs", "1", "--link_loss", "0.02",
@@ -36,16 +48,29 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("scheme,loss", sorted(EVENT_LOG_DIGESTS))
-def test_event_log_matches_stored_digest(scheme, loss):
-    cfg = ScenarioConfig(
-        blackholes=2, colluding_pairs=2, duration=15, seed=13,
-        scheme=scheme, link_loss=loss,
-    ).validate()
-    run = ScenarioRun(cfg)
+def _event_log_digest(**config) -> str:
+    run = ScenarioRun(ScenarioConfig(**config).validate())
     run.sim.log_events = True
     run.execute()
-    assert _sha256(repr(run.sim.event_log).encode()) == EVENT_LOG_DIGESTS[(scheme, loss)]
+    return _sha256(repr(run.sim.event_log).encode())
+
+
+@pytest.mark.parametrize("scheme,loss", sorted(EVENT_LOG_DIGESTS))
+def test_event_log_matches_stored_digest(scheme, loss):
+    digest = _event_log_digest(
+        blackholes=2, colluding_pairs=2, duration=15, seed=13,
+        scheme=scheme, link_loss=loss,
+    )
+    assert digest == EVENT_LOG_DIGESTS[(scheme, loss)]
+
+
+@pytest.mark.parametrize("scheme,loss", sorted(ALIVE_PING_DIGESTS))
+def test_alive_ping_event_log_matches_stored_digest(scheme, loss):
+    digest = _event_log_digest(
+        nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10, seed=10,
+        scheme=scheme, link_loss=loss,
+    )
+    assert digest == ALIVE_PING_DIGESTS[(scheme, loss)]
 
 
 def test_sweep_csv_matches_stored_digest(tmp_path, capsys):
