@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 
 FABRICATED_LOW = 20
 FABRICATED_HIGH = 60
+# a forged reply outbids the requested sequence number by SEQ_INFLATION
+# and advertises CLAIMED_HOP_COUNT hops past the relay it answers
+SEQ_INFLATION = 100
+CLAIMED_HOP_COUNT = 1
 
 
 class Role:
@@ -45,8 +49,6 @@ class AdversaryProfile:
     role: str = Role.HONEST
     collusion_group: int | None = None
     collusion_partner: int | None = None
-    seq_inflation: int = 100
-    claimed_hop_count: int = 1
     reply_prob: float = 1.0
 
     @property
@@ -96,8 +98,8 @@ def blackhole_on_rreq(node: Node, pkt: Packet) -> None:
     else:
         tail = (node.id, payload.target)
     forged_path = payload.path + tail  # true prefix up to the previous relay
-    forged_seq = payload.requested_seq + profile.seq_inflation
-    claimed_hops = len(payload.path) - 1 + profile.claimed_hop_count
+    forged_seq = payload.requested_seq + SEQ_INFLATION
+    claimed_hops = len(payload.path) - 1 + CLAIMED_HOP_COUNT
     node.send(
         PacketKind.RREP, payload.path[0], payload.path[-1],
         RrepPayload(payload.request_id, forged_seq, forged_path, len(payload.path) - 1),

@@ -28,18 +28,16 @@ if TYPE_CHECKING:
     from .node import Node
 
 DISCOVERY_WINDOW_MS = 200
-NO_EXPIRY = 1 << 62
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RouteEntry:
-    destination: int
-    next_hop: int
-    hop_count: int
-    reliability_count: float
+    """A stored route: the path from this node (``path[0]``) to the
+    destination (``path[-1]``) and the destination sequence number it was
+    advertised with."""
+
+    path: tuple[int, ...]
     dest_seq_no: int
-    expiry_us: int
-    path: tuple[int, ...] = ()
 
 
 class RoutingTable:
@@ -49,11 +47,11 @@ class RoutingTable:
         self._routes: dict[int, list[RouteEntry]] = {}
 
     def upsert(self, entry: RouteEntry) -> None:
-        entries = self._routes.setdefault(entry.destination, [])
+        entries = self._routes.setdefault(entry.path[-1], [])
         for i, existing in enumerate(entries):
-            if existing.next_hop == entry.next_hop:
-                if (entry.dest_seq_no, -entry.hop_count) >= (
-                    existing.dest_seq_no, -existing.hop_count
+            if existing.path[1] == entry.path[1]:
+                if (entry.dest_seq_no, -len(entry.path)) >= (
+                    existing.dest_seq_no, -len(existing.path)
                 ):
                     entries[i] = entry
                 return
@@ -62,15 +60,12 @@ class RoutingTable:
     def entries(self, destination: int) -> list[RouteEntry]:
         return self._routes.get(destination, [])
 
-    def best(self, destination: int, now_us: int) -> RouteEntry | None:
-        live = [e for e in self.entries(destination) if e.expiry_us > now_us]
-        if not live:
-            return None
-        return min(live, key=rank_key)
+    def best(self, destination: int) -> RouteEntry | None:
+        return min(self.entries(destination), key=rank_key, default=None)
 
 
 def rank_key(entry: RouteEntry):
-    return (-entry.dest_seq_no, entry.hop_count, entry.next_hop)
+    return (-entry.dest_seq_no, len(entry.path), entry.path[1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,11 +87,9 @@ def candidate_rank_key(c: Candidate):
 
 @dataclass(slots=True)
 class DiscoveryState:
-    request_id: int
-    target: int
-    candidates: list[Candidate] = field(default_factory=list)
-    seen_paths: set[tuple[int, ...]] = field(default_factory=set)
-    on_done: Callable[[list[Candidate]], None] | None = None
+    on_done: Callable[[list[Candidate]], None]
+    # the first reply along each distinct path, in arrival order
+    candidates: dict[tuple[int, ...], Candidate] = field(default_factory=dict)
 
 
 def initiate_discovery(
@@ -110,11 +103,9 @@ def initiate_discovery(
         raise NoRouteError("discovery to self is a no-op")
     node.request_counter += 1
     request_id = node.request_counter
-    known = node.routes.best(destination, node.sim.now_us)
+    known = node.routes.best(destination)
     requested_seq = known.dest_seq_no if known is not None else 0
-    node.discoveries[request_id] = DiscoveryState(
-        request_id=request_id, target=destination, on_done=on_done
-    )
+    node.discoveries[request_id] = DiscoveryState(on_done)
     node.seen_rreqs.add((node.id, request_id))
     rreq = Packet(
         kind=PacketKind.RREQ,
@@ -144,11 +135,10 @@ def handle_rreq(node: Node, pkt: Packet) -> None:
         node.seq_no += 1
         _send_rrep(node, payload.path + (node.id,), node.seq_no, payload.request_id)
         return
-    cached = node.routes.best(payload.target, node.sim.now_us)
+    cached = node.routes.best(payload.target)
     if (
         cached is not None
         and cached.dest_seq_no >= payload.requested_seq
-        and cached.path
         and not set(cached.path[1:]) & set(payload.path)
     ):
         _send_rrep(
@@ -187,28 +177,15 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
     pos = payload.pos
     if payload.path[pos] != node.id:
         return  # mis-relayed reply
-    remaining = len(payload.path) - 1 - pos
     if not node.profile.is_blackhole:
-        node.routes.upsert(
-            RouteEntry(
-                destination=payload.path[-1],
-                next_hop=payload.path[pos + 1],
-                hop_count=remaining,
-                reliability_count=0.0,
-                dest_seq_no=payload.dest_seq,
-                expiry_us=NO_EXPIRY,
-                path=payload.path[pos:],
-            )
-        )
+        node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
     if pos == 0:
         state = node.discoveries.get(payload.request_id)
         if state is None:
             return  # reply for an unknown or finished discovery
-        if payload.path not in state.seen_paths:
-            state.seen_paths.add(payload.path)
-            state.candidates.append(
-                Candidate(path=payload.path, dest_seq=payload.dest_seq,
-                          adv_hops=pkt.hop_count)
+        if payload.path not in state.candidates:
+            state.candidates[payload.path] = Candidate(
+                path=payload.path, dest_seq=payload.dest_seq, adv_hops=pkt.hop_count
             )
         return
     node.relay(pkt, -1)
@@ -217,10 +194,9 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
 def handle_discovery_timer(node: Node, payload: tuple) -> None:
     _, request_id = payload
     state = node.discoveries.pop(request_id, None)
-    if state is None or state.on_done is None:
+    if state is None:
         return
-    state.candidates.sort(key=candidate_rank_key)
-    state.on_done(state.candidates)
+    state.on_done(sorted(state.candidates.values(), key=candidate_rank_key))
 
 
 # -- destination liveness ---------------------------------------------------
@@ -230,16 +206,14 @@ def ping_destination(
     node: Node,
     destination: int,
     on_result: Callable[[bool, tuple[int, ...]], None],
-    timeout_ms: int | None = None,
 ) -> None:
     """Probe the stored route; silence means the caller should rediscover."""
-    entry = node.routes.best(destination, node.sim.now_us)
-    if entry is None or not entry.path:
+    entry = node.routes.best(destination)
+    if entry is None:
         raise NoRouteError(f"node {node.id} has no stored route to {destination}")
     node.ping_counter += 1
     ping_id = node.ping_counter
-    if timeout_ms is None:
-        timeout_ms = 4 * len(entry.path) * 3 + 50  # generous round trip bound
+    timeout_ms = 4 * len(entry.path) * 3 + 50  # generous round trip bound
     node.ping_waits[ping_id] = (entry.path, on_result)
     node.send(PacketKind.PING, destination, entry.path[1], PingPayload(ping_id, entry.path, 1))
     node.sim.schedule_timer(node.id, timeout_ms * MICROS_PER_MS, ("ping", ping_id))

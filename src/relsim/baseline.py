@@ -173,7 +173,7 @@ def _honest_answer(node: Node, payload: BaseReqPayload):
         ):
             return payload.expected_next  # a direct neighbor needs no table entry
         for entry in node.routes.entries(payload.destination):
-            if entry.next_hop == payload.expected_next:
+            if entry.path[1] == payload.expected_next:
                 return payload.expected_next
         return None
     if payload.expected_next is None:

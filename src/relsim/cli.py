@@ -307,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     records = sweep_records(cfg, blackhole_values, seeds, schemes)
     write_csv(records, args.out, summaries=summary_rows(records))
     print(f"wrote {len(records)} runs to {args.out}")
-    return 0
+    return 2 if any(r.failed for r in records) else 0
 
 
 if __name__ == "__main__":

@@ -56,9 +56,7 @@ class Simulator:
         profiles,
         link: LinkParams,
         seed: int,
-        collector=None,
         vetting_config=None,
-        log_events: bool = False,
     ):
         from .metrics import RunCollector
         from .node import Node
@@ -67,10 +65,10 @@ class Simulator:
         self.link = link
         self.seed = seed
         self.now_us = 0
-        self.collector = collector if collector is not None else RunCollector()
+        self.collector = RunCollector()
         self.vetting_config = vetting_config
         self.profiles = profiles
-        self.log_events = log_events
+        self.log_events = False
         self.event_log: list[tuple] = []
         self._queue: list[tuple[int, int, int, int, object]] = []
         self._seq = 0

@@ -180,7 +180,7 @@ class RunCollector:
         return sum(routed) / len(routed)
 
 
-def ground_truth_route_mrr(sim, path: tuple[int, ...], cfg: VettingConfig | None = None) -> float:
+def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
     """Measurement-side route score from true node state, no messages.
 
     Walks the path the way vetting would: any intermediate that is a
@@ -190,8 +190,7 @@ def ground_truth_route_mrr(sim, path: tuple[int, ...], cfg: VettingConfig | None
     """
     from .defense import reliability_ratio
 
-    if cfg is None:
-        cfg = sim.vetting_config or VettingConfig()
+    cfg = sim.vetting_config or VettingConfig()
     inner = path[1:-1]
     if not inner:
         return 1.0

@@ -11,12 +11,12 @@ generating and are reported as starved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import aodv, baseline, defense, metrics
 from .adversary import assign_adversaries
 from .engine import MICROS_PER_MS, MICROS_PER_S, EventKind, LinkParams, Simulator, derive_stream
-from .errors import SimulationError, TopologyError, UndefinedMetricError
+from .errors import SimulationError, UndefinedMetricError
 from .packets import DataPayload, Packet, PacketKind
 from .scenario import ScenarioConfig
 from .topology import build_connected_topology
@@ -55,13 +55,7 @@ class _FlowDriver:
     start_us: int
     packet_count: int
     route: tuple[int, ...] | None = None
-    no_route: bool = False
-    buffer: list | None = None
-    sent_seq: int = 0
-
-    def __post_init__(self):
-        if self.buffer is None:
-            self.buffer = []
+    buffer: list[int] = field(default_factory=list)  # creation times awaiting a route
 
 
 class ScenarioRun:
@@ -185,98 +179,67 @@ class ScenarioRun:
 
     def _acquire_route(self, flow: _FlowDriver) -> None:
         node = self.sim.nodes[flow.source]
-        entry = node.routes.best(flow.destination, self.sim.now_us)
-        if entry is not None and entry.path:
-            aodv.ping_destination(
-                node, flow.destination,
-                lambda alive, path, f=flow: self._after_ping(f, alive, path),
-            )
-            return
-        self._discover(flow)
-
-    def _after_ping(self, flow: _FlowDriver, alive: bool, path: tuple[int, ...]) -> None:
-        if not alive:
+        if node.routes.best(flow.destination) is None:
             self._discover(flow)
             return
-        if self.cfg.scheme == "undefended":
-            self._activate(flow, path)
-        else:
-            # path answered but carries no fresh vetting evidence: re-vet it
-            self._vet_candidates(flow, [aodv.Candidate(path, 0, len(path) - 1)])
-
-    def _discover(self, flow: _FlowDriver) -> None:
-        node = self.sim.nodes[flow.source]
-        aodv.initiate_discovery(
+        # a stored route that answers the ping carries no fresh vetting
+        # evidence, so it is chosen like a one-path discovery
+        aodv.ping_destination(
             node, flow.destination,
-            lambda cands, f=flow: self._on_candidates(f, cands),
+            lambda alive, path, f=flow: (
+                self._choose_route(f, [path]) if alive else self._discover(f)
+            ),
         )
 
-    def _on_candidates(self, flow: _FlowDriver, candidates: list[aodv.Candidate]) -> None:
-        if not candidates:
-            flow.no_route = True
-            return
-        if self.cfg.scheme == "undefended":
-            best = min(candidates, key=aodv.candidate_rank_key)
-            self._activate(flow, best.path)
-            return
-        self._vet_candidates(flow, sorted(candidates, key=aodv.candidate_rank_key))
+    def _discover(self, flow: _FlowDriver) -> None:
+        aodv.initiate_discovery(
+            self.sim.nodes[flow.source], flow.destination,
+            lambda cands, f=flow: self._choose_route(f, [c.path for c in cands]),
+        )
 
-    def _vet_candidates(self, flow: _FlowDriver, candidates: list[aodv.Candidate]) -> None:
+    def _choose_route(self, flow: _FlowDriver, paths: list[tuple[int, ...]]) -> None:
+        """Vet ``paths``, ranked best first, one at a time with the scheme's
+        vetter.  Undefended trusts every path and baseline stops at its first
+        trusted path; proposed vets them all, then takes the ``select_route``
+        pick.  A flow left without a route stays starved."""
+        scheme = self.cfg.scheme
+        # looked up at call time so that wrappers installed on the modules apply
+        if scheme == "proposed":
+            vetter = defense.begin_vetting
+        elif scheme == "baseline":
+            vetter = baseline.begin_baseline_vetting
+        else:
+            vetter = _trust
         node = self.sim.nodes[flow.source]
+        pending = iter(paths)
         results: list[tuple[tuple[int, ...], defense.VettingResult]] = []
-        order = list(candidates)
-        baseline_mode = self.cfg.scheme == "baseline"
 
         def vet_next() -> None:
-            if not order:
-                finish()
-                return
-            candidate = order.pop(0)
-            if baseline_mode:
-                baseline.begin_baseline_vetting(
-                    node, candidate.path, self.vet_cfg, collect
-                )
-            else:
-                defense.begin_vetting(node, candidate.path, self.vet_cfg, collect)
+            path = next(pending, None)
+            if path is not None:
+                vetter(node, path, self.vet_cfg, collect)
+            elif results and scheme == "proposed":
+                chosen = defense.select_route(results)
+                if chosen is not None:
+                    self._activate(flow, chosen)
 
         def collect(result: defense.VettingResult) -> None:
-            results.append((result.path, result))
-            if baseline_mode and result.status is defense.VetStatus.TRUSTED:
-                # ranked order: the first trusted candidate is the pick
+            if scheme != "proposed" and result.status is defense.VetStatus.TRUSTED:
                 self._activate(flow, result.path)
                 return
+            results.append((result.path, result))
             vet_next()
-
-        def finish() -> None:
-            if baseline_mode:
-                flow.no_route = True
-                return
-            chosen = defense.select_route(results)
-            if chosen is None:
-                flow.no_route = True
-                return
-            self._activate(flow, chosen)
 
         vet_next()
 
     def _activate(self, flow: _FlowDriver, path: tuple[int, ...]) -> None:
         flow.route = path
         node = self.sim.nodes[flow.source]
-        mrr = metrics.ground_truth_route_mrr(self.sim, path, self.vet_cfg)
-        node.routes.upsert(
-            aodv.RouteEntry(
-                destination=flow.destination,
-                next_hop=path[1],
-                hop_count=len(path) - 1,
-                reliability_count=mrr * max(1, len(path) - 2),
-                dest_seq_no=max(
-                    (e.dest_seq_no for e in node.routes.entries(flow.destination)),
-                    default=0,
-                ),
-                expiry_us=aodv.NO_EXPIRY,
-                path=path,
-            )
+        mrr = metrics.ground_truth_route_mrr(self.sim, path)
+        dest_seq = max(
+            (e.dest_seq_no for e in node.routes.entries(flow.destination)), default=0
         )
+        node.routes.upsert(aodv.RouteEntry(path, dest_seq))
         self.sim.collector.on_route_selected(flow.flow_id, path, mrr, self.sim.now_us)
         for created in flow.buffer:
             self._send_data(flow, created)
@@ -322,6 +285,13 @@ class ScenarioRun:
         )
 
 
+def _trust(node, path: tuple[int, ...], cfg: defense.VettingConfig,
+           on_done) -> None:
+    """The undefended scheme's vetter: every path is trusted unasked, and
+    nothing is reported to the collector."""
+    on_done(defense.VettingResult(defense.VetStatus.TRUSTED, 0.0, 0, path))
+
+
 def check_invariants(sim: Simulator) -> None:
     """Raise ``SimulationError`` unless every flow ledger balances and, the
     queue having drained, no node still holds an open conversation."""
@@ -344,10 +314,11 @@ def check_invariants(sim: Simulator) -> None:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:
-    """Run one scenario to completion; failures produce a marked record."""
+    """Run one scenario to completion; a run that fails, from an impossible
+    topology to a broken invariant, produces a marked record."""
     try:
         return ScenarioRun(cfg).execute()
-    except TopologyError as exc:
+    except SimulationError as exc:
         return RunRecord(
             scenario=cfg.scenario_id,
             scheme=cfg.scheme,

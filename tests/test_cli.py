@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from relsim.cli import (
     t_quantile,
     write_csv,
 )
+from relsim.metrics import RunCollector
 from relsim.runner import RunRecord
 from relsim.scenario import ScenarioConfig
 
@@ -138,6 +140,30 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     args = ["run", "--nodes", "12", "--flows", "20", "--blackholes", "8",
             "--duration", "5", "--seed", "1"]
     assert main(args) == 2
+
+
+def test_sweep_isolates_failed_runs_and_exits_2(tmp_path, capsys, monkeypatch):
+    """With black-hole drops left uncounted the ledger check fails each run
+    that loses data to a hole; those runs become nan rows, every other row
+    is still written, and the sweep exits 2."""
+    monkeypatch.setattr(RunCollector, "on_blackhole_drop", lambda self, pkt: None)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--max-blackholes", "2", "--nodes", "20", "--duration", "5",
+            "--seeds", "2", "--out", str(out)]
+    assert main(args) == 2
+    warned = {
+        re.search(r"scheme=(\w+) blackholes=(\d+) seed=(\d+)", line).groups()
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("warning: run failed")
+    }
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]
+            if not line.startswith("summary")]
+    assert len(rows) == 3 * 3 * 2
+    nan_rows = {tuple(row[1:4]) for row in rows if row[4] == "nan"}
+    # only the undefended scheme routes data into the holes on these seeds
+    assert warned == nan_rows == {
+        ("undefended", str(holes), str(seed)) for holes in (1, 2) for seed in (1, 2)
+    }
 
 
 def test_cli_config_file_loading(tmp_path, capsys):

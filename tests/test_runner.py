@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from relsim import aodv
+from relsim import aodv, baseline, defense
+from relsim.defense import VetStatus
 from relsim.errors import SimulationError
 from relsim.runner import ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
@@ -78,9 +79,42 @@ def test_unbalanced_ledger_raises_naming_the_flow():
 
 def test_conversation_left_open_raises_naming_node_and_map():
     run = ScenarioRun(_cfg(scheme="proposed"))
-    run.sim.nodes[5].discoveries[999] = aodv.DiscoveryState(999, 0)  # no timer behind it
+    run.sim.nodes[5].discoveries[999] = aodv.DiscoveryState(lambda c: None)  # no timer behind it
     with pytest.raises(SimulationError, match=r"node 5: discoveries still open for \[999\]"):
         run.execute()
+
+
+# three ranked paths: the vetting status and mean reliability each gets
+UNTRUSTED_BEST_FIRST = ((VetStatus.UNTRUSTED, 0.0), (VetStatus.TRUSTED, 0.9),
+                        (VetStatus.TRUSTED, 0.5))
+BEST_LAST = ((VetStatus.UNTRUSTED, 0.0), (VetStatus.TRUSTED, 0.5),
+             (VetStatus.TRUSTED, 0.9))
+
+
+@pytest.mark.parametrize("scheme,script,vetted,chosen", [
+    ("undefended", UNTRUSTED_BEST_FIRST, 0, 0),  # trusts the top-ranked path
+    ("baseline", UNTRUSTED_BEST_FIRST, 2, 1),  # stops at the first trusted path
+    ("proposed", UNTRUSTED_BEST_FIRST, 3, 1),  # vets all, keeps the most reliable
+    ("proposed", BEST_LAST, 3, 2),
+])
+def test_route_choice_follows_the_scheme(monkeypatch, scheme, script, vetted, chosen):
+    run = ScenarioRun(_cfg(scheme=scheme))
+    flow = run.flows[0]
+    relays = [u for u in range(20) if u not in (flow.source, flow.destination)]
+    paths = [(flow.source, relays[i], flow.destination) for i in range(3)]
+    asked = []
+
+    def scripted(node, path, cfg, on_done):
+        asked.append(path)
+        status, mrr = script[paths.index(path)]
+        on_done(defense.VettingResult(status, mrr, 1, path))
+
+    monkeypatch.setattr(defense, "begin_vetting", scripted)
+    monkeypatch.setattr(baseline, "begin_baseline_vetting", scripted)
+    run._choose_route(flow, paths)
+    assert asked == paths[:vetted]
+    assert flow.route == paths[chosen]
+    assert run.sim.collector.flows[flow.flow_id].route_path == paths[chosen]
 
 
 def test_defended_run_reroutes_around_attack():
