@@ -100,11 +100,9 @@ def blackhole_on_rreq(node: Node, pkt: Packet) -> None:
     forged_path = payload.path + tail  # true prefix up to the previous relay
     forged_seq = payload.requested_seq + SEQ_INFLATION
     claimed_hops = len(payload.path) - 1 + CLAIMED_HOP_COUNT
-    node.send(
-        PacketKind.RREP, payload.path[0], payload.path[-1],
-        RrepPayload(payload.request_id, forged_seq, forged_path, len(payload.path) - 1),
-        hop_count=claimed_hops,
-    )
+    node.send(PacketKind.RREP, payload.path[-1], RrepPayload(
+        payload.request_id, forged_seq, forged_path, len(payload.path) - 1, claimed_hops,
+    ))
 
 
 def blackhole_on_data(node: Node, pkt: Packet) -> None:
@@ -125,7 +123,7 @@ def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
         return  # the asker's feedback timer will burn out
     subject_profile = node.sim.profiles[payload.asker]
     sent, received = fabricated_counts(node, subject_profile)
-    node.send(PacketKind.DRI_REP, payload.asker, payload.asker,
+    node.send(PacketKind.DRI_REP, payload.asker,
               DriRepPayload(payload.vet_id, payload.asker, payload.attempt, sent, received))
 
 

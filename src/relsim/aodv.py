@@ -107,18 +107,9 @@ def initiate_discovery(
     requested_seq = known.dest_seq_no if known is not None else 0
     node.discoveries[request_id] = DiscoveryState(on_done)
     node.seen_rreqs.add((node.id, request_id))
-    rreq = Packet(
-        kind=PacketKind.RREQ,
-        origin=node.id,
-        final_dst=destination,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        hop_count=0,
-        payload=RreqPayload(request_id, destination, requested_seq, (node.id,)),
-    )
-    # control flood runs jitter-free so the first copy anywhere arrives
-    # along a minimum-hop chain
-    node.sim.broadcast(node.id, rreq, jitter=False)
+    rreq = Packet(PacketKind.RREQ, node.id, node.id, node.next_seq(),
+                  RreqPayload(request_id, destination, requested_seq, (node.id,)))
+    node.sim.broadcast(node.id, rreq)
     node.sim.schedule_timer(
         node.id, window_ms * MICROS_PER_MS, ("discovery", request_id)
     )
@@ -145,21 +136,10 @@ def handle_rreq(node: Node, pkt: Packet) -> None:
             node, payload.path + cached.path, cached.dest_seq_no, payload.request_id
         )
         return
-    relay = Packet(
-        kind=PacketKind.RREQ,
-        origin=pkt.origin,
-        final_dst=payload.target,
-        prev_hop=node.id,
-        seq_no=node.next_seq(),
-        hop_count=pkt.hop_count + 1,
-        payload=RreqPayload(
-            payload.request_id,
-            payload.target,
-            payload.requested_seq,
-            payload.path + (node.id,),
-        ),
-    )
-    node.sim.broadcast(node.id, relay, jitter=False)
+    relay = Packet(PacketKind.RREQ, pkt.origin, node.id, node.next_seq(), RreqPayload(
+        payload.request_id, payload.target, payload.requested_seq, payload.path + (node.id,),
+    ))
+    node.sim.broadcast(node.id, relay)
 
 
 def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int) -> None:
@@ -168,8 +148,8 @@ def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int
     my_pos = path.index(node.id)
     if my_pos == 0:
         return
-    node.send(PacketKind.RREP, path[0], path[my_pos - 1],
-              RrepPayload(request_id, dest_seq, path, my_pos - 1), hop_count=len(path) - 1)
+    node.send(PacketKind.RREP, path[my_pos - 1],
+              RrepPayload(request_id, dest_seq, path, my_pos - 1, len(path) - 1))
 
 
 def handle_rrep(node: Node, pkt: Packet) -> None:
@@ -185,7 +165,7 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
             return  # reply for an unknown or finished discovery
         if payload.path not in state.candidates:
             state.candidates[payload.path] = Candidate(
-                path=payload.path, dest_seq=payload.dest_seq, adv_hops=pkt.hop_count
+                path=payload.path, dest_seq=payload.dest_seq, adv_hops=payload.hops
             )
         return
     node.relay(pkt, -1)
@@ -215,7 +195,7 @@ def ping_destination(
     ping_id = node.ping_counter
     timeout_ms = 4 * len(entry.path) * 3 + 50  # generous round trip bound
     node.ping_waits[ping_id] = (entry.path, on_result)
-    node.send(PacketKind.PING, destination, entry.path[1], PingPayload(ping_id, entry.path, 1))
+    node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path, 1))
     node.sim.schedule_timer(node.id, timeout_ms * MICROS_PER_MS, ("ping", ping_id))
 
 
@@ -224,7 +204,7 @@ def handle_ping(node: Node, pkt: Packet) -> None:
     if payload.path[payload.pos] != node.id:
         return
     if payload.pos == len(payload.path) - 1:
-        node.send(PacketKind.PONG, payload.path[0], payload.path[payload.pos - 1],
+        node.send(PacketKind.PONG, payload.path[payload.pos - 1],
                   PongPayload(payload.ping_id, payload.path, payload.pos - 1))
         return
     node.relay(pkt, +1)

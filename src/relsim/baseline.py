@@ -133,7 +133,7 @@ def _send_piece(node: Node, state: BaselineState) -> None:
         pos=1,
         attempt=state.attempt,
     )
-    node.send(PacketKind.BASE_REQ, inter.voucher, inter.path[1], payload)
+    node.send(PacketKind.BASE_REQ, inter.path[1], payload)
     node.sim.schedule_timer(
         node.id,
         state.cfg.t1_ms * MICROS_PER_MS,
@@ -155,7 +155,7 @@ def handle_base_req(node: Node, pkt: Packet) -> None:
 def answer(node: Node, payload: BaseReqPayload, value) -> None:
     """The voucher's reply, honest or not, retraces the request's path."""
     back = len(payload.path) - 2
-    node.send(PacketKind.BASE_REP, payload.path[0], payload.path[back], BaseRepPayload(
+    node.send(PacketKind.BASE_REP, payload.path[back], BaseRepPayload(
         payload.vet_id, payload.piece, payload.subject, value, payload.path, back,
         payload.attempt,
     ))

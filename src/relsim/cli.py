@@ -12,7 +12,7 @@ import argparse
 import math
 import statistics
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -184,14 +184,7 @@ def sweep_records(
     for scheme in schemes:
         for blackholes in blackhole_values:
             for seed in seeds:
-                cfg = ScenarioConfig(
-                    **{
-                        **{f.name: getattr(base, f.name) for f in fields(ScenarioConfig)},
-                        "scheme": scheme,
-                        "blackholes": blackholes,
-                        "seed": seed,
-                    }
-                ).validate()
+                cfg = replace(base, scheme=scheme, blackholes=blackholes, seed=seed).validate()
                 record = run_scenario(cfg)
                 if record.failed:
                     print(

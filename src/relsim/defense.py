@@ -252,7 +252,7 @@ def _advance(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: floa
 
 def _send_dri_request(node: Node, probe: HopProbe) -> None:
     nhn = probe.path[probe.pos + 1]
-    node.send(PacketKind.DRI_REQ, nhn, nhn, DriReqPayload(probe.vet_id, node.id, probe.attempt))
+    node.send(PacketKind.DRI_REQ, nhn, DriReqPayload(probe.vet_id, node.id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
         probe.cfg.t1_ms * MICROS_PER_MS,
@@ -264,12 +264,9 @@ def handle_dri_req(node: Node, pkt: Packet) -> None:
     """An honest node reports its true counts about the asker."""
     payload: DriReqPayload = pkt.payload
     entry = node.dri.get(payload.asker, EMPTY_ENTRY)
-    reply = Packet(
-        PacketKind.DRI_REP, node.id, payload.asker, node.id, node.next_seq(),
-        payload=DriRepPayload(
-            payload.vet_id, payload.asker, payload.attempt, entry.sent, entry.received
-        ),
-    )
+    reply = Packet(PacketKind.DRI_REP, node.id, node.id, node.next_seq(), DriRepPayload(
+        payload.vet_id, payload.asker, payload.attempt, entry.sent, entry.received,
+    ))
     node.sim.transmit(node.id, payload.asker, reply)
 
 
@@ -287,7 +284,7 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
     if cross_check(local, reported, cfg.delta_match):
         # matched: the accumulator moves one hop down the path
         rel = accumulate_rel(probe.rel, reliability_ratio(reported, cfg))
-        node.send(PacketKind.REL, nhn, nhn, RelPayload(
+        node.send(PacketKind.REL, nhn, RelPayload(
             probe.vet_id, rel, probe.path, probe.pos + 1, probe.strikes, checked,
             False, int(VetStatus.IN_PROGRESS), cfg,
         ))
@@ -315,7 +312,7 @@ def _send_home(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: fl
     if pos == 0:
         _finalize(node, vet_id, rel, checked, status)
         return
-    node.send(PacketKind.REL, path[0], path[pos - 1],
+    node.send(PacketKind.REL, path[pos - 1],
               RelPayload(vet_id, rel, path, pos - 1, strikes, checked, True, int(status)))
 
 

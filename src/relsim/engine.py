@@ -59,7 +59,7 @@ class Simulator:
         vetting_config=None,
     ):
         from .metrics import RunCollector
-        from .node import Node
+        from .node import Node, event_handlers
 
         self.topology = topology
         self.link = link
@@ -76,8 +76,10 @@ class Simulator:
         self._stories: dict[int, int] = {}
         self._app_handler: Callable[[object], None] | None = None
         self.rngs = [derive_stream(seed, i) for i in range(topology.node_count)]
+        # built per simulator, so that handlers replaced on their modules apply
+        tables = {role: event_handlers(role) for role in (False, True)}
         self.nodes = [
-            Node(self, i, profiles[i], topology.neighbors[i])
+            Node(self, i, profiles[i], topology.neighbors[i], tables[profiles[i].is_blackhole])
             for i in range(topology.node_count)
         ]
 
@@ -114,7 +116,7 @@ class Simulator:
 
     # -- link layer ---------------------------------------------------
 
-    def transmit(self, src: int, dst: int, packet: Packet, jitter: bool = True) -> None:
+    def transmit(self, src: int, dst: int, packet: Packet) -> None:
         """Schedule unicast delivery of ``packet`` from ``src`` to ``dst``.
 
         Raises ``UndeliverableError`` for non-adjacent endpoints: honest
@@ -122,22 +124,24 @@ class Simulator:
         """
         if dst not in self.topology.neighbors[src]:
             raise UndeliverableError(f"{src} -> {dst}: nodes are not adjacent")
-        self._send(src, dst, packet, jitter)
+        self._send(src, dst, packet, True)
 
-    def transmit_or_drop(self, src: int, dst: int, packet: Packet, jitter: bool = True) -> bool:
+    def transmit_or_drop(self, src: int, dst: int, packet: Packet) -> bool:
         """Forwarding along unverified (possibly forged) paths: a hop that
         does not exist drops the packet instead of crashing the run."""
         if dst not in self.topology.neighbors[src]:
             self.collector.on_undeliverable(packet)
             return False
-        self._send(src, dst, packet, jitter)
+        self._send(src, dst, packet, True)
         return True
 
-    def broadcast(self, src: int, packet: Packet, jitter: bool = True) -> int:
-        """One independently drawn delivery per neighbor of ``src``."""
+    def broadcast(self, src: int, packet: Packet) -> int:
+        """One delivery per neighbor of ``src``, each with its own loss draw
+        but no jitter, so that the first copy of a flooded route request
+        anywhere arrives along a minimum-hop chain."""
         count = 0
         for dst in self.topology.neighbors[src]:
-            self._send(src, dst, packet, jitter)
+            self._send(src, dst, packet, False)
             count += 1
         return count
 

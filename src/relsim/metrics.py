@@ -106,9 +106,8 @@ class RunCollector:
         return ledger
 
     def _flow_of(self, pkt: Packet) -> FlowLedger | None:
-        if pkt.kind is PacketKind.DATA and pkt.payload is not None:
-            flow_id = getattr(pkt.payload, "flow_id", -1)
-            return self.flows.get(flow_id)
+        if pkt.kind is PacketKind.DATA:
+            return self.flows.get(pkt.payload.flow_id)
         return None
 
     def on_generated(self, flow_id: int) -> None:

@@ -50,10 +50,8 @@ VETTING_KINDS = frozenset(
 class Packet:
     kind: PacketKind
     origin: int
-    final_dst: int
     prev_hop: int
     seq_no: int
-    hop_count: int = 0
     payload: object = None
 
 
@@ -71,6 +69,7 @@ class RrepPayload:
     dest_seq: int
     path: tuple[int, ...]  # full origin..destination node sequence
     pos: int  # index of the node currently relaying the reply
+    hops: int  # advertised hop count, which a forged reply understates
 
 
 @dataclass(frozen=True, slots=True)

@@ -145,14 +145,8 @@ class ScenarioRun:
 
     def _send_probe(self, sender: int, receiver: int) -> None:
         node = self.sim.nodes[sender]
-        pkt = Packet(
-            kind=PacketKind.DATA,
-            origin=sender,
-            final_dst=receiver,
-            prev_hop=sender,
-            seq_no=node.next_seq(),
-            payload=DataPayload(-1, self.sim.now_us, (sender, receiver), 1),
-        )
+        pkt = Packet(PacketKind.DATA, sender, sender, node.next_seq(),
+                     DataPayload(-1, self.sim.now_us, (sender, receiver), 1))
         self.sim.transmit(sender, receiver, pkt)
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
@@ -171,8 +165,7 @@ class ScenarioRun:
 
     def _send_data(self, flow: _FlowDriver, created_us: int) -> None:
         self.sim.nodes[flow.source].send(
-            PacketKind.DATA, flow.destination, flow.route[1],
-            DataPayload(flow.flow_id, created_us, flow.route, 1),
+            PacketKind.DATA, flow.route[1], DataPayload(flow.flow_id, created_us, flow.route, 1)
         )
 
     # -- route acquisition ------------------------------------------------

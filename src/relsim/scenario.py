@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,6 +37,10 @@ class ScenarioConfig:
     link_loss: float = 0.0
 
     def validate(self) -> "ScenarioConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name}: must be finite")
         if self.nodes < 2:
             raise ConfigError("nodes: need at least 2 nodes")
         if self.area_side <= 0:

@@ -70,7 +70,7 @@ def test_data_absorption_is_total():
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
-            kind=PacketKind.DATA, origin=0, final_dst=3, prev_hop=0,
+            kind=PacketKind.DATA, origin=0, prev_hop=0,
             seq_no=node.next_seq(),
             payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
         )
@@ -144,7 +144,7 @@ def test_role_purity_honest_profiles_never_drop():
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
-            kind=PacketKind.DATA, origin=0, final_dst=3, prev_hop=0,
+            kind=PacketKind.DATA, origin=0, prev_hop=0,
             seq_no=node.next_seq(),
             payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
         )

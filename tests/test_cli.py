@@ -131,6 +131,14 @@ def test_cli_rejects_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, raw", [("duration", "inf"), ("duration", "nan"),
+                                      ("packet_rate", "nan")])
+def test_cli_run_rejects_non_finite_floats(key, raw, capsys):
+    args = ["run", "--nodes", "10", "--area_side", "300", "--flows", "1", f"--{key}", raw]
+    assert main(args) == 1
+    assert f"config error: {key}: must be finite" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_scheme_in_list(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["compare", "--schemes", "proposed,wizardry", "--out", str(out)]) == 1

@@ -18,7 +18,6 @@ def _probe(sim, src, dst, flow=-1):
     return Packet(
         kind=PacketKind.DATA,
         origin=src,
-        final_dst=dst,
         prev_hop=src,
         seq_no=node.next_seq(),
         payload=DataPayload(flow, sim.now_us, (src, dst), 1),

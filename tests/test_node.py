@@ -1,0 +1,41 @@
+"""Per-role dispatch tables: coverage, the black-hole overrides, and when
+the handlers are read off their modules."""
+
+import pytest
+
+from relsim import adversary, aodv
+from relsim.node import event_handlers
+from relsim.packets import PacketKind
+
+from conftest import blackhole, line_sim
+
+TIMER_TAGS = {"rel_tf", "vet_deadline", "base_tf", "base_deadline", "discovery", "ping"}
+
+
+@pytest.mark.parametrize("is_blackhole", [False, True])
+def test_role_table_covers_every_kind_and_timer_tag(is_blackhole):
+    assert set(event_handlers(is_blackhole)) == set(PacketKind) | TIMER_TAGS
+
+
+def test_blackhole_table_overrides_only_what_a_hole_mishandles():
+    honest, hole = event_handlers(False), event_handlers(True)
+    overridden = {key for key in honest if hole[key] is not honest[key]}
+    assert overridden == {
+        PacketKind.DATA, PacketKind.ACK, PacketKind.PING, PacketKind.PONG,
+        PacketKind.RREQ, PacketKind.DRI_REQ, PacketKind.BASE_REQ,
+    }
+
+
+@pytest.mark.parametrize("module, name, roles", [
+    (aodv, "handle_rreq", {}),
+    (adversary, "blackhole_on_rreq", {1: blackhole(1)}),
+])
+def test_handler_replaced_before_the_simulator_is_built_is_called(
+    monkeypatch, module, name, roles
+):
+    receivers = []
+    monkeypatch.setattr(module, name, lambda node, pkt: receivers.append(node.id))
+    sim = line_sim(3, roles)
+    aodv.initiate_discovery(sim.nodes[0], 2, lambda candidates: None)
+    sim.run()
+    assert receivers == [1]

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from relsim.errors import ConfigError
@@ -38,6 +40,17 @@ def test_seed_must_fit_in_64_bits():
     for seed in (2**64, -(2**64), -1):
         with pytest.raises(ConfigError, match="seed"):
             parse_config(overrides={"seed": seed})
+
+
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+)
+def test_non_finite_floats_rejected(key):
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
+            parse_config(overrides={key: raw})
+        with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
+            ScenarioConfig(**{key: float(raw)}).validate()
 
 
 def test_unknown_key_rejected(tmp_path):
