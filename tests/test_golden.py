@@ -37,6 +37,18 @@ ALIVE_PING_DIGESTS = {
     ("proposed", 0.01): "4f0292790861ea98181c3c736cbc834d8dc4f398fc3d898d60505e5f4bd5029d",
 }
 
+# Without warm-up every count and flag table starts empty: the baseline
+# refuses paths on its own empty table, the proposed scheme trusts on the
+# neutral ratio of an empty entry.
+NO_WARMUP_DIGESTS = {
+    ("undefended", 0.0): "6823c99f5c1bed0c1e54afe2b1460fd55f8dca398f46fe7fee7d06e5f9002645",
+    ("undefended", 0.03): "41e7230d8a89f722cbdaab87cdc7097d004d8980954d2216cee1242cdc4a4409",
+    ("baseline", 0.0): "7837bd067b95cee4b3c992058acf36fedaba50fce709c816a7ac735201928f46",
+    ("baseline", 0.03): "128850672f449f5fbc690da78c65e20ae4430869447b6fd4b653af5a5f51b655",
+    ("proposed", 0.0): "774f1291652c3464e0a472d0539bb879affabb80f287deeebd0b5775d68300b9",
+    ("proposed", 0.03): "7be1437e025826fc2a87cdfb700c72824ba43ff52febbcd5057f4ad27d5cfb12",
+}
+
 SWEEP_ARGS = [
     "sweep", "--max-blackholes", "3", "--seeds", "2", "--duration", "10",
     "--colluding_pairs", "1", "--link_loss", "0.02",
@@ -71,6 +83,15 @@ def test_alive_ping_event_log_matches_stored_digest(scheme, loss):
         scheme=scheme, link_loss=loss,
     )
     assert digest == ALIVE_PING_DIGESTS[(scheme, loss)]
+
+
+@pytest.mark.parametrize("scheme,loss", sorted(NO_WARMUP_DIGESTS))
+def test_no_warmup_event_log_matches_stored_digest(scheme, loss):
+    digest = _event_log_digest(
+        nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10, seed=10,
+        warmup_packets=0, scheme=scheme, link_loss=loss,
+    )
+    assert digest == NO_WARMUP_DIGESTS[(scheme, loss)]
 
 
 def test_sweep_csv_matches_stored_digest(tmp_path, capsys):
