@@ -19,7 +19,7 @@ from .defense import (
     select_route,
     vet_path,
 )
-from .baseline import FlagDriEntry, baseline_update, baseline_vet
+from .baseline import baseline_update, baseline_vet
 from .engine import LinkParams, Simulator
 from .errors import (
     ConfigError,
@@ -46,7 +46,6 @@ __all__ = [
     "AdversaryProfile",
     "ConfigError",
     "DriEntry",
-    "FlagDriEntry",
     "FlowStats",
     "LinkParams",
     "NoRouteError",

@@ -76,10 +76,6 @@ class Candidate:
     dest_seq: int
     adv_hops: int
 
-    @property
-    def in_list(self) -> tuple[int, ...]:
-        return self.path[1:-1]
-
 
 def candidate_rank_key(c: Candidate):
     return (-c.dest_seq, c.adv_hops, c.path[1] if len(c.path) > 1 else -1, c.path)

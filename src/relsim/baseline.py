@@ -1,14 +1,15 @@
 """Flag-table comparison scheme: next-hop interrogation over the path.
 
 This is the reconstructed "existing solution" the count-based defense is
-measured against.  Each node keeps two booleans per neighbor: data was
-received from it, and data sent to it was acknowledged.  To vet a path,
-the source interrogates each intermediate's successor through the path
-itself, asking three questions per hop (the successor's flags about the
-intermediate, the successor's onward hop, and its flags about that hop).
-The final intermediate is never interrogated: its own answers, given
-while vouching for its predecessor, are taken at face value.  That
-acceptance-on-self-evidence is what adjacent colluders exploit.
+measured against.  Each node knows two booleans per neighbor, both read
+off its count table: data was received from it, and data sent to it was
+acknowledged.  To vet a path, the source interrogates each intermediate's
+successor through the path itself, asking three questions per hop (the
+successor's flags about the intermediate, the successor's onward hop, and
+its flags about that hop).  The final intermediate is never
+interrogated: its own answers, given while vouching for its predecessor,
+are taken at face value.  That acceptance-on-self-evidence is what
+adjacent colluders exploit.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .defense import (
+    EMPTY_ENTRY,
+    DriEntry,
     VetStatus,
-    VettingConfig,
     VettingResult,
     conclude,
     expire,
@@ -34,25 +36,20 @@ if TYPE_CHECKING:
 PIECES_PER_HOP = 3
 
 
-@dataclass(slots=True)
-class FlagDriEntry:
-    from_flag: bool = False  # data has arrived from this neighbor
-    through_flag: bool = False  # data sent to this neighbor was acknowledged
-
-
-def baseline_update(table: dict[int, FlagDriEntry], neighbor: int, kind: str) -> dict:
-    """Set one of the monotone flags for ``neighbor``."""
+def baseline_update(table: dict[int, DriEntry], neighbor: int) -> None:
+    """Note that data sent to ``neighbor`` was acknowledged."""
     entry = table.get(neighbor)
     if entry is None:
-        entry = FlagDriEntry()
+        entry = DriEntry()
         table[neighbor] = entry
-    if kind == "from":
-        entry.from_flag = True
-    elif kind == "through":
-        entry.through_flag = True
-    else:
-        raise ValueError(f"unknown flag kind {kind!r}")
-    return table
+    entry.acked = True
+
+
+def flags(node: Node, neighbor: int) -> tuple[bool, bool]:
+    """``node``'s (from, through) flags about ``neighbor``: data has arrived
+    from it, and data sent to it was acknowledged."""
+    entry = node.dri.get(neighbor, EMPTY_ENTRY)
+    return entry.received > 0, entry.acked
 
 
 def _both_true(value) -> bool:
@@ -71,7 +68,6 @@ class Interrogation:
 class BaselineState:
     vet_id: int
     path: tuple[int, ...]
-    cfg: VettingConfig
     on_done: Callable[[VettingResult], None]
     interrogations: list[Interrogation]
     idx: int = 0
@@ -85,7 +81,6 @@ class BaselineState:
 def begin_baseline_vetting(
     node: Node,
     path: tuple[int, ...],
-    cfg: VettingConfig,
     on_done: Callable[[VettingResult], None],
 ) -> int:
     vet_id = open_vetting(node, path)
@@ -93,8 +88,7 @@ def begin_baseline_vetting(
     if not inner:
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return vet_id
-    first = node.flags.get(inner[0])
-    if first is None or not (first.from_flag and first.through_flag):
+    if not all(flags(node, inner[0])):
         # the source's own table already refuses the first hop
         conclude(node, VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path), on_done)
         return vet_id
@@ -111,11 +105,10 @@ def begin_baseline_vetting(
             # intermediates that evidence already arrived as an onward-hop
             # answer, and is taken at face value
             plan.append(Interrogation(inner[-1], path[-1], None, path))
-    state = BaselineState(vet_id, path, cfg, on_done, plan)
+    state = BaselineState(vet_id, path, on_done, plan)
     node.base_vets[vet_id] = state
-    node.sim.schedule_timer(
-        node.id, cfg.deadline_us(len(plan) * PIECES_PER_HOP), ("base_deadline", vet_id)
-    )
+    deadline_us = node.sim.vetting_config.deadline_us(len(plan) * PIECES_PER_HOP)
+    node.sim.schedule_timer(node.id, deadline_us, ("base_deadline", vet_id))
     _send_piece(node, state)
     return vet_id
 
@@ -136,7 +129,7 @@ def _send_piece(node: Node, state: BaselineState) -> None:
     node.send(PacketKind.BASE_REQ, inter.path[1], payload)
     node.sim.schedule_timer(
         node.id,
-        state.cfg.t1_ms * MICROS_PER_MS,
+        node.sim.vetting_config.t1_ms * MICROS_PER_MS,
         ("base_tf", state.vet_id, state.idx, state.piece, state.attempt, state.timeouts),
     )
 
@@ -163,8 +156,7 @@ def answer(node: Node, payload: BaseReqPayload, value) -> None:
 
 def _honest_answer(node: Node, payload: BaseReqPayload):
     if payload.piece == 1:
-        entry = node.flags.get(payload.subject)
-        return (entry.from_flag, entry.through_flag) if entry else (False, False)
+        return flags(node, payload.subject)
     if payload.piece == 2:
         if payload.expected_next is None:
             return None  # we are the destination; there is no onward hop
@@ -178,8 +170,7 @@ def _honest_answer(node: Node, payload: BaseReqPayload):
         return None
     if payload.expected_next is None:
         return None
-    entry = node.flags.get(payload.expected_next)
-    return (entry.from_flag, entry.through_flag) if entry else (False, False)
+    return flags(node, payload.expected_next)
 
 
 def handle_base_rep(node: Node, pkt: Packet) -> None:
@@ -235,7 +226,7 @@ def handle_base_timer(node: Node, payload: tuple) -> None:
         idx, piece, attempt, timeouts
     ):
         return  # answered or superseded in the meantime
-    if expire(state, state.cfg):
+    if expire(state, node.sim.vetting_config):
         _finish(node, state, VetStatus.UNTRUSTED)
     else:
         _send_piece(node, state)
@@ -254,6 +245,6 @@ def _finish(node: Node, state: BaselineState, status: VetStatus) -> None:
     conclude(node, VettingResult(status, 0.0, state.hops_cleared, state.path), state.on_done)
 
 
-def baseline_vet(sim, source: int, path, cfg: VettingConfig | None = None) -> VettingResult:
+def baseline_vet(sim, source: int, path) -> VettingResult:
     """Synchronous facade mirroring the count-based scheme's ``vet_path``."""
-    return run_vetting(begin_baseline_vetting, sim, source, path, cfg)
+    return run_vetting(begin_baseline_vetting, sim, source, path)

@@ -33,10 +33,12 @@ class VetStatus(IntEnum):
 
 @dataclass(slots=True)
 class DriEntry:
-    """Counts of data packets exchanged with one neighbor."""
+    """Evidence about one neighbor: counts of data packets exchanged with
+    it, and whether data sent to it was ever acknowledged."""
 
     sent: int = 0
     received: int = 0
+    acked: bool = False
 
 
 EMPTY_ENTRY = DriEntry()
@@ -65,8 +67,7 @@ class VettingResult:
     path: tuple[int, ...]
 
 
-def record_data_packet(table: dict[int, DriEntry], neighbor: int,
-                       direction: str) -> dict[int, DriEntry]:
+def record_data_packet(table: dict[int, DriEntry], neighbor: int, direction: str) -> None:
     """Bump the sent or received count for ``neighbor`` by one."""
     entry = table.get(neighbor)
     if entry is None:
@@ -78,7 +79,6 @@ def record_data_packet(table: dict[int, DriEntry], neighbor: int,
         entry.received += 1
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    return table
 
 
 def reliability_ratio(entry: DriEntry, cfg: VettingConfig) -> float:
@@ -190,12 +190,10 @@ def expire(state, cfg: VettingConfig) -> bool:
     return False
 
 
-def run_vetting(begin, sim, source: int, path, cfg: VettingConfig | None) -> VettingResult:
+def run_vetting(begin, sim, source: int, path) -> VettingResult:
     """Start ``begin`` on the live simulator and run it until the result."""
-    if cfg is None:
-        cfg = sim.vetting_config or VettingConfig()
     done: list[VettingResult] = []
-    begin(sim.nodes[source], tuple(path), cfg, done.append)
+    begin(sim.nodes[source], tuple(path), done.append)
     sim.run(stop=lambda: bool(done))
     return done[0]
 
@@ -215,7 +213,6 @@ class HopProbe:
     rel: float
     strikes: int  # mismatches / exhausted hops so far on this walk
     checked_hops: int
-    cfg: VettingConfig
     attempt: int = 1
     timeouts: int = 0  # feedback-timer expiries within the current attempt
 
@@ -223,7 +220,6 @@ class HopProbe:
 def begin_vetting(
     node: Node,
     path: tuple[int, ...],
-    cfg: VettingConfig,
     on_done: Callable[[VettingResult], None],
 ) -> int:
     """Start vetting ``path`` (full source..destination sequence) at its source."""
@@ -233,19 +229,20 @@ def begin_vetting(
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return vet_id
     node.vet_waiters[vet_id] = (path, on_done)
-    node.sim.schedule_timer(node.id, cfg.deadline_us(len(path)), ("vet_deadline", vet_id))
-    _advance(node, vet_id, path, 0, 0.0, 0, 0, cfg)
+    deadline_us = node.sim.vetting_config.deadline_us(len(path))
+    node.sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
+    _advance(node, vet_id, path, 0, 0.0, 0, 0)
     return vet_id
 
 
 def _advance(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: float,
-             strikes: int, checked: int, cfg: VettingConfig) -> None:
+             strikes: int, checked: int) -> None:
     """Holder at path[pos] inspects its next-hop neighbour."""
     if pos + 1 == len(path) - 1:
         # next hop is the destination: send the accumulator home as-is
         _send_home(node, vet_id, path, pos, rel, strikes, checked, VetStatus.TRUSTED)
         return
-    probe = HopProbe(vet_id, path, pos, rel, strikes, checked, cfg)
+    probe = HopProbe(vet_id, path, pos, rel, strikes, checked)
     node.rel_pending[vet_id] = probe
     _send_dri_request(node, probe)
 
@@ -255,7 +252,7 @@ def _send_dri_request(node: Node, probe: HopProbe) -> None:
     node.send(PacketKind.DRI_REQ, nhn, DriReqPayload(probe.vet_id, node.id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
-        probe.cfg.t1_ms * MICROS_PER_MS,
+        node.sim.vetting_config.t1_ms * MICROS_PER_MS,
         ("rel_tf", probe.vet_id, probe.attempt, probe.timeouts),
     )
 
@@ -276,7 +273,7 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
     if probe is None or payload.attempt != probe.attempt:
         return  # stale or duplicate reply
     del node.rel_pending[payload.vet_id]
-    cfg = probe.cfg
+    cfg = node.sim.vetting_config
     nhn = probe.path[probe.pos + 1]
     local = node.dri.get(nhn, EMPTY_ENTRY)
     reported = DriEntry(sent=payload.sent, received=payload.received)
@@ -286,7 +283,7 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
         rel = accumulate_rel(probe.rel, reliability_ratio(reported, cfg))
         node.send(PacketKind.REL, nhn, RelPayload(
             probe.vet_id, rel, probe.path, probe.pos + 1, probe.strikes, checked,
-            False, int(VetStatus.IN_PROGRESS), cfg,
+            False, int(VetStatus.IN_PROGRESS),
         ))
     else:
         strikes = probe.strikes + 1
@@ -299,7 +296,7 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
     probe = node.rel_pending.get(vet_id)
     if probe is None or probe.attempt != attempt or probe.timeouts != timeouts:
         return  # answered or superseded in the meantime
-    if not expire(probe, probe.cfg):
+    if not expire(probe, node.sim.vetting_config):
         _send_dri_request(node, probe)
         return
     del node.rel_pending[vet_id]
@@ -321,7 +318,7 @@ def handle_rel(node: Node, pkt: Packet) -> None:
     if not payload.returning:
         # forward leg: this node is the new holder
         _advance(node, payload.vet_id, payload.path, payload.pos, payload.rel,
-                 payload.strikes, payload.checked_hops, payload.cfg)
+                 payload.strikes, payload.checked_hops)
     elif payload.pos == 0:
         _finalize(node, payload.vet_id, payload.rel, payload.checked_hops,
                   VetStatus(payload.status))
@@ -344,6 +341,7 @@ def _finalize(node: Node, vet_id: int, rel: float, checked: int, status: VetStat
     conclude(node, VettingResult(status, rel, checked, path), on_done)
 
 
-def vet_path(sim, source: int, path, cfg: VettingConfig | None = None) -> VettingResult:
-    """Synchronous facade: run the walk on the live simulator and block on it."""
-    return run_vetting(begin_vetting, sim, source, path, cfg)
+def vet_path(sim, source: int, path) -> VettingResult:
+    """Synchronous facade: run the walk on the live simulator and block on it,
+    with the simulator's ``vetting_config``."""
+    return run_vetting(begin_vetting, sim, source, path)

@@ -58,6 +58,7 @@ class Simulator:
         seed: int,
         vetting_config=None,
     ):
+        from .defense import VettingConfig
         from .metrics import RunCollector
         from .node import Node, event_handlers
 
@@ -66,7 +67,7 @@ class Simulator:
         self.seed = seed
         self.now_us = 0
         self.collector = RunCollector()
-        self.vetting_config = vetting_config
+        self.vetting_config = VettingConfig() if vetting_config is None else vetting_config
         self.profiles = profiles
         self.log_events = False
         self.event_log: list[tuple] = []

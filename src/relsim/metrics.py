@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .defense import (
     EMPTY_ENTRY,
     VetStatus,
-    VettingConfig,
     VettingResult,
     accumulate_rel,
+    reliability_ratio,
 )
 from .errors import UndefinedMetricError
 from .packets import Packet, PacketKind
@@ -97,8 +97,6 @@ class RunCollector:
         self.flows: dict[int, FlowLedger] = {}
         self.vet_messages = 0
         self.untrusted_paths = 0
-        self.probe_blackhole_drops = 0
-        self.probe_link_drops = 0
 
     def register_flow(self, flow_id: int, source: int, destination: int) -> FlowLedger:
         ledger = FlowLedger(flow_id=flow_id, source=source, destination=destination)
@@ -124,15 +122,11 @@ class RunCollector:
         ledger = self._flow_of(pkt)
         if ledger is not None:
             ledger.link_drops += 1
-        elif pkt.kind is PacketKind.DATA:
-            self.probe_link_drops += 1
 
     def on_blackhole_drop(self, pkt: Packet) -> None:
         ledger = self._flow_of(pkt)
         if ledger is not None:
             ledger.blackhole_drops += 1
-        elif pkt.kind is PacketKind.DATA:
-            self.probe_blackhole_drops += 1
 
     def on_undeliverable(self, pkt: Packet) -> None:
         ledger = self._flow_of(pkt)
@@ -187,9 +181,7 @@ def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
     predecessor's counts); otherwise each intermediate contributes its
     true send/receive ratio toward the mean.
     """
-    from .defense import reliability_ratio
-
-    cfg = sim.vetting_config or VettingConfig()
+    cfg = sim.vetting_config
     inner = path[1:-1]
     if not inner:
         return 1.0

@@ -1,12 +1,12 @@
 """Per-node protocol state and the packet/timer dispatch glue.
 
-A node owns its routing table, its per-neighbor packet-count table, the
-boolean flag table used by the comparison scheme, and whatever vetting
-or discovery conversations it is currently part of.  It hands every
-packet and timer to the handler its role's table names, so a black
-hole's behavior is fixed when the node is built, not decided at receipt:
-data-plane packets are absorbed, route requests are answered with
-forgeries, table queries with lies.  Control packets merely passing
+A node owns its routing table, its per-neighbor evidence table (the
+packet counts and the acknowledgement flag both schemes vet with), and
+whatever vetting or discovery conversations it is currently part of.  It
+hands every packet and timer to the handler its role's table names, so a
+black hole's behavior is fixed when the node is built, not decided at
+receipt: data-plane packets are absorbed, route requests are answered
+with forgeries, table queries with lies.  Control packets merely passing
 through a black hole are relayed normally, which is what keeps the
 lying path alive long enough to be interrogated.
 """
@@ -35,7 +35,6 @@ class Node:
         self.seq_no = 0  # AODV destination sequence number
         self._packet_seq = 0
         self.dri: dict[int, defense.DriEntry] = {}
-        self.flags: dict[int, baseline.FlagDriEntry] = {}
         self.routes = aodv.RoutingTable()
         self.seen_rreqs: set[tuple[int, int]] = set()
         self.request_counter = 0
@@ -80,12 +79,11 @@ class Node:
     def _on_data(self, pkt: Packet) -> None:
         payload = pkt.payload
         defense.record_data_packet(self.dri, pkt.prev_hop, "received")
-        baseline.baseline_update(self.flags, pkt.prev_hop, "from")
         if payload.path[payload.pos] != self.id:
             return
         if payload.pos == len(payload.path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
-            # prober gains transfer evidence for its flag table
+            # prober gains transfer evidence for its through flag
             if payload.flow_id < 0:
                 ack = Packet(PacketKind.ACK, self.id, self.id, self.next_seq())
                 self.sim.transmit(self.id, pkt.prev_hop, ack)
@@ -99,7 +97,7 @@ class Node:
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:
-    baseline.baseline_update(node.flags, pkt.origin, "through")
+    baseline.baseline_update(node.dri, pkt.origin)
 
 
 def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:

@@ -122,7 +122,6 @@ class RelPayload:
     checked_hops: int
     returning: bool
     status: int  # VetStatus value, meaningful on the return trip
-    cfg: object = None  # VettingConfig travelling with the walk
 
 
 @dataclass(frozen=True, slots=True)

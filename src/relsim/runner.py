@@ -1,11 +1,11 @@
 """Single-run orchestration: warm-up, discovery, vetting, traffic, metrics.
 
 A run builds a connected topology, places the adversaries away from the
-flow endpoints, floods warm-up probes so the per-neighbor count and flag
-tables hold real evidence, then starts the application flows.  Each flow
-acquires a route according to the configured scheme, buffering generated
-packets until a route is installed; flows that never obtain a route keep
-generating and are reported as starved.
+flow endpoints, floods warm-up probes so the per-neighbor evidence tables
+hold real counts and acknowledgements, then starts the application
+flows.  Each flow acquires a route according to the configured scheme,
+buffering generated packets until a route is installed; flows that never
+obtain a route keep generating and are reported as starved.
 """
 
 from __future__ import annotations
@@ -93,13 +93,11 @@ class ScenarioRun:
             jitter_us=int(cfg.link_jitter_ms * MICROS_PER_MS),
             loss=cfg.link_loss,
         )
-        self.vet_cfg = defense.VettingConfig(
+        vet_cfg = defense.VettingConfig(
             t1_ms=cfg.t1_ms, k_r=cfg.k_r, k_m=cfg.k_m,
             delta_match=cfg.delta_match, ratio_cap=cfg.ratio_cap,
         )
-        self.sim = Simulator(
-            self.topology, profiles, link, cfg.seed, vetting_config=self.vet_cfg
-        )
+        self.sim = Simulator(self.topology, profiles, link, cfg.seed, vetting_config=vet_cfg)
         self.sim.set_app_handler(self._on_app_event)
         for flow in self.flows:
             self.sim.collector.register_flow(flow.flow_id, flow.source, flow.destination)
@@ -210,7 +208,7 @@ class ScenarioRun:
         def vet_next() -> None:
             path = next(pending, None)
             if path is not None:
-                vetter(node, path, self.vet_cfg, collect)
+                vetter(node, path, collect)
             elif results and scheme == "proposed":
                 chosen = defense.select_route(results)
                 if chosen is not None:
@@ -278,8 +276,7 @@ class ScenarioRun:
         )
 
 
-def _trust(node, path: tuple[int, ...], cfg: defense.VettingConfig,
-           on_done) -> None:
+def _trust(node, path: tuple[int, ...], on_done) -> None:
     """The undefended scheme's vetter: every path is trusted unasked, and
     nothing is reported to the collector."""
     on_done(defense.VettingResult(defense.VetStatus.TRUSTED, 0.0, 0, path))

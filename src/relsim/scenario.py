@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .engine import MICROS_PER_MS, MICROS_PER_S
 from .errors import ConfigError
 
 SCHEMES = ("undefended", "baseline", "proposed")
@@ -86,6 +87,15 @@ class ScenarioConfig:
             raise ConfigError("link_jitter_ms: must be non-negative")
         if not 0.0 <= self.link_loss <= 1.0:
             raise ConfigError("link_loss: must be within [0, 1]")
+        # a run converts these products to integer times and packet counts
+        for key, derived, what in (
+            ("duration", self.duration * MICROS_PER_S, "in microseconds"),
+            ("packet_rate", self.duration * self.packet_rate, "times duration"),
+            ("link_delay_ms", self.link_delay_ms * MICROS_PER_MS, "in microseconds"),
+            ("link_jitter_ms", self.link_jitter_ms * MICROS_PER_MS, "in microseconds"),
+        ):
+            if not math.isfinite(derived):
+                raise ConfigError(f"{key}: must be finite {what}")
         return self
 
     @property

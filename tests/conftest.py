@@ -35,7 +35,7 @@ def line_sim(
         profiles,
         link or LinkParams(),
         seed,
-        vetting_config=vet_cfg or VettingConfig(),
+        vetting_config=vet_cfg,
     )
 
 

@@ -131,9 +131,10 @@ def test_colluders_forge_a_tail_through_their_partner():
 
 
 def test_silent_mode_reaches_timeout_branch():
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)})
+    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)},
+                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 1, 2, 3), VettingConfig(k_r=2, k_m=1, t1_ms=10))
+    result = vet_path(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 

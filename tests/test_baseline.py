@@ -1,52 +1,46 @@
-import pytest
-
-from relsim.baseline import FlagDriEntry, baseline_update, baseline_vet
-from relsim.defense import VetStatus, VettingConfig, vet_path
+from relsim.baseline import baseline_update, baseline_vet, flags
+from relsim.defense import VetStatus, VettingConfig, record_data_packet, vet_path
 
 from conftest import blackhole, line_sim, warm_up
 
 
-# -- flag table ---------------------------------------------------------------
+# -- flags read off the count table --------------------------------------------
 
 
-def test_fresh_entry_plus_from():
-    table = {}
-    baseline_update(table, 3, "from")
-    assert (table[3].from_flag, table[3].through_flag) == (True, False)
+def test_flags_read_off_the_count_table():
+    """From is set by a received data packet only, through by an ACK only;
+    both are monotone and leave the counts alone."""
+    node = line_sim(3).nodes[1]
+    assert flags(node, 0) == (False, False)  # no entry at all
+    record_data_packet(node.dri, 0, "sent")
+    assert flags(node, 0) == (False, False)
+    record_data_packet(node.dri, 0, "received")
+    assert flags(node, 0) == (True, False)
+    for _ in range(3):
+        baseline_update(node.dri, 0)
+        record_data_packet(node.dri, 0, "received")
+    assert flags(node, 0) == (True, True)
+    assert (node.dri[0].sent, node.dri[0].received) == (1, 4)
 
 
-def test_through_completes_the_pair():
-    table = {3: FlagDriEntry(from_flag=True)}
-    baseline_update(table, 3, "through")
-    assert (table[3].from_flag, table[3].through_flag) == (True, True)
-
-
-def test_updates_are_idempotent():
-    table = {}
-    for _ in range(5):
-        baseline_update(table, 3, "from")
-        baseline_update(table, 3, "through")
-    assert (table[3].from_flag, table[3].through_flag) == (True, True)
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ValueError):
-        baseline_update({}, 3, "sideways")
+def test_acknowledgement_alone_sets_only_the_through_flag():
+    node = line_sim(3).nodes[1]
+    baseline_update(node.dri, 2)
+    assert flags(node, 2) == (False, True)
+    assert (node.dri[2].sent, node.dri[2].received) == (0, 0)
 
 
 def test_warmup_sets_both_flags_between_honest_neighbors():
     sim = line_sim(3)
     warm_up(sim)
-    entry = sim.nodes[0].flags[1]
-    assert entry.from_flag and entry.through_flag
+    assert flags(sim.nodes[0], 1) == (True, True)
 
 
 def test_warmup_leaves_blackhole_flags_dark():
     """No data from the hole and no acknowledgements for data sent to it."""
     sim = line_sim(4, {2: blackhole(2)})
     warm_up(sim)
-    entry = sim.nodes[1].flags.get(2)
-    assert entry is None or (entry.from_flag, entry.through_flag) == (False, False)
+    assert flags(sim.nodes[1], 2) == (False, False)
 
 
 # -- vetting -------------------------------------------------------------------
@@ -68,10 +62,7 @@ def test_solo_blackhole_reported_dark_by_honest_successor():
     """The hole's next-hop neighbor reports (False, False) about it."""
     sim = line_sim(5, {2: blackhole(2)})
     warm_up(sim)
-    successor_view = sim.nodes[3].flags.get(2)
-    assert successor_view is None or not (
-        successor_view.from_flag or successor_view.through_flag
-    )
+    assert flags(sim.nodes[3], 2) == (False, False)
     result = baseline_vet(sim, 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED
 
@@ -139,9 +130,10 @@ def test_deep_collusion_is_still_caught():
 
 
 def test_silent_voucher_burns_timers_to_untrusted():
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)})
+    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)},
+                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3), VettingConfig(k_r=2, k_m=1, t1_ms=10))
+    result = baseline_vet(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 

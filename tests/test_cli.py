@@ -132,7 +132,9 @@ def test_cli_rejects_bad_config(capsys):
 
 
 @pytest.mark.parametrize("key, raw", [("duration", "inf"), ("duration", "nan"),
-                                      ("packet_rate", "nan")])
+                                      ("packet_rate", "nan"), ("duration", "1e308"),
+                                      ("packet_rate", "1e308"), ("link_delay_ms", "1e306"),
+                                      ("link_jitter_ms", "1e306")])
 def test_cli_run_rejects_non_finite_floats(key, raw, capsys):
     args = ["run", "--nodes", "10", "--area_side", "300", "--flows", "1", f"--{key}", raw]
     assert main(args) == 1

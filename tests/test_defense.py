@@ -141,11 +141,10 @@ def test_solo_blackhole_zeroes_the_walk():
 
 def test_silent_neighbor_burns_counters_to_untrusted():
     """Three feedback expiries per attempt; the second strike passes k_m=1."""
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)})
+    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)}, vet_cfg=VettingConfig(k_r=3, k_m=1))
     warm_up(sim)
     sim.log_events = True
-    cfg = VettingConfig(k_r=3, k_m=1)
-    result = vet_path(sim, 0, (0, 1, 2, 3), cfg)
+    result = vet_path(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
     timers = [e for e in sim.event_log if e[1] == "timer" and e[3] == "rel_tf"]
     # hop 0->1 answers; hop 1->2 burns 3 expiries in each of 2 attempts
@@ -153,10 +152,9 @@ def test_silent_neighbor_burns_counters_to_untrusted():
 
 
 def test_unreachable_first_hop_ends_untrusted():
-    sim = line_sim(4)
+    sim = line_sim(4, vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
-    cfg = VettingConfig(k_r=2, k_m=1, t1_ms=10)
-    result = vet_path(sim, 0, (0, 2, 3), cfg)  # 0 and 2 are not adjacent
+    result = vet_path(sim, 0, (0, 2, 3))  # 0 and 2 are not adjacent
     assert result.status is VetStatus.UNTRUSTED
 
 
@@ -252,10 +250,10 @@ def test_argmax_invariant_under_positive_scaling(scale):
 
 def test_strike_counter_monotone_and_absorbing():
     """c_m never decreases and untrusted is terminal for the walk."""
-    sim = line_sim(5, {2: blackhole(2, reply_prob=0.0), 3: blackhole(3)})
+    sim = line_sim(5, {2: blackhole(2, reply_prob=0.0), 3: blackhole(3)},
+                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
-    cfg = VettingConfig(k_r=2, k_m=1, t1_ms=10)
-    result = vet_path(sim, 0, (0, 1, 2, 3, 4), cfg)
+    result = vet_path(sim, 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED
     # walk is over; no pending probes remain anywhere
     assert all(not node.rel_pending for node in sim.nodes)

@@ -104,7 +104,7 @@ def test_route_choice_follows_the_scheme(monkeypatch, scheme, script, vetted, ch
     paths = [(flow.source, relays[i], flow.destination) for i in range(3)]
     asked = []
 
-    def scripted(node, path, cfg, on_done):
+    def scripted(node, path, on_done):
         asked.append(path)
         status, mrr = script[paths.index(path)]
         on_done(defense.VettingResult(status, mrr, 1, path))

@@ -53,6 +53,15 @@ def test_non_finite_floats_rejected(key):
             ScenarioConfig(**{key: float(raw)}).validate()
 
 
+@pytest.mark.parametrize("key, overrides", [
+    ("duration", {"duration": 1e303, "packet_rate": 1e-300}),
+    ("packet_rate", {"duration": 1e300, "packet_rate": 1e10}),
+])
+def test_finite_floats_whose_run_values_overflow_rejected(key, overrides):
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite "):
+        ScenarioConfig(**overrides).validate()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed = 9\n")
