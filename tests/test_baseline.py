@@ -1,5 +1,9 @@
+import pytest
+
+from relsim import aodv
 from relsim.baseline import baseline_update, baseline_vet, flags
 from relsim.defense import VetStatus, VettingConfig, record_data_packet, vet_path
+from relsim.packets import PacketKind
 
 from conftest import blackhole, line_sim, warm_up
 
@@ -165,3 +169,37 @@ def test_direct_neighbor_path_trusted_without_messages():
     result = baseline_vet(sim, 0, (0, 1))
     assert result.status is VetStatus.TRUSTED
     assert sim.collector.vet_messages == before
+
+
+@pytest.mark.parametrize("n, vetted, triples", [
+    (3, 1, [(1, 2, None)]),
+    (4, 2, [(1, 2, 3), (2, 3, None)]),
+    (5, 2, [(1, 2, 3), (2, 3, 4)]),
+    (6, 3, [(1, 2, 3), (2, 3, 4), (3, 4, 5)]),
+    (7, 4, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6)]),
+    (8, 5, [(1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7)]),
+])
+def test_interrogation_plan_on_honest_lines(n, vetted, triples):
+    """Hop ``i`` asks voucher ``path[i + 1]`` about subject ``path[i]`` and
+    the onward hop ``path[i + 2]``; the final intermediate is only asked
+    about, by the destination, when there are exactly two intermediates."""
+    sim = line_sim(n)
+    warm_up(sim)
+    aodv.initiate_discovery(sim.nodes[0], n - 1, lambda candidates: None)
+    sim.run()
+    asked = []
+    send = sim.transmit_or_drop
+
+    def watch(src, dst, pkt):
+        if pkt.kind is PacketKind.BASE_REQ and src == 0:
+            payload = pkt.payload
+            triple = (payload.path[-2], payload.path[-1], payload.expected_next)
+            if triple not in asked:
+                asked.append(triple)
+        return send(src, dst, pkt)
+
+    sim.transmit_or_drop = watch
+    result = baseline_vet(sim, 0, tuple(range(n)))
+    assert result.status is VetStatus.TRUSTED
+    assert result.vetted_hops == vetted
+    assert asked == triples

@@ -4,8 +4,11 @@ the handlers are read off their modules."""
 import pytest
 
 from relsim import adversary, aodv
+from relsim.engine import Simulator
 from relsim.node import event_handlers
 from relsim.packets import PacketKind
+from relsim.runner import run_scenario
+from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim
 
@@ -39,3 +42,29 @@ def test_handler_replaced_before_the_simulator_is_built_is_called(
     aodv.initiate_discovery(sim.nodes[0], 2, lambda candidates: None)
     sim.run()
     assert receivers == [1]
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+@pytest.mark.parametrize("scheme", ["undefended", "baseline", "proposed"])
+def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
+    """Every sender of a source-routed packet hands it to ``path[pos]``, so
+    a receiver never has to check that it is the addressee."""
+    seen = []
+
+    def checked(send):
+        def wrapper(sim, src, dst, pkt):
+            payload = pkt.payload
+            if hasattr(payload, "pos"):
+                seen.append(pkt.kind)
+                assert dst == payload.path[payload.pos], (pkt, src, dst)
+            return send(sim, src, dst, pkt)
+        return wrapper
+
+    monkeypatch.setattr(Simulator, "transmit", checked(Simulator.transmit))
+    monkeypatch.setattr(Simulator, "transmit_or_drop", checked(Simulator.transmit_or_drop))
+    record = run_scenario(ScenarioConfig(
+        nodes=30, area_side=775.0, flows=8, blackholes=2, colluding_pairs=2,
+        duration=10.0, seed=3, scheme=scheme, link_loss=loss,
+    ).validate())
+    assert not record.failed, record.failure_reason
+    assert seen
