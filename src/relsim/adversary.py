@@ -49,7 +49,7 @@ class AdversaryProfile:
     role: str = Role.HONEST
     collusion_group: int | None = None
     collusion_partner: int | None = None
-    reply_prob: float = 1.0
+    silent: bool = False  # a black hole that ignores every table query
 
     @property
     def is_blackhole(self) -> bool:
@@ -110,27 +110,19 @@ def blackhole_on_data(node: Node, pkt: Packet) -> None:
     node.sim.collector.on_blackhole_drop(pkt)
 
 
-def _stays_silent(node: Node) -> bool:
-    """Whether a queried black hole ignores this query; a ``reply_prob``
-    strictly between 0 and 1 costs one draw."""
-    prob = node.profile.reply_prob
-    return prob <= 0.0 or (prob < 1.0 and node.rng.random() >= prob)
-
-
 def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
-    if _stays_silent(node):
+    if node.profile.silent:
         return  # the asker's feedback timer will burn out
-    subject_profile = node.sim.profiles[payload.asker]
-    sent, received = fabricated_counts(node, subject_profile)
-    node.send(PacketKind.DRI_REP, payload.asker,
-              DriRepPayload(payload.vet_id, payload.asker, payload.attempt, sent, received))
+    sent, received = fabricated_counts(node, node.sim.profiles[pkt.origin])
+    node.send(PacketKind.DRI_REP, pkt.origin,
+              DriRepPayload(payload.vet_id, payload.attempt, sent, received))
 
 
 def blackhole_on_base_request(node: Node, pkt: Packet) -> None:
     """Answer a flag-table interrogation with uniformly rosy lies."""
     payload: BaseReqPayload = pkt.payload
-    if _stays_silent(node):
+    if node.profile.silent:
         return
     value = payload.expected_next if payload.piece == 2 else (True, True)
     baseline.answer(node, payload, value)

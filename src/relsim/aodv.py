@@ -10,19 +10,12 @@ next-hop id; this is exactly the ordering a forged reply is built to win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
 from .engine import MICROS_PER_MS
 from .errors import NoRouteError
-from .packets import (
-    Packet,
-    PacketKind,
-    PingPayload,
-    PongPayload,
-    RrepPayload,
-    RreqPayload,
-)
+from .packets import Packet, PacketKind, PingPayload, RrepPayload, RreqPayload
 
 if TYPE_CHECKING:
     from .node import Node
@@ -93,7 +86,7 @@ def initiate_discovery(
     destination: int,
     on_done: Callable[[list[Candidate]], None],
     window_ms: int = DISCOVERY_WINDOW_MS,
-) -> int:
+) -> None:
     """Flood a fresh route request and collect replies for a fixed window."""
     if destination == node.id:
         raise NoRouteError("discovery to self is a no-op")
@@ -109,7 +102,6 @@ def initiate_discovery(
     node.sim.schedule_timer(
         node.id, window_ms * MICROS_PER_MS, ("discovery", request_id)
     )
-    return request_id
 
 
 def handle_rreq(node: Node, pkt: Packet) -> None:
@@ -151,8 +143,6 @@ def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int
 def handle_rrep(node: Node, pkt: Packet) -> None:
     payload: RrepPayload = pkt.payload
     pos = payload.pos
-    if payload.path[pos] != node.id:
-        return  # mis-relayed reply
     if not node.profile.is_blackhole:
         node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
     if pos == 0:
@@ -197,19 +187,15 @@ def ping_destination(
 
 def handle_ping(node: Node, pkt: Packet) -> None:
     payload: PingPayload = pkt.payload
-    if payload.path[payload.pos] != node.id:
-        return
     if payload.pos == len(payload.path) - 1:
         node.send(PacketKind.PONG, payload.path[payload.pos - 1],
-                  PongPayload(payload.ping_id, payload.path, payload.pos - 1))
+                  replace(payload, pos=payload.pos - 1))
         return
     node.relay(pkt, +1)
 
 
 def handle_pong(node: Node, pkt: Packet) -> None:
-    payload: PongPayload = pkt.payload
-    if payload.path[payload.pos] != node.id:
-        return
+    payload: PingPayload = pkt.payload
     if payload.pos == 0:
         waiter = node.ping_waits.pop(payload.ping_id, None)
         if waiter is not None:

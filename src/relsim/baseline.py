@@ -57,76 +57,65 @@ def _both_true(value) -> bool:
 
 
 @dataclass(slots=True)
-class Interrogation:
-    subject: int
-    voucher: int
-    expected_next: int | None  # None when the voucher is the destination
-    path: tuple[int, ...]  # source .. voucher
-
-
-@dataclass(slots=True)
 class BaselineState:
+    """One vetting in progress at its source.  Hop ``idx`` (from 1) asks the
+    voucher ``path[idx + 1]`` about the subject ``path[idx]`` and about the
+    onward hop ``path[idx + 2]``, through the request path ``path[:idx + 2]``."""
+
     vet_id: int
     path: tuple[int, ...]
     on_done: Callable[[VettingResult], None]
-    interrogations: list[Interrogation]
-    idx: int = 0
+    last: int  # the last hop to interrogate; idx steps past it on success
+    idx: int = 1
     piece: int = 1
     attempt: int = 1
     timeouts: int = 0
     strikes: int = 0
-    hops_cleared: int = 0
 
 
 def begin_baseline_vetting(
     node: Node,
     path: tuple[int, ...],
     on_done: Callable[[VettingResult], None],
-) -> int:
+) -> None:
     vet_id = open_vetting(node, path)
-    inner = path[1:-1]
+    inner = len(path) - 2
     if not inner:
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
-        return vet_id
-    if not all(flags(node, inner[0])):
+        return
+    if not all(flags(node, path[1])):
         # the source's own table already refuses the first hop
         conclude(node, VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path), on_done)
-        return vet_id
-    if len(inner) == 1:
-        plan = [Interrogation(inner[0], path[-1], None, path)]
-    else:
-        plan = [
-            Interrogation(path[i], path[i + 1], path[i + 2], path[: i + 2])
-            for i in range(1, len(path) - 2)
-        ]
-        if len(inner) == 2:
-            # no earlier interrogation could vouch for the final intermediate,
-            # so the destination itself is asked about it; with three or more
-            # intermediates that evidence already arrived as an onward-hop
-            # answer, and is taken at face value
-            plan.append(Interrogation(inner[-1], path[-1], None, path))
-    state = BaselineState(vet_id, path, on_done, plan)
+        return
+    # with one or two intermediates the destination itself vouches for the
+    # final one, since no earlier voucher could; with three or more that
+    # evidence already arrived as an onward-hop answer, and is taken at
+    # face value
+    state = BaselineState(vet_id, path, on_done, inner if inner <= 2 else inner - 1)
     node.base_vets[vet_id] = state
-    deadline_us = node.sim.vetting_config.deadline_us(len(plan) * PIECES_PER_HOP)
+    deadline_us = node.sim.vetting_config.deadline_us(state.last * PIECES_PER_HOP)
     node.sim.schedule_timer(node.id, deadline_us, ("base_deadline", vet_id))
     _send_piece(node, state)
-    return vet_id
+
+
+def _onward(state: BaselineState) -> int | None:
+    """The hop after the current voucher; None when the voucher is the
+    destination."""
+    nxt = state.idx + 2
+    return state.path[nxt] if nxt < len(state.path) else None
 
 
 def _send_piece(node: Node, state: BaselineState) -> None:
-    inter = state.interrogations[state.idx]
     payload = BaseReqPayload(
         vet_id=state.vet_id,
         piece=state.piece,
-        subject=inter.subject,
-        voucher=inter.voucher,
         destination=state.path[-1],
-        expected_next=inter.expected_next,
-        path=inter.path,
+        expected_next=_onward(state),
+        path=state.path[: state.idx + 2],
         pos=1,
         attempt=state.attempt,
     )
-    node.send(PacketKind.BASE_REQ, inter.path[1], payload)
+    node.send(PacketKind.BASE_REQ, state.path[1], payload)
     node.sim.schedule_timer(
         node.id,
         node.sim.vetting_config.t1_ms * MICROS_PER_MS,
@@ -137,8 +126,6 @@ def _send_piece(node: Node, state: BaselineState) -> None:
 def handle_base_req(node: Node, pkt: Packet) -> None:
     """Relay toward the voucher, or answer truthfully if we are it."""
     payload: BaseReqPayload = pkt.payload
-    if payload.path[payload.pos] != node.id:
-        return
     if payload.pos < len(payload.path) - 1:
         node.relay(pkt, +1)
         return
@@ -149,14 +136,13 @@ def answer(node: Node, payload: BaseReqPayload, value) -> None:
     """The voucher's reply, honest or not, retraces the request's path."""
     back = len(payload.path) - 2
     node.send(PacketKind.BASE_REP, payload.path[back], BaseRepPayload(
-        payload.vet_id, payload.piece, payload.subject, value, payload.path, back,
-        payload.attempt,
+        payload.vet_id, payload.piece, value, payload.path, back, payload.attempt,
     ))
 
 
 def _honest_answer(node: Node, payload: BaseReqPayload):
     if payload.piece == 1:
-        return flags(node, payload.subject)
+        return flags(node, payload.path[-2])
     if payload.piece == 2:
         if payload.expected_next is None:
             return None  # we are the destination; there is no onward hop
@@ -175,8 +161,6 @@ def _honest_answer(node: Node, payload: BaseReqPayload):
 
 def handle_base_rep(node: Node, pkt: Packet) -> None:
     payload: BaseRepPayload = pkt.payload
-    if payload.path[payload.pos] != node.id:
-        return
     if payload.pos > 0:
         node.relay(pkt, -1)
         return
@@ -185,34 +169,32 @@ def handle_base_rep(node: Node, pkt: Packet) -> None:
         state is None
         or payload.attempt != state.attempt
         or payload.piece != state.piece
-        or payload.subject != state.interrogations[state.idx].subject
+        or payload.path[-2] != state.path[state.idx]
     ):
         return
     _judge_piece(node, state, payload.value)
 
 
 def _judge_piece(node: Node, state: BaselineState, value) -> None:
-    inter = state.interrogations[state.idx]
+    onward = _onward(state)
     if state.piece == 1:
         ok = _both_true(value)
     elif state.piece == 2:
-        ok = inter.expected_next is None or value == inter.expected_next
+        ok = onward is None or value == onward
     else:
         # flags about the onward hop; answers about the destination itself
         # are accepted unchecked (the voucher's own route self-evidence)
-        last_hop = inter.expected_next is None or inter.expected_next == state.path[-1]
-        ok = last_hop or _both_true(value)
+        ok = onward is None or onward == state.path[-1] or _both_true(value)
     if not ok:
         _finish(node, state, VetStatus.UNTRUSTED)
         return
     if state.piece < PIECES_PER_HOP:
         state.piece += 1
     else:
-        state.hops_cleared += 1
-        if state.idx + 1 == len(state.interrogations):
+        state.idx += 1
+        if state.idx > state.last:
             _finish(node, state, VetStatus.TRUSTED)
             return
-        state.idx += 1
         state.piece = 1
     state.attempt = 1
     state.timeouts = 0
@@ -242,7 +224,8 @@ def handle_base_deadline(node: Node, payload: tuple) -> None:
 def _finish(node: Node, state: BaselineState, status: VetStatus) -> None:
     if node.base_vets.pop(state.vet_id, None) is None:
         return
-    conclude(node, VettingResult(status, 0.0, state.hops_cleared, state.path), state.on_done)
+    # idx counts from 1 and has stepped past every cleared hop
+    conclude(node, VettingResult(status, 0.0, state.idx - 1, state.path), state.on_done)
 
 
 def baseline_vet(sim, source: int, path) -> VettingResult:

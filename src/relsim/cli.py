@@ -3,7 +3,9 @@
 Results land in one CSV with a fixed header and 6-decimal formatting;
 sweep output additionally carries per-(scheme, blackholes) mean and 95%
 confidence half-width rows so plots can be drawn without recomputation.
-Exit codes: 0 on success, 1 for configuration errors, 2 for run failures.
+Exit codes: 0 on success, 1 for configuration errors (including an
+unreadable config file and a sweep grid with an impossible point), 2 for
+run failures.
 """
 
 from __future__ import annotations
@@ -257,16 +259,38 @@ def _parse_schemes(raw: str) -> list[str]:
     return schemes
 
 
+def _grid(
+    args: argparse.Namespace, cfg: ScenarioConfig
+) -> tuple[list[str], list[int], list[int]]:
+    """The schemes, black hole counts and seeds a sweep or compare runs."""
+    schemes = _parse_schemes(args.schemes)
+    if args.command == "sweep":
+        if args.max_blackholes < 0:
+            raise ConfigError("--max-blackholes must be >= 0")
+        blackhole_values = list(range(args.max_blackholes + 1))
+    else:
+        blackhole_values = [cfg.blackholes]
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be >= 1")
+    if cfg.seed + args.seeds > SEED_LIMIT:
+        raise ConfigError("seed: --seed + --seeds - 1 must be below 2**64")
+    # only blackholes varies along the grid and its bound is monotone, so
+    # the largest value stands for every point
+    replace(cfg, blackholes=blackhole_values[-1]).validate()
+    return schemes, blackhole_values, [cfg.seed + i for i in range(args.seeds)]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        grid = None if args.command == "run" else _grid(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "run":
+    if grid is None:
         record = run_scenario(cfg)
         if record.failed:
             print(f"run failed: {record.failure_reason}", file=sys.stderr)
@@ -277,26 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             write_csv([record], args.out)
         return 0
 
-    try:
-        schemes = _parse_schemes(args.schemes)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "sweep":
-        if args.max_blackholes < 0:
-            print("config error: --max-blackholes must be >= 0", file=sys.stderr)
-            return 1
-        blackhole_values = list(range(args.max_blackholes + 1))
-    else:
-        blackhole_values = [cfg.blackholes]
-    if args.seeds < 1:
-        print("config error: --seeds must be >= 1", file=sys.stderr)
-        return 1
-    if cfg.seed + args.seeds > SEED_LIMIT:
-        print("config error: seed: --seed + --seeds - 1 must be below 2**64",
-              file=sys.stderr)
-        return 1
-    seeds = [cfg.seed + i for i in range(args.seeds)]
+    schemes, blackhole_values, seeds = grid
     records = sweep_records(cfg, blackhole_values, seeds, schemes)
     write_csv(records, args.out, summaries=summary_rows(records))
     print(f"wrote {len(records)} runs to {args.out}")

@@ -12,23 +12,22 @@ burn retry and strike counters until the path is declared untrusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import IntEnum
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from .engine import MICROS_PER_MS
 from .errors import NoRouteError
-from .packets import DriRepPayload, DriReqPayload, Packet, PacketKind, RelPayload
+from .packets import (
+    DriRepPayload,
+    DriReqPayload,
+    Packet,
+    PacketKind,
+    RelPayload,
+    VetStatus,
+)
 
 if TYPE_CHECKING:
     from .node import Node
-
-
-class VetStatus(IntEnum):
-    IN_PROGRESS = 0
-    TRUSTED = 1
-    UNTRUSTED = 2
-    REL_ZEROED = 3
 
 
 @dataclass(slots=True)
@@ -205,14 +204,10 @@ def run_vetting(begin, sim, source: int, path) -> VettingResult:
 
 @dataclass(slots=True)
 class HopProbe:
-    """State of one in-flight next-hop interrogation at the current holder."""
+    """One in-flight next-hop interrogation at the walk's current holder."""
 
-    vet_id: int
-    path: tuple[int, ...]
-    pos: int  # index of the holder within path
-    rel: float
-    strikes: int  # mismatches / exhausted hops so far on this walk
-    checked_hops: int
+    walk: RelPayload  # as it reached the holder, ``path[walk.pos]``
+    strikes: int  # the walk's strikes, plus those this hop has burned
     attempt: int = 1
     timeouts: int = 0  # feedback-timer expiries within the current attempt
 
@@ -221,50 +216,49 @@ def begin_vetting(
     node: Node,
     path: tuple[int, ...],
     on_done: Callable[[VettingResult], None],
-) -> int:
+) -> None:
     """Start vetting ``path`` (full source..destination sequence) at its source."""
     vet_id = open_vetting(node, path)
     if len(path) == 2:
         # direct neighbor: the walk is skipped entirely
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
-        return vet_id
+        return
     node.vet_waiters[vet_id] = (path, on_done)
     deadline_us = node.sim.vetting_config.deadline_us(len(path))
     node.sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
-    _advance(node, vet_id, path, 0, 0.0, 0, 0)
-    return vet_id
+    _advance(node, RelPayload(vet_id, path, 0))
 
 
-def _advance(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: float,
-             strikes: int, checked: int) -> None:
-    """Holder at path[pos] inspects its next-hop neighbour."""
-    if pos + 1 == len(path) - 1:
+def _advance(node: Node, walk: RelPayload) -> None:
+    """The holder ``path[pos]`` inspects its next-hop neighbour."""
+    if walk.pos + 2 == len(walk.path):
         # next hop is the destination: send the accumulator home as-is
-        _send_home(node, vet_id, path, pos, rel, strikes, checked, VetStatus.TRUSTED)
+        _send_home(node, walk, VetStatus.TRUSTED)
         return
-    probe = HopProbe(vet_id, path, pos, rel, strikes, checked)
-    node.rel_pending[vet_id] = probe
+    probe = HopProbe(walk, walk.strikes)
+    node.rel_pending[walk.vet_id] = probe
     _send_dri_request(node, probe)
 
 
 def _send_dri_request(node: Node, probe: HopProbe) -> None:
-    nhn = probe.path[probe.pos + 1]
-    node.send(PacketKind.DRI_REQ, nhn, DriReqPayload(probe.vet_id, node.id, probe.attempt))
+    walk = probe.walk
+    node.send(PacketKind.DRI_REQ, walk.path[walk.pos + 1],
+              DriReqPayload(walk.vet_id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
         node.sim.vetting_config.t1_ms * MICROS_PER_MS,
-        ("rel_tf", probe.vet_id, probe.attempt, probe.timeouts),
+        ("rel_tf", walk.vet_id, probe.attempt, probe.timeouts),
     )
 
 
 def handle_dri_req(node: Node, pkt: Packet) -> None:
     """An honest node reports its true counts about the asker."""
     payload: DriReqPayload = pkt.payload
-    entry = node.dri.get(payload.asker, EMPTY_ENTRY)
+    entry = node.dri.get(pkt.origin, EMPTY_ENTRY)
     reply = Packet(PacketKind.DRI_REP, node.id, node.id, node.next_seq(), DriRepPayload(
-        payload.vet_id, payload.asker, payload.attempt, entry.sent, entry.received,
+        payload.vet_id, payload.attempt, entry.sent, entry.received,
     ))
-    node.sim.transmit(node.id, payload.asker, reply)
+    node.sim.transmit(node.id, pkt.origin, reply)
 
 
 def handle_dri_rep(node: Node, pkt: Packet) -> None:
@@ -274,21 +268,21 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
         return  # stale or duplicate reply
     del node.rel_pending[payload.vet_id]
     cfg = node.sim.vetting_config
-    nhn = probe.path[probe.pos + 1]
+    walk = probe.walk
+    nhn = walk.path[walk.pos + 1]
     local = node.dri.get(nhn, EMPTY_ENTRY)
     reported = DriEntry(sent=payload.sent, received=payload.received)
-    checked = probe.checked_hops + 1
+    checked = walk.checked_hops + 1
     if cross_check(local, reported, cfg.delta_match):
         # matched: the accumulator moves one hop down the path
-        rel = accumulate_rel(probe.rel, reliability_ratio(reported, cfg))
-        node.send(PacketKind.REL, nhn, RelPayload(
-            probe.vet_id, rel, probe.path, probe.pos + 1, probe.strikes, checked,
-            False, int(VetStatus.IN_PROGRESS),
+        rel = accumulate_rel(walk.rel, reliability_ratio(reported, cfg))
+        node.send(PacketKind.REL, nhn, replace(
+            walk, pos=walk.pos + 1, rel=rel, strikes=probe.strikes, checked_hops=checked,
         ))
     else:
         strikes = probe.strikes + 1
         status = VetStatus.UNTRUSTED if strikes > cfg.k_m else VetStatus.REL_ZEROED
-        _send_home(node, probe.vet_id, probe.path, probe.pos, 0.0, strikes, checked, status)
+        _send_home(node, replace(walk, rel=0.0, strikes=strikes, checked_hops=checked), status)
 
 
 def handle_feedback_timer(node: Node, payload: tuple) -> None:
@@ -300,28 +294,25 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
         _send_dri_request(node, probe)
         return
     del node.rel_pending[vet_id]
-    _send_home(node, vet_id, probe.path, probe.pos, 0.0, probe.strikes,
-               probe.checked_hops, VetStatus.UNTRUSTED)
+    _send_home(node, replace(probe.walk, rel=0.0, strikes=probe.strikes), VetStatus.UNTRUSTED)
 
 
-def _send_home(node: Node, vet_id: int, path: tuple[int, ...], pos: int, rel: float,
-               strikes: int, checked: int, status: VetStatus) -> None:
-    if pos == 0:
-        _finalize(node, vet_id, rel, checked, status)
+def _send_home(node: Node, walk: RelPayload, status: VetStatus) -> None:
+    """Turn the walk around at its holder with the verdict ``status``."""
+    if walk.pos == 0:
+        _finalize(node, walk.vet_id, status, walk.rel, walk.checked_hops)
         return
-    node.send(PacketKind.REL, path[pos - 1],
-              RelPayload(vet_id, rel, path, pos - 1, strikes, checked, True, int(status)))
+    node.send(PacketKind.REL, walk.path[walk.pos - 1],
+              replace(walk, pos=walk.pos - 1, status=status))
 
 
 def handle_rel(node: Node, pkt: Packet) -> None:
-    payload: RelPayload = pkt.payload
-    if not payload.returning:
-        # forward leg: this node is the new holder
-        _advance(node, payload.vet_id, payload.path, payload.pos, payload.rel,
-                 payload.strikes, payload.checked_hops)
-    elif payload.pos == 0:
-        _finalize(node, payload.vet_id, payload.rel, payload.checked_hops,
-                  VetStatus(payload.status))
+    walk: RelPayload = pkt.payload
+    if walk.status is VetStatus.IN_PROGRESS:
+        # outbound: this node is the new holder
+        _advance(node, walk)
+    elif walk.pos == 0:
+        _finalize(node, walk.vet_id, walk.status, walk.rel, walk.checked_hops)
     else:
         node.relay(pkt, -1)
 
@@ -329,14 +320,14 @@ def handle_rel(node: Node, pkt: Packet) -> None:
 def handle_vet_deadline(node: Node, payload: tuple) -> None:
     """Missing return trip: the whole vetting times out as untrusted."""
     _, vet_id = payload
-    if vet_id in node.vet_waiters:
-        _finalize(node, vet_id, 0.0, 0, VetStatus.UNTRUSTED)
+    _finalize(node, vet_id, VetStatus.UNTRUSTED)
 
 
-def _finalize(node: Node, vet_id: int, rel: float, checked: int, status: VetStatus) -> None:
+def _finalize(node: Node, vet_id: int, status: VetStatus, rel: float = 0.0,
+              checked: int = 0) -> None:
     waiter = node.vet_waiters.pop(vet_id, None)
     if waiter is None:
-        return  # deadline already resolved it
+        return  # the deadline or the walk already resolved it
     path, on_done = waiter
     conclude(node, VettingResult(status, rel, checked, path), on_done)
 

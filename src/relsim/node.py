@@ -79,8 +79,6 @@ class Node:
     def _on_data(self, pkt: Packet) -> None:
         payload = pkt.payload
         defense.record_data_packet(self.dri, pkt.prev_hop, "received")
-        if payload.path[payload.pos] != self.id:
-            return
         if payload.pos == len(payload.path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its through flag
@@ -103,7 +101,7 @@ def _on_ack(node: Node, pkt: Packet) -> None:
 def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
     """Lie when asked as the voucher; relay the charade otherwise."""
     payload = pkt.payload
-    if payload.path[payload.pos] == node.id and payload.pos == len(payload.path) - 1:
+    if payload.pos == len(payload.path) - 1:
         adversary.blackhole_on_base_request(node, pkt)
     else:
         baseline.handle_base_req(node, pkt)

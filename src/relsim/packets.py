@@ -3,10 +3,13 @@
 Payloads are immutable; a forwarded packet is a fresh ``Packet`` carrying
 either the same payload object or a rebuilt one (e.g. an extended RREQ
 path).  Source-routed payloads carry the whole ``path`` and ``pos``, the
-index of the node the packet is addressed to, so one relay step is the
-same ``pos`` shift for every kind.  Control-plane kinds are relayed even
-by misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE`` are
-the ones a black hole silently absorbs.
+index of the node the packet is addressed to.  Every sender hands such a
+packet to ``path[pos]``, so a receiver never checks that it is the
+addressee, and one relay step is the same ``pos`` shift for every kind.
+A payload holds nothing its packet already says, such as the sender
+(``pkt.origin``).  Control-plane kinds are relayed even by misbehaving
+nodes; the data-plane kinds listed in ``DATA_PLANE`` are the ones a black
+hole silently absorbs.
 """
 
 from __future__ import annotations
@@ -82,13 +85,8 @@ class DataPayload:
 
 @dataclass(frozen=True, slots=True)
 class PingPayload:
-    ping_id: int
-    path: tuple[int, ...]
-    pos: int
+    """A liveness probe out along ``path``; its PONG retraces it."""
 
-
-@dataclass(frozen=True, slots=True)
-class PongPayload:
     ping_id: int
     path: tuple[int, ...]
     pos: int
@@ -96,43 +94,54 @@ class PongPayload:
 
 @dataclass(frozen=True, slots=True)
 class DriReqPayload:
+    """Asks the receiver for its counts about the sender, ``pkt.origin``."""
+
     vet_id: int
-    asker: int  # the node whose entry is being requested
     attempt: int
 
 
 @dataclass(frozen=True, slots=True)
 class DriRepPayload:
     vet_id: int
-    subject: int  # the asker the reported entry is about
     attempt: int
     sent: int
     received: int
 
 
+class VetStatus(IntEnum):
+    IN_PROGRESS = 0
+    TRUSTED = 1
+    UNTRUSTED = 2
+    REL_ZEROED = 3
+
+
 @dataclass(frozen=True, slots=True)
 class RelPayload:
-    """The traveling reliability accumulator plus its walk bookkeeping."""
+    """The walk of one vetting: the traveling reliability accumulator.
+
+    Outbound (``IN_PROGRESS``) it moves to the next holder; home-bound it
+    carries the verdict back to the source.
+    """
 
     vet_id: int
-    rel: float
     path: tuple[int, ...]
     pos: int  # index of the node the packet is moving to
-    strikes: int
-    checked_hops: int
-    returning: bool
-    status: int  # VetStatus value, meaningful on the return trip
+    rel: float = 0.0
+    strikes: int = 0  # mismatches / exhausted hops so far
+    checked_hops: int = 0
+    status: VetStatus = VetStatus.IN_PROGRESS
 
 
 @dataclass(frozen=True, slots=True)
 class BaseReqPayload:
+    """One question to the voucher ``path[-1]`` about the subject
+    ``path[-2]``."""
+
     vet_id: int
     piece: int  # 1 = flags for subject, 2 = onward hop, 3 = flags for onward hop
-    subject: int
-    voucher: int
     destination: int
-    expected_next: int | None
-    path: tuple[int, ...]  # source .. voucher
+    expected_next: int | None  # the onward hop; None when the voucher is the destination
+    path: tuple[int, ...]  # source .. subject, voucher
     pos: int
     attempt: int
 
@@ -141,8 +150,7 @@ class BaseReqPayload:
 class BaseRepPayload:
     vet_id: int
     piece: int
-    subject: int
     value: object  # piece 1/3: (from_flag, through_flag); piece 2: node id or None
-    path: tuple[int, ...]
+    path: tuple[int, ...]  # the request's path, retraced
     pos: int
     attempt: int

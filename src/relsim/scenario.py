@@ -121,7 +121,12 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` lines; blank lines and # comments ignored."""
     values: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: cannot read: not UTF-8 text") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

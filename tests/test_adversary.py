@@ -131,7 +131,7 @@ def test_colluders_forge_a_tail_through_their_partner():
 
 
 def test_silent_mode_reaches_timeout_branch():
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)},
+    sim = line_sim(4, {2: blackhole(2, silent=True)},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3))

@@ -134,7 +134,7 @@ def test_deep_collusion_is_still_caught():
 
 
 def test_silent_voucher_burns_timers_to_untrusted():
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)},
+    sim = line_sim(4, {2: blackhole(2, silent=True)},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = baseline_vet(sim, 0, (0, 1, 2, 3))

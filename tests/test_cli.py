@@ -176,6 +176,30 @@ def test_sweep_isolates_failed_runs_and_exits_2(tmp_path, capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("name, content", [
+    ("missing.cfg", None), (".", None), ("latin1.cfg", "# caf\xe9\n".encode("latin-1")),
+])
+def test_cli_unreadable_config_file_is_a_config_error(name, content, tmp_path, capsys):
+    """A missing file, a directory and a non-UTF-8 file each exit 1 naming
+    the file."""
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 1
+    assert f"config error: {path}: cannot read" in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_an_impossible_grid_before_any_run(tmp_path, capsys, monkeypatch):
+    """Ten nodes cannot host 20 black holes: the sweep stops at once."""
+    monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
+    out = tmp_path / "x.csv"
+    args = ["sweep", "--nodes", "10", "--max-blackholes", "20", "--seeds", "1",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert "config error: blackholes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_file_loading(tmp_path, capsys):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(

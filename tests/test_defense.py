@@ -141,7 +141,7 @@ def test_solo_blackhole_zeroes_the_walk():
 
 def test_silent_neighbor_burns_counters_to_untrusted():
     """Three feedback expiries per attempt; the second strike passes k_m=1."""
-    sim = line_sim(4, {2: blackhole(2, reply_prob=0.0)}, vet_cfg=VettingConfig(k_r=3, k_m=1))
+    sim = line_sim(4, {2: blackhole(2, silent=True)}, vet_cfg=VettingConfig(k_r=3, k_m=1))
     warm_up(sim)
     sim.log_events = True
     result = vet_path(sim, 0, (0, 1, 2, 3))
@@ -250,7 +250,7 @@ def test_argmax_invariant_under_positive_scaling(scale):
 
 def test_strike_counter_monotone_and_absorbing():
     """c_m never decreases and untrusted is terminal for the walk."""
-    sim = line_sim(5, {2: blackhole(2, reply_prob=0.0), 3: blackhole(3)},
+    sim = line_sim(5, {2: blackhole(2, silent=True), 3: blackhole(3)},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3, 4))
