@@ -137,16 +137,28 @@ class Simulator:
         return True
 
     def broadcast(self, src: int, packet: Packet) -> int:
-        """One delivery per neighbor of ``src``, each with its own loss draw
-        but no jitter, so that the first copy of a flooded route request
-        anywhere arrives along a minimum-hop chain."""
-        count = 0
-        for dst in self.topology.neighbors[src]:
-            self._send(src, dst, packet, False)
-            count += 1
-        return count
+        """One transmission heard by every neighbor of ``src``, each copy with
+        its own loss draw but no jitter, so that the first copy of a flooded
+        route request anywhere arrives along a minimum-hop chain.
 
-    def _send(self, src: int, dst: int, packet: Packet, jitter: bool) -> None:
+        A route request copy is not queued for a neighbor that has already
+        seen ``(origin, request_id)``: it would be dropped on arrival, and
+        ``seen_rreqs`` only grows.  The copy still takes its loss draw, and
+        the radio still sent it, so an energy count must charge its
+        reception.  Returns the number of neighbors.
+        """
+        neighbors = self.topology.neighbors[src]
+        key = None
+        if packet.kind is PacketKind.RREQ:
+            key = (packet.origin, packet.payload.request_id)
+        for dst in neighbors:
+            fresh = key is None or key not in self.nodes[dst].seen_rreqs
+            self._send(src, dst, packet, False, fresh)
+        return len(neighbors)
+
+    def _send(self, src: int, dst: int, packet: Packet, jitter: bool, queue: bool = True) -> None:
+        """Draw loss (and jitter) from the sender's stream, then queue the
+        delivery unless the copy was lost or ``queue`` is false."""
         rng = self.rngs[src]
         if packet.kind in VETTING_KINDS:
             self.collector.on_vet_message(packet)
@@ -156,9 +168,12 @@ class Simulator:
         if self.link.loss > 0.0 and rng.random() < self.link.loss:
             self.collector.on_link_drop(packet)
             return
+        if not queue:
+            return
         delay = self.link.delay_us
         if jitter and self.link.jitter_us > 0:
-            delay += rng.randint(0, self.link.jitter_us)
+            # randint(0, j) without its argument checks: the same draws
+            delay += rng._randbelow(self.link.jitter_us + 1)
         heapq.heappush(
             self._queue,
             (self.now_us + delay, self._seq, int(EventKind.DELIVER), dst, packet),

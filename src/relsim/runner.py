@@ -105,20 +105,32 @@ class ScenarioRun:
     # -- warm-up --------------------------------------------------------
 
     def schedule_warmup(self) -> None:
+        """Queue one app event per probe round: round ``j`` fires at
+        ``WARMUP_START_MS + j * PROBE_SPACING_MS`` and sends a probe each
+        way on every edge, in ``edges()`` order, black holes staying mute.
+
+        Queuing every probe on its own would run them in this same order,
+        back to back: all were queued before anything else, so they carry
+        the lowest ``seq`` of their time.  Only the queue shrinks, not the
+        traffic: every probe is still transmitted, and so is each route
+        request copy that ``Simulator.broadcast`` leaves unqueued for a
+        neighbor that has already seen it, so an energy count charges both.
+        """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
+        profiles = self.sim.profiles
+        self._probe_pairs = [
+            (sender, receiver)
+            for u, v in self.topology.edges()
+            for sender, receiver in ((u, v), (v, u))
+            if not profiles[sender].is_blackhole  # black holes originate no traffic
+        ]
         start = WARMUP_START_MS * MICROS_PER_MS
         spacing = PROBE_SPACING_MS * MICROS_PER_MS
-        for u, v in self.topology.edges():
-            for sender, receiver in ((u, v), (v, u)):
-                if self.sim.profiles[sender].is_blackhole:
-                    continue  # black holes originate no traffic
-                for j in range(cfg.warmup_packets):
-                    self.sim.schedule_at(
-                        start + j * spacing, EventKind.APP, sender,
-                        ("probe", sender, receiver),
-                    )
+        for j in range(cfg.warmup_packets):
+            # a round belongs to no single node
+            self.sim.schedule_at(start + j * spacing, EventKind.APP, -1, ("warmup", j))
 
     def schedule_flows(self) -> None:
         for flow in self.flows:
@@ -132,8 +144,8 @@ class ScenarioRun:
 
     def _on_app_event(self, payload: tuple) -> None:
         tag = payload[0]
-        if tag == "probe":
-            self._send_probe(payload[1], payload[2])
+        if tag == "warmup":
+            self._probe_round()
         elif tag == "flow_start":
             flow = self.flows[payload[1]]
             self._generate_packet(flow, 0)
@@ -141,11 +153,12 @@ class ScenarioRun:
         elif tag == "flow_send":
             self._generate_packet(self.flows[payload[1]], payload[2])
 
-    def _send_probe(self, sender: int, receiver: int) -> None:
-        node = self.sim.nodes[sender]
-        pkt = Packet(PacketKind.DATA, sender, sender, node.next_seq(),
-                     DataPayload(-1, self.sim.now_us, (sender, receiver), 1))
-        self.sim.transmit(sender, receiver, pkt)
+    def _probe_round(self) -> None:
+        sim = self.sim
+        for sender, receiver in self._probe_pairs:
+            pkt = Packet(PacketKind.DATA, sender, sender, sim.nodes[sender].next_seq(),
+                         DataPayload(-1, sim.now_us, (sender, receiver), 1))
+            sim.transmit(sender, receiver, pkt)
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
         self.sim.collector.on_generated(flow.flow_id)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from relsim.adversary import honest_profiles
 from relsim.engine import EventKind, LinkParams, Simulator, derive_stream
 from relsim.errors import SchedulingError, UndeliverableError
-from relsim.packets import DataPayload, Packet, PacketKind
+from relsim.metrics import RunCollector
+from relsim.packets import DataPayload, Packet, PacketKind, RreqPayload
 from relsim.topology import topology_from_positions
 
 from conftest import line_sim
@@ -148,3 +149,61 @@ def test_derived_streams_are_independent_and_stable():
     b = [derive_stream(9, 1).random() for _ in range(5)]
     assert a1 == a2
     assert a1 != b
+
+
+@pytest.mark.parametrize("jitter", [0, 1, 7, 1_000, 2**40])
+def test_randbelow_draws_what_randint_draws(jitter):
+    """``Simulator._send`` draws jitter with the private ``_randbelow``;
+    this pins it to ``randint(0, jitter)``, draw for draw."""
+    ours, theirs = random.Random(jitter), random.Random(jitter)
+    assert [ours._randbelow(jitter + 1) for _ in range(2_000)] == [
+        theirs.randint(0, jitter) for _ in range(2_000)
+    ]
+    assert ours.getstate() == theirs.getstate()
+
+
+class _DropLog(RunCollector):
+    def __init__(self):
+        super().__init__()
+        self.drops = []
+
+    def on_link_drop(self, pkt):
+        self.drops.append(pkt)
+
+
+def _star_rreq_broadcast(seed: int, seen: tuple[int, ...]) -> Simulator:
+    """Center 0 broadcasts a route request to leaves 1..3 at loss 0.5;
+    the leaves in ``seen`` have already seen it."""
+    topo = topology_from_positions(
+        [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
+    )
+    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
+    sim.collector = _DropLog()
+    for leaf in seen:
+        sim.nodes[leaf].seen_rreqs.add((0, 1))
+    sim.broadcast(0, Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,))))
+    return sim
+
+
+def test_broadcast_queues_no_copy_for_a_neighbor_that_saw_the_request():
+    survived = set()
+    for seed in range(16):
+        sim = _star_rreq_broadcast(seed, seen=(1, 2))
+        twin = _star_rreq_broadcast(seed, seen=())
+        twin_queued = [event[3] for event in twin._queue]
+        assert [event[3] for event in sim._queue] == [d for d in twin_queued if d == 3]
+        survived.add(3 in twin_queued)
+    assert survived == {True, False}
+
+
+def test_skipped_rreq_copy_still_takes_its_loss_draw():
+    """Leaving a copy unqueued changes neither the sender's stream nor the
+    link drops the collector hears of."""
+    seen_dropped = 0
+    for seed in range(16):
+        sim = _star_rreq_broadcast(seed, seen=(1, 2))
+        twin = _star_rreq_broadcast(seed, seen=())
+        assert sim.rngs[0].getstate() == twin.rngs[0].getstate()
+        assert sim.collector.drops == twin.collector.drops
+        seen_dropped += len(sim.collector.drops) - (3 not in [e[3] for e in twin._queue])
+    assert seen_dropped > 0  # some copy to a leaf that saw the request was lost

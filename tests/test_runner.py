@@ -5,8 +5,11 @@ import pytest
 from relsim import aodv, baseline, defense
 from relsim.defense import VetStatus
 from relsim.errors import SimulationError
-from relsim.runner import ScenarioRun, run_scenario
+from relsim.engine import MICROS_PER_S, Simulator
+from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
+
+from conftest import warm_up
 
 
 def _cfg(**kwargs):
@@ -198,3 +201,31 @@ def test_undefended_series_reflects_captured_routes():
     series = reliability_series(run.sim.collector, cfg.duration, 1.0)
     assert series
     assert series[-1][1] < 50.0
+
+
+def _warmup_run(**kwargs) -> ScenarioRun:
+    run = ScenarioRun(_cfg(nodes=30, blackholes=2, colluding_pairs=1, **kwargs))
+    run.schedule_warmup()
+    return run
+
+
+def test_warmup_queues_one_event_per_round():
+    run = _warmup_run()
+    assert len(run.sim._queue) == run.cfg.warmup_packets
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.05])
+def test_warmup_rounds_match_one_app_event_per_probe(loss):
+    """A warm-up sent in rounds leaves every count, packet sequence number
+    and RNG stream as ``conftest.warm_up`` does, which queues every probe
+    as an app event of its own."""
+    run = _warmup_run(link_loss=loss)
+    run.sim.run(until_us=int(FIRST_FLOW_START_S * MICROS_PER_S))
+    assert run.sim.idle()
+    oracle = Simulator(run.topology, run.sim.profiles, run.sim.link, run.cfg.seed)
+    warm_up(oracle, run.cfg.warmup_packets)
+    assert any(node.dri for node in run.sim.nodes)
+    for ours, theirs in zip(run.sim.nodes, oracle.nodes, strict=True):
+        assert ours.dri == theirs.dri
+        assert ours._packet_seq == theirs._packet_seq
+    assert [r.getstate() for r in run.sim.rngs] == [r.getstate() for r in oracle.rngs]

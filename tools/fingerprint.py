@@ -5,13 +5,18 @@ and the SHA-256 of ``repr(event_log)``.  A refactor that must not change
 behaviour is checked by running this against both trees and diffing:
 
     PYTHONPATH=<parent>/src python tools/fingerprint.py > before.txt
-    PYTHONPATH=src python tools/fingerprint.py > after.txt
+    python tools/fingerprint.py > after.txt
     diff before.txt after.txt
 
+Without ``PYTHONPATH`` the tool imports relsim from this checkout's
+``src``; an explicit ``PYTHONPATH`` comes first on the path and wins.
 The two digests are separate columns, so a change that is meant to move
-only the event log can be checked on the record column alone
-(``cut -d' ' -f1,2``).  The grid is 3 schemes x 5 sizes x 3 link losses x
-warm-up on/off x 2 seeds = 180 configs of 10 simulated seconds; a config
+only the event log can be checked on the record column alone:
+
+    diff <(cut -d' ' -f1,2 before.txt) <(cut -d' ' -f1,2 after.txt)
+
+The grid is 3 schemes x 5 sizes x 3 link losses x warm-up on/off x
+2 seeds = 180 configs of 10 simulated seconds; a config
 whose set-up fails (too few eligible nodes for the adversaries) still
 prints the digest of its failed record.
 """
@@ -22,10 +27,13 @@ import hashlib
 import itertools
 import math
 import sys
+from pathlib import Path
 
-from relsim.errors import SimulationError
-from relsim.runner import ScenarioRun, run_scenario
-from relsim.scenario import SCHEMES, ScenarioConfig
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from relsim.errors import SimulationError  # noqa: E402
+from relsim.runner import ScenarioRun, run_scenario  # noqa: E402
+from relsim.scenario import SCHEMES, ScenarioConfig  # noqa: E402
 
 SIZES = (12, 20, 35, 50, 80)
 LOSSES = (0.0, 0.02, 0.1)
