@@ -1,9 +1,14 @@
 """Stored digests of the simulator's output: any change to the event order,
 an RNG draw or the CSV formatting shows up here.
 
-The digests were recorded from the code as it stood before the packet
-plumbing was refactored.  Change one only as a deliberate, named
+The sweep CSV digest was recorded from the code as it stood before the
+packet plumbing was refactored.  Change one only as a deliberate, named
 re-baseline, never as a side effect.
+
+Re-baseline of the 18 event-log digests: warm-up became one app event per
+probe round, and a route request copy is no longer queued for a neighbor
+that has already seen the request.  Only the event log moved; every
+``RunRecord`` and the sweep CSV digest stayed the same.
 """
 
 from __future__ import annotations
@@ -17,36 +22,36 @@ from relsim.runner import ScenarioRun
 from relsim.scenario import ScenarioConfig
 
 EVENT_LOG_DIGESTS = {
-    ("undefended", 0.0): "e2cd410d77eff47a8c59086835f6b7d04e361bb94e0a8bc04f0c12f7ad747c21",
-    ("undefended", 0.03): "812dc717707d701f8ad3e8d49f8ec440173cfd723e9976006d2776cfa76f6ebb",
-    ("baseline", 0.0): "2a78955e71d5734690c44f56a8d72416707f314447028a15b8c71dce28f2c39f",
-    ("baseline", 0.03): "ac920368a4d3158325020bac45cf063705bcafc8061137f8a4b3e683ad732c37",
-    ("proposed", 0.0): "da3c6feaec444104b069dc78e4c81708945fa88e31e2f83662a1c16aabba59af",
-    ("proposed", 0.03): "2c15b09233bd717ed8ce250dbae07943800750e0963f262ec5520ea63352821e",
+    ("undefended", 0.0): "a5245d5922895592712f1a6849cb214a0c0183bb5072aa84ac78a3a6dbb60570",
+    ("undefended", 0.03): "1b0e67978fec3314e824f34a59993dfbe831121434154ff71d242740d80e836d",
+    ("baseline", 0.0): "b634682748c3074570fdc24190af51d4c8040e5eb080f70b601d252551f4406d",
+    ("baseline", 0.03): "34081cca7ac232ff1699f9878b8dabc77531adc70c176b72b2c15149db32ddf5",
+    ("proposed", 0.0): "7cec7e3b93870ebe18c989f63453c8a5994441cd91a0cf19fe88bd87f2ff1b16",
+    ("proposed", 0.03): "0a5a83e192b6e3187a5cda92c1e7c7562358290420d6b3f7786fc2c906a8e070",
 }
 
 # Each of these runs pings a stored route that answers once: undefended
 # activates the path, the defenses vet it again.  The golden runs above
 # ping only dead routes.
 ALIVE_PING_DIGESTS = {
-    ("undefended", 0.0): "a871b57e3fc5731b5c2bdffe306540a3b11bede212aaf617931bb5a84b1e0b4a",
-    ("undefended", 0.01): "9872d6088f1631bcc10c1dee7f35039c717586bcb52c35f23eb2da2954e70671",
-    ("baseline", 0.0): "e15b2a856b6f09d67e28ed3d66e7579b59a88866cbfb709cc8b5401d8868380b",
-    ("baseline", 0.01): "049fcd195c021cd615a16ec258167c00c44fe4111a3132476b08dcd9b1745d54",
-    ("proposed", 0.0): "d086c6401e3eae8989b2ebd289a069478a11d85720f5adb85ab9b68b170c6453",
-    ("proposed", 0.01): "4f0292790861ea98181c3c736cbc834d8dc4f398fc3d898d60505e5f4bd5029d",
+    ("undefended", 0.0): "af77f2939c3b77f12aa8e364327adcaabd9d84a546695e0b2ce548cbdf0d5457",
+    ("undefended", 0.01): "6df0f75928cc945389507a0d336bf7661802a990d0d82f0c0fcdcc9471d528c0",
+    ("baseline", 0.0): "6736545f13d2edb4eb1ae182658caf66e80cbe6c36b87501882ea80063ac16f2",
+    ("baseline", 0.01): "dda3cf6d228762242d2602ddfbd57a4a0b062ef45b3a8e54a941f6f9e11c9bc4",
+    ("proposed", 0.0): "6f5c77c85534aa36892971a97da4b18d0a7d190166cb8b10277ebc0a8fd45d7e",
+    ("proposed", 0.01): "ca3f90ff8eb66675a9be2740f31ea5a2207f3b109c27f6b4127522e319037c3b",
 }
 
 # Without warm-up every count and flag table starts empty: the baseline
 # refuses paths on its own empty table, the proposed scheme trusts on the
 # neutral ratio of an empty entry.
 NO_WARMUP_DIGESTS = {
-    ("undefended", 0.0): "6823c99f5c1bed0c1e54afe2b1460fd55f8dca398f46fe7fee7d06e5f9002645",
-    ("undefended", 0.03): "41e7230d8a89f722cbdaab87cdc7097d004d8980954d2216cee1242cdc4a4409",
-    ("baseline", 0.0): "7837bd067b95cee4b3c992058acf36fedaba50fce709c816a7ac735201928f46",
-    ("baseline", 0.03): "128850672f449f5fbc690da78c65e20ae4430869447b6fd4b653af5a5f51b655",
-    ("proposed", 0.0): "774f1291652c3464e0a472d0539bb879affabb80f287deeebd0b5775d68300b9",
-    ("proposed", 0.03): "7be1437e025826fc2a87cdfb700c72824ba43ff52febbcd5057f4ad27d5cfb12",
+    ("undefended", 0.0): "baedb08951021cb5c796f43f3d1dad0b6cc8185b44b416c237c88a7cadcc0b0d",
+    ("undefended", 0.03): "21c2addbea7122f3d061dd6223ab2770b351b90ea7780dee5fd6c2c10d700ab7",
+    ("baseline", 0.0): "2c3498e75dfa8c02d604e7b9742434051b54a5d6b4163403425defaa40357481",
+    ("baseline", 0.03): "7996851a985274c92e8dd6097a4a4a90557517b67f638cddabde2c4d25d2cf4d",
+    ("proposed", 0.0): "2479c4c831140c8bbab96f324e42244a27409a6935279e7f29b3342ba78ea561",
+    ("proposed", 0.03): "e6ff21f241c4db373fe1c362e406f7a8f779d4a9fb4bd4c54f01d348862ca302",
 }
 
 SWEEP_ARGS = [
