@@ -205,5 +205,6 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
         twin = _star_rreq_broadcast(seed, seen=())
         assert sim.rngs[0].getstate() == twin.rngs[0].getstate()
         assert sim.collector.drops == twin.collector.drops
-        seen_dropped += len(sim.collector.drops) - (3 not in [e[3] for e in twin._queue])
+        unseen_lost = 3 not in [event[3] for event in twin._queue]
+        seen_dropped += len(sim.collector.drops) - unseen_lost
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
