@@ -138,21 +138,13 @@ def assign_adversaries(
     """Place solo black holes and adjacent colluding pairs off the endpoints."""
     profiles = honest_profiles(topology.node_count)
     eligible = sorted(set(range(topology.node_count)) - protected)
-    taken: set[int] = set()
-    group = 0
-    for _ in range(colluding_pairs):
-        anchors = [
-            u for u in eligible
-            if u not in taken
-            and any(v in eligible and v not in taken for v in topology.neighbors[u])
-        ]
+    free = set(eligible)  # eligible and not yet placed
+    for group in range(colluding_pairs):
+        anchors = [u for u in eligible if u in free and not free.isdisjoint(topology.neighbors[u])]
         if not anchors:
             raise TopologyError("not enough adjacent eligible nodes for colluding pairs")
         first = rng.choice(anchors)
-        partners = [
-            v for v in topology.neighbors[first] if v in eligible and v not in taken and v != first
-        ]
-        second = rng.choice(partners)
+        second = rng.choice([v for v in topology.neighbors[first] if v in free])
         for member, partner in ((first, second), (second, first)):
             profiles[member] = AdversaryProfile(
                 node=member,
@@ -160,9 +152,8 @@ def assign_adversaries(
                 collusion_group=group,
                 collusion_partner=partner,
             )
-        taken.update((first, second))
-        group += 1
-    remaining = [u for u in eligible if u not in taken]
+        free -= {first, second}
+    remaining = sorted(free)
     if blackholes > len(remaining):
         raise TopologyError("not enough eligible nodes for the requested black holes")
     for member in rng.sample(remaining, blackholes):

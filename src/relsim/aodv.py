@@ -85,7 +85,6 @@ def initiate_discovery(
     node: Node,
     destination: int,
     on_done: Callable[[list[Candidate]], None],
-    window_ms: int = DISCOVERY_WINDOW_MS,
 ) -> None:
     """Flood a fresh route request and collect replies for a fixed window."""
     if destination == node.id:
@@ -100,7 +99,7 @@ def initiate_discovery(
                   RreqPayload(request_id, destination, requested_seq, (node.id,)))
     node.sim.broadcast(node.id, rreq)
     node.sim.schedule_timer(
-        node.id, window_ms * MICROS_PER_MS, ("discovery", request_id)
+        node.id, DISCOVERY_WINDOW_MS * MICROS_PER_MS, ("discovery", request_id)
     )
 
 

@@ -4,8 +4,8 @@ Results land in one CSV with a fixed header and 6-decimal formatting;
 sweep output additionally carries per-(scheme, blackholes) mean and 95%
 confidence half-width rows so plots can be drawn without recomputation.
 Exit codes: 0 on success, 1 for configuration errors (including an
-unreadable config file and a sweep grid with an impossible point), 2 for
-run failures.
+unreadable config file, an unwritable ``--out`` and a sweep grid with an
+impossible point), 2 for run failures.
 """
 
 from __future__ import annotations
@@ -33,22 +33,16 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def record_row(record: RunRecord) -> str:
+def _row(cells: dict[str, object]) -> str:
+    """One CSV line: ``cells`` in header order, metrics to 6 decimals."""
     return ",".join(
-        (
-            record.scenario,
-            record.scheme,
-            str(record.blackholes),
-            str(record.seed),
-            _fmt(record.throughput_pct),
-            _fmt(record.loss_pct),
-            _fmt(record.delay_s),
-            _fmt(record.mrr),
-            str(record.vet_msgs),
-            str(record.untrusted_paths),
-            str(record.starved_flows),
-        )
+        _fmt(cells[column]) if column in _METRIC_COLUMNS else str(cells[column])
+        for column in CSV_HEADER.split(",")
     )
+
+
+def record_row(record: RunRecord) -> str:
+    return _row({column: getattr(record, column) for column in CSV_HEADER.split(",")})
 
 
 def write_csv(records: list[RunRecord], path: str | Path,
@@ -106,15 +100,36 @@ def t_quantile(p: float, df: int) -> float:
     return t
 
 
-def confidence_half_width(values: list[float], level: float = 0.95) -> float:
-    """Student-t half width of the mean's confidence interval."""
+def confidence_half_width(values: list[float]) -> float:
+    """Student-t half width of the mean's 95% confidence interval."""
     if len(values) < 2:
         return 0.0
     spread = statistics.stdev(values)
     if spread == 0.0:
         return 0.0
-    t_crit = t_quantile(0.5 + level / 2, len(values) - 1)
+    t_crit = t_quantile(0.975, len(values) - 1)
     return t_crit * spread / math.sqrt(len(values))
+
+
+def _groups(records: list[RunRecord]) -> dict[tuple[str, int], list[RunRecord]]:
+    """The successful runs per (scheme, blackholes), in key order."""
+    groups: dict[tuple[str, int], list[RunRecord]] = {}
+    for record in records:
+        if not record.failed:
+            groups.setdefault((record.scheme, record.blackholes), []).append(record)
+    return dict(sorted(groups.items()))
+
+
+def _aggregate(rows: list[RunRecord]) -> dict[str, tuple[float, float]]:
+    """Metric -> (mean, ci95 half width) over the runs where it is defined."""
+    per_metric = {}
+    for column in _METRIC_COLUMNS:
+        values = [v for v in (getattr(r, column) for r in rows) if not math.isnan(v)]
+        per_metric[column] = (
+            (sum(values) / len(values), confidence_half_width(values))
+            if values else (math.nan, math.nan)
+        )
+    return per_metric
 
 
 def summarize(records: list[RunRecord]) -> dict[tuple[str, int], dict[str, tuple[float, float]]]:
@@ -123,56 +138,21 @@ def summarize(records: list[RunRecord]) -> dict[tuple[str, int], dict[str, tuple
     Runs where a metric is undefined (nan) are excluded from that
     metric's aggregate; failed runs are excluded entirely.
     """
-    groups: dict[tuple[str, int], list[RunRecord]] = {}
-    for record in records:
-        if record.failed:
-            continue
-        groups.setdefault((record.scheme, record.blackholes), []).append(record)
-    summary: dict[tuple[str, int], dict[str, tuple[float, float]]] = {}
-    for key in sorted(groups):
-        rows = groups[key]
-        per_metric = {}
-        for column in _METRIC_COLUMNS:
-            values = [
-                getattr(r, column) for r in rows if not math.isnan(getattr(r, column))
-            ]
-            if values:
-                per_metric[column] = (
-                    sum(values) / len(values),
-                    confidence_half_width(values),
-                )
-            else:
-                per_metric[column] = (math.nan, math.nan)
-        summary[key] = per_metric
-    return summary
+    return {key: _aggregate(rows) for key, rows in _groups(records).items()}
 
 
 def summary_rows(records: list[RunRecord]) -> list[str]:
-    rows = []
-    for (scheme, blackholes), per_metric in summarize(records).items():
-        n = sum(
-            1 for r in records
-            if not r.failed and r.scheme == scheme and r.blackholes == blackholes
-        )
-        for kind, idx in (("summary_mean", 0), ("summary_ci95", 1)):
-            rows.append(
-                ",".join(
-                    (
-                        kind,
-                        scheme,
-                        str(blackholes),
-                        str(n),
-                        _fmt(per_metric["throughput_pct"][idx]),
-                        _fmt(per_metric["loss_pct"][idx]),
-                        _fmt(per_metric["delay_s"][idx]),
-                        _fmt(per_metric["mrr"][idx]),
-                        "0",
-                        "0",
-                        "0",
-                    )
-                )
-            )
-    return rows
+    lines = []
+    for (scheme, blackholes), rows in _groups(records).items():
+        per_metric = _aggregate(rows)
+        for idx, kind in enumerate(("summary_mean", "summary_ci95")):
+            cells = {column: pair[idx] for column, pair in per_metric.items()}
+            # the overhead columns are not aggregated yet; the stored CSV
+            # digests pin these zeros until the CSV re-baseline (ROADMAP item 4)
+            cells.update(scenario=kind, scheme=scheme, blackholes=blackholes,
+                         seed=len(rows), vet_msgs=0, untrusted_paths=0, starved_flows=0)
+            lines.append(_row(cells))
+    return lines
 
 
 def sweep_records(
@@ -280,12 +260,22 @@ def _grid(
     return schemes, blackhole_values, [cfg.seed + i for i in range(args.seeds)]
 
 
+def _check_writable(path: str) -> None:
+    """Fail before any run, not after it, when ``path`` cannot be written."""
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
         grid = None if args.command == "run" else _grid(args, cfg)
+        if args.out:
+            _check_writable(args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

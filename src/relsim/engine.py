@@ -74,7 +74,6 @@ class Simulator:
         self._queue: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._vet_counter = 0
-        self._stories: dict[int, int] = {}
         self._app_handler: Callable[[object], None] | None = None
         self.rngs = [derive_stream(seed, i) for i in range(topology.node_count)]
         # built per simulator, so that handlers replaced on their modules apply
@@ -109,11 +108,7 @@ class Simulator:
 
     def collusion_story(self, group: int) -> int:
         """Shared fabricated packet count a collusion group sticks to."""
-        story = self._stories.get(group)
-        if story is None:
-            story = derive_stream(self.seed, 0x10000 + group).randint(20, 60)
-            self._stories[group] = story
-        return story
+        return derive_stream(self.seed, 0x10000 + group).randint(20, 60)
 
     # -- link layer ---------------------------------------------------
 

@@ -32,17 +32,20 @@ OPEN_CONVERSATIONS = ("rel_pending", "vet_waiters", "base_vets", "discoveries", 
 
 @dataclass(slots=True)
 class RunRecord:
+    """One run's CSV row: ``cli.CSV_HEADER`` names its columns after these
+    fields.  A failed run keeps the defaults: undefined metrics, no counts."""
+
     scenario: str
     scheme: str
     blackholes: int
     seed: int
-    throughput_pct: float
-    loss_pct: float
-    delay_s: float
-    mrr: float
-    vet_msgs: int
-    untrusted_paths: int
-    starved_flows: int
+    throughput_pct: float = math.nan
+    loss_pct: float = math.nan
+    delay_s: float = math.nan
+    mrr: float = math.nan
+    vet_msgs: int = 0
+    untrusted_paths: int = 0
+    starved_flows: int = 0
     failed: bool = False
     failure_reason: str = ""
 
@@ -255,38 +258,35 @@ class ScenarioRun:
         self.schedule_warmup()
         self.schedule_flows()
         self.sim.run()
-        for flow in self.flows:
-            self.sim.collector.flows[flow.flow_id].never_sent = len(flow.buffer)
-        check_invariants(self.sim)
-        return self._record()
-
-    def _record(self) -> RunRecord:
-        cfg = self.cfg
         collector = self.sim.collector
-        stats = collector.flow_stats(cfg.duration, cfg.packet_size)
-        try:
-            throughput = metrics.throughput_ratio(stats)
-            loss = metrics.packet_loss(stats)
-        except UndefinedMetricError:
-            throughput = math.nan
-            loss = math.nan
-        try:
-            delay = metrics.mean_end_to_end_delay(stats)
-        except UndefinedMetricError:
-            delay = math.nan
-        return RunRecord(
-            scenario=cfg.scenario_id,
-            scheme=cfg.scheme,
-            blackholes=cfg.blackholes + 2 * cfg.colluding_pairs,
-            seed=cfg.seed,
-            throughput_pct=throughput,
-            loss_pct=loss,
-            delay_s=delay,
+        for flow in self.flows:
+            collector.flows[flow.flow_id].never_sent = len(flow.buffer)
+        check_invariants(self.sim)
+        stats = collector.flow_stats(self.cfg.duration, self.cfg.packet_size)
+        return _record(
+            self.cfg,
+            throughput_pct=_defined(metrics.throughput_ratio, stats),
+            loss_pct=_defined(metrics.packet_loss, stats),
+            delay_s=_defined(metrics.mean_end_to_end_delay, stats),
             mrr=collector.mean_selected_mrr(),
             vet_msgs=collector.vet_messages,
             untrusted_paths=collector.untrusted_paths,
             starved_flows=metrics.starved_flow_count(stats),
         )
+
+
+def _record(cfg: ScenarioConfig, **results) -> RunRecord:
+    """The record of a run of ``cfg``; ``blackholes`` counts pair members."""
+    blackholes = cfg.blackholes + 2 * cfg.colluding_pairs
+    return RunRecord(cfg.scenario_id, cfg.scheme, blackholes, cfg.seed, **results)
+
+
+def _defined(formula, stats: list[metrics.FlowStats]) -> float:
+    """``formula(stats)``, or nan where the metric is undefined."""
+    try:
+        return formula(stats)
+    except UndefinedMetricError:
+        return math.nan
 
 
 def _trust(node, path: tuple[int, ...], on_done) -> None:
@@ -322,18 +322,4 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     try:
         return ScenarioRun(cfg).execute()
     except SimulationError as exc:
-        return RunRecord(
-            scenario=cfg.scenario_id,
-            scheme=cfg.scheme,
-            blackholes=cfg.blackholes + 2 * cfg.colluding_pairs,
-            seed=cfg.seed,
-            throughput_pct=math.nan,
-            loss_pct=math.nan,
-            delay_s=math.nan,
-            mrr=math.nan,
-            vet_msgs=0,
-            untrusted_paths=0,
-            starved_flows=0,
-            failed=True,
-            failure_reason=str(exc),
-        )
+        return _record(cfg, failed=True, failure_reason=str(exc))

@@ -40,6 +40,8 @@ class ScenarioConfig:
     def validate(self) -> "ScenarioConfig":
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name}: must be an integer")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name}: must be finite")
         if self.nodes < 2:

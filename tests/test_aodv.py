@@ -7,9 +7,9 @@ from relsim.topology import bfs_hop_counts, topology_from_positions
 from conftest import blackhole, line_sim, warm_up
 
 
-def _discover(sim, source, target, window_ms=200):
+def _discover(sim, source, target):
     collected = []
-    aodv.initiate_discovery(sim.nodes[source], target, collected.extend, window_ms)
+    aodv.initiate_discovery(sim.nodes[source], target, collected.extend)
     sim.run()
     return collected
 

@@ -200,6 +200,21 @@ def test_cli_sweep_rejects_an_impossible_grid_before_any_run(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_cli_unwritable_out_is_a_config_error_before_any_run(
+    command, target, tmp_path, capsys, monkeypatch
+):
+    """A missing parent directory or a directory as --out stops at once."""
+    monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
+    args = [command, "--nodes", "12", "--area_side", "400", "--duration", "2",
+            "--out", str(tmp_path / target)]
+    if command == "sweep":
+        args += ["--max-blackholes", "0", "--seeds", "1"]
+    assert main(args) == 1
+    assert "config error: --out: cannot write" in capsys.readouterr().err
+
+
 def test_cli_config_file_loading(tmp_path, capsys):
     cfg_file = tmp_path / "scenario.cfg"
     cfg_file.write_text(

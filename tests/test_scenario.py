@@ -53,6 +53,15 @@ def test_non_finite_floats_rejected(key):
             ScenarioConfig(**{key: float(raw)}).validate()
 
 
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ScenarioConfig) if f.type == "int"]
+)
+def test_non_integer_values_for_integer_fields_rejected(key):
+    for value in (1.5, 2.0, True):
+        with pytest.raises(ConfigError, match=f"^{key}: must be an integer$"):
+            ScenarioConfig(**{key: value}).validate()
+
+
 @pytest.mark.parametrize("key, overrides", [
     ("duration", {"duration": 1e303, "packet_rate": 1e-300}),
     ("packet_rate", {"duration": 1e300, "packet_rate": 1e10}),

@@ -18,7 +18,9 @@ only the event log can be checked on the record column alone:
 The grid is 3 schemes x 5 sizes x 3 link losses x warm-up on/off x
 2 seeds = 180 configs of 10 simulated seconds; a config
 whose set-up fails (too few eligible nodes for the adversaries) still
-prints the digest of its failed record.
+prints the digest of its failed record.  A last line, ``csv <sha256>``,
+pins the bytes ``cli.write_csv`` writes for all 180 records with their
+summary rows, so CSV formatting is covered as well as the records.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ import hashlib
 import itertools
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
+from relsim import cli  # noqa: E402
 from relsim.errors import SimulationError  # noqa: E402
 from relsim.runner import ScenarioRun, run_scenario  # noqa: E402
 from relsim.scenario import SCHEMES, ScenarioConfig  # noqa: E402
@@ -68,8 +72,8 @@ def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
-def fingerprint(cfg: ScenarioConfig) -> tuple[str, str]:
-    """Digests of the run's record and of its event log."""
+def fingerprint(cfg: ScenarioConfig):
+    """The run's record and the digest of its event log."""
     log: list[tuple] = []
     try:
         run = ScenarioRun(cfg)
@@ -78,13 +82,24 @@ def fingerprint(cfg: ScenarioConfig) -> tuple[str, str]:
         record = run.execute()
     except SimulationError:
         record = run_scenario(cfg)
-    return _sha(record), _sha(log)
+    return record, _sha(log)
+
+
+def csv_digest(records) -> str:
+    """SHA-256 of the CSV, summary rows included, written for ``records``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fingerprint.csv"
+        cli.write_csv(records, path, summaries=cli.summary_rows(records))
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> int:
+    records = []
     for key, cfg in grid():
-        record_sha, log_sha = fingerprint(cfg)
-        print(key, record_sha, log_sha)
+        record, log_sha = fingerprint(cfg)
+        records.append(record)
+        print(key, _sha(record), log_sha)
+    print("csv", csv_digest(records))
     return 0
 
 
