@@ -1,15 +1,20 @@
 """Deterministic discrete-event engine and link-level delivery.
 
-Time is integer microseconds.  Events are totally ordered by
-``(time_us, seq)`` where ``seq`` is a monotone insertion counter, so two
-runs over the same scenario and seed replay the exact same trace.  Every
-node owns a pseudo-random stream derived from ``(seed, node_id)``; link
-jitter and loss are always drawn from the *sender's* stream.
+Time is integer microseconds.  Events are totally ordered by time, and
+events at one time by insertion order, so two runs over the same scenario
+and seed replay the exact same trace.  The queue is the simplest calendar
+queue (R. Brown, CACM 31(10), 1988): a heap of the distinct pending times
+and, per time, a FIFO bucket of its events.  Most pending events share a
+time (a broadcast's copies, a warm-up round's probes), so one heap entry
+serves many events.  Every node owns a pseudo-random stream derived from
+``(seed, node_id)``; link jitter and loss are always drawn from the
+*sender's* stream.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from random import Random
@@ -36,6 +41,10 @@ class EventKind(IntEnum):
     DELIVER = 0
     TIMER = 1
     APP = 2
+
+
+# queued as plain ints: comparing them is cheaper than comparing members
+_DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 
 
 @dataclass(slots=True)
@@ -71,8 +80,10 @@ class Simulator:
         self.profiles = profiles
         self.log_events = False
         self.event_log: list[tuple] = []
-        self._queue: list[tuple[int, int, int, int, object]] = []
-        self._seq = 0
+        # every time in the heap has a bucket; only the bucket being
+        # drained may be empty, until its time leaves the heap
+        self._times: list[int] = []
+        self._buckets: dict[int, deque[tuple[int, int, object]]] = {}
         self._vet_counter = 0
         self._app_handler: Callable[[object], None] | None = None
         self.rngs = [derive_stream(seed, i) for i in range(topology.node_count)]
@@ -90,8 +101,15 @@ class Simulator:
             raise SchedulingError(
                 f"event at t={time_us}us is before current time {self.now_us}us"
             )
-        heapq.heappush(self._queue, (time_us, self._seq, int(kind), node_id, payload))
-        self._seq += 1
+        self._push(time_us, int(kind), node_id, payload)
+
+    def _push(self, time_us: int, kind: int, node_id: int, payload) -> None:
+        """Queue an event behind every event already queued at ``time_us``."""
+        bucket = self._buckets.get(time_us)
+        if bucket is None:
+            bucket = self._buckets[time_us] = deque()
+            heapq.heappush(self._times, time_us)
+        bucket.append((kind, node_id, payload))
 
     def schedule_in(self, delay_us: int, kind: EventKind, node_id: int, payload) -> None:
         self.schedule_at(self.now_us + delay_us, kind, node_id, payload)
@@ -134,7 +152,9 @@ class Simulator:
     def broadcast(self, src: int, packet: Packet) -> int:
         """One transmission heard by every neighbor of ``src``, each copy with
         its own loss draw but no jitter, so that the first copy of a flooded
-        route request anywhere arrives along a minimum-hop chain.
+        route request anywhere arrives along a minimum-hop chain.  All
+        copies land at one time, so they share one heap entry and are
+        delivered in neighbor order, each logged as its own ``deliver``.
 
         A route request copy is not queued for a neighbor that has already
         seen ``(origin, request_id)``: it would be dropped on arrival, and
@@ -169,45 +189,56 @@ class Simulator:
         if jitter and self.link.jitter_us > 0:
             # randint(0, j) without its argument checks: the same draws
             delay += rng._randbelow(self.link.jitter_us + 1)
-        heapq.heappush(
-            self._queue,
-            (self.now_us + delay, self._seq, int(EventKind.DELIVER), dst, packet),
-        )
-        self._seq += 1
+        self._push(self.now_us + delay, _DELIVER, dst, packet)
 
     # -- main loop ----------------------------------------------------
 
     def run(self, until_us: int | None = None, stop: Callable[[], bool] | None = None) -> None:
-        """Process events in (time, seq) order until the queue drains.
+        """Process events in time order, ties in insertion order, until the
+        queue drains.
 
-        ``until_us`` leaves later events queued; ``stop`` is polled after
-        each event (used by the synchronous vetting facades).
+        ``until_us`` leaves later times queued; it is checked once per
+        time.  ``stop`` is polled after each event (used by the synchronous
+        vetting facades); a stop leaves the rest of the current time's
+        events queued in place.  An event queued at ``now_us`` during
+        dispatch joins the tail of the bucket being drained, and a time
+        leaves the heap only once its bucket is empty.
         """
-        queue = self._queue
-        while queue:
-            time_us, _, kind, node_id, payload = queue[0]
+        times = self._times
+        buckets = self._buckets
+        while times:
+            time_us = times[0]
             if until_us is not None and time_us > until_us:
                 break
-            heapq.heappop(queue)
             self.now_us = time_us
-            if kind == EventKind.DELIVER:
-                if self.log_events:
-                    pkt: Packet = payload  # type: ignore[assignment]
-                    self.event_log.append(
-                        (time_us, "deliver", node_id, int(pkt.kind), pkt.origin, pkt.seq_no)
-                    )
-                self.nodes[node_id].on_packet(payload)
-            elif kind == EventKind.TIMER:
-                if self.log_events:
-                    self.event_log.append((time_us, "timer", node_id, payload[0]))
-                self.nodes[node_id].on_timer(payload)
-            else:
-                if self.log_events:
-                    self.event_log.append((time_us, "app", node_id, payload))
-                if self._app_handler is not None:
-                    self._app_handler(payload)
-            if stop is not None and stop():
+            bucket = buckets[time_us]
+            stopped = False
+            while bucket:
+                kind, node_id, payload = bucket.popleft()
+                if kind == _DELIVER:
+                    if self.log_events:
+                        pkt: Packet = payload  # type: ignore[assignment]
+                        self.event_log.append(
+                            (time_us, "deliver", node_id, int(pkt.kind), pkt.origin, pkt.seq_no)
+                        )
+                    self.nodes[node_id].on_packet(payload)
+                elif kind == _TIMER:
+                    if self.log_events:
+                        self.event_log.append((time_us, "timer", node_id, payload[0]))
+                    self.nodes[node_id].on_timer(payload)
+                else:
+                    if self.log_events:
+                        self.event_log.append((time_us, "app", node_id, payload))
+                    if self._app_handler is not None:
+                        self._app_handler(payload)
+                if stop is not None and stop():
+                    stopped = True
+                    break
+            if not bucket:
+                heapq.heappop(times)
+                del buckets[time_us]
+            if stopped:
                 break
 
     def idle(self) -> bool:
-        return not self._queue
+        return not self._times

@@ -83,8 +83,9 @@ class ScenarioConfig:
             raise ConfigError("ratio_cap: must be at least 1")
         if self.warmup_packets < 0:
             raise ConfigError("warmup_packets: must be non-negative")
-        if self.link_delay_ms <= 0:
-            raise ConfigError("link_delay_ms: must be positive")
+        # a run truncates the delay to whole microseconds
+        if self.link_delay_ms * MICROS_PER_MS < 1:
+            raise ConfigError("link_delay_ms: must be at least 1 microsecond")
         if self.link_jitter_ms < 0:
             raise ConfigError("link_jitter_ms: must be non-negative")
         if not 0.0 <= self.link_loss <= 1.0:

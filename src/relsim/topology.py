@@ -62,14 +62,28 @@ def topology_from_positions(
         raise ConfigError("a topology needs at least two nodes")
     if radio_range <= 0:
         raise ConfigError("radio_range must be positive")
-    n = len(positions)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        xu, yu = positions[u]
-        for v in range(u + 1, n):
-            if math.dist((xu, yu), positions[v]) <= radio_range:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+    # Bucket nodes into square cells, so that a neighbor lies in the same
+    # cell or one of the eight around it.  A side of exactly radio_range
+    # would not do: math.dist rounds, so two points can test exactly
+    # radio_range apart and yet land two cells apart, as 0.9999999999999999
+    # and 2.0 do at range 1.  The side is therefore wider than radio_range
+    # by more than the rounding of a difference and of each coordinate's
+    # quotient, which both scale with the largest coordinate.
+    reach = max(abs(c) for p in positions for c in p)
+    side = radio_range + (radio_range + reach) * 2.0**-50
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(positions):
+        cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(i)
+    nbrs: list[list[int]] = [[] for _ in positions]
+    for (cx, cy), members in cells.items():
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                for v in cells.get((cx + dx, cy + dy), ()):
+                    pv = positions[v]
+                    for u in members:
+                        if u < v and math.dist(positions[u], pv) <= radio_range:
+                            nbrs[u].append(v)
+                            nbrs[v].append(u)
     frozen = tuple(tuple(sorted(ns)) for ns in nbrs)
     return Topology(
         positions=tuple(positions),

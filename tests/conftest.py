@@ -39,6 +39,16 @@ def line_sim(
     )
 
 
+def queued(sim: Simulator) -> list[tuple[int, int, int, object]]:
+    """The pending events as ``(time_us, kind, node_id, payload)``, in
+    dispatch order, without consuming any."""
+    return [
+        (time_us, kind, node_id, payload)
+        for time_us in sorted(sim._times)
+        for kind, node_id, payload in sim._buckets[time_us]
+    ]
+
+
 def warm_up(sim: Simulator, packets: int = 10) -> None:
     """Exchange probe data both ways on every edge; black holes stay mute."""
 

@@ -141,6 +141,13 @@ def test_cli_run_rejects_non_finite_floats(key, raw, capsys):
     assert f"config error: {key}: must be finite" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_sub_microsecond_link_delay(capsys):
+    args = ["run", "--nodes", "10", "--area_side", "300", "--flows", "1",
+            "--link_delay_ms", "0.0004"]
+    assert main(args) == 1
+    assert "config error: link_delay_ms: must be at least 1 microsecond" in capsys.readouterr().err
+
+
 def test_cli_rejects_unknown_scheme_in_list(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["compare", "--schemes", "proposed,wizardry", "--out", str(out)]) == 1

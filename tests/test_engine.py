@@ -11,7 +11,7 @@ from relsim.metrics import RunCollector
 from relsim.packets import DataPayload, Packet, PacketKind, RreqPayload
 from relsim.topology import topology_from_positions
 
-from conftest import line_sim
+from conftest import line_sim, queued
 
 
 def _probe(sim, src, dst, flow=-1):
@@ -25,52 +25,97 @@ def _probe(sim, src, dst, flow=-1):
     )
 
 
-def _pop_order(sim):
-    order = []
-    while sim._queue:
-        time_us, seq, _, _, payload = sim._queue[0]
-        import heapq
-
-        heapq.heappop(sim._queue)
-        order.append((time_us, seq, payload))
-    return order
+def _assert_dispatch_order(events):
+    """Times do not decrease, and events at one time keep insertion order;
+    each payload is ``(tag, insertion index)``."""
+    for (t0, _, _, p0), (t1, _, _, p1) in zip(events, events[1:]):
+        assert t0 < t1 or (t0 == t1 and p0[1] < p1[1])
 
 
 def test_min_time_pops_first():
     sim = line_sim(2)
     sim.schedule_at(5, EventKind.TIMER, 0, ("a",))
     sim.schedule_at(3, EventKind.TIMER, 0, ("b",))
-    order = _pop_order(sim)
-    assert [t for t, _, _ in order] == [3, 5]
-    assert order[0][2] == ("b",)
+    order = queued(sim)
+    assert [t for t, _, _, _ in order] == [3, 5]
+    assert order[0][3] == ("b",)
 
 
 def test_equal_times_pop_in_insertion_order():
     sim = line_sim(2)
     sim.schedule_at(7, EventKind.TIMER, 0, ("first",))
     sim.schedule_at(7, EventKind.TIMER, 0, ("second",))
-    order = _pop_order(sim)
-    assert [p for _, _, p in order] == [("first",), ("second",)]
+    order = queued(sim)
+    assert [p for _, _, _, p in order] == [("first",), ("second",)]
 
 
 def test_thousand_random_inserts_pop_sorted():
     sim = line_sim(2)
     rng = random.Random(21)
     times = [rng.randrange(0, 10_000) for _ in range(1000)]
-    for t in times:
-        sim.schedule_at(t, EventKind.TIMER, 0, ("x", t))
-    popped = [(t, s) for t, s, _ in _pop_order(sim)]
-    assert popped == sorted(popped)
+    for i, t in enumerate(times):
+        sim.schedule_at(t, EventKind.TIMER, 0, ("x", i))
+    order = queued(sim)
+    assert len(order) == 1000
+    _assert_dispatch_order(order)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200))
 @settings(max_examples=50, deadline=None)
 def test_pop_sequence_is_sorted_property(times):
     sim = line_sim(2)
-    for t in times:
-        sim.schedule_at(t, EventKind.TIMER, 0, ("x",))
-    popped = [(t, s) for t, s, _ in _pop_order(sim)]
-    assert popped == sorted(popped)
+    for i, t in enumerate(times):
+        sim.schedule_at(t, EventKind.TIMER, 0, ("x", i))
+    order = queued(sim)
+    assert len(order) == len(times)
+    _assert_dispatch_order(order)
+
+
+@given(
+    first=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30),
+    spawned=st.lists(st.lists(st.integers(min_value=0, max_value=8), max_size=3), max_size=80),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["until", "stop"]), st.integers(min_value=0, max_value=12)),
+        max_size=6,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_dispatch_order_is_time_then_insertion_property(first, spawned, steps):
+    """Timers scheduled up front, from inside handlers at ``now_us`` (delay
+    0) or later, and between ``run(until_us=...)`` and ``run(stop=...)``
+    calls that may stop mid-bucket, are dispatched in (time, insertion
+    index) order."""
+    sim = line_sim(2)
+    scheduled: list[tuple[int, int]] = []
+    dispatched: list[tuple[int, int]] = []
+    spawns = iter(spawned)
+
+    def schedule(time_us):
+        sim.schedule_at(time_us, EventKind.APP, -1, len(scheduled))
+        scheduled.append((time_us, len(scheduled)))
+
+    def app(index):
+        dispatched.append((sim.now_us, index))
+        for delay in next(spawns, ()):
+            schedule(sim.now_us + delay)
+
+    sim.set_app_handler(app)
+    for t in first:
+        schedule(t)
+    for mode, n in steps:
+        if mode == "until":
+            until_us = sim.now_us + n
+            sim.run(until_us=until_us)
+            assert all(t > until_us for t, _, _, _ in queued(sim))
+        else:
+            target = len(dispatched) + n + 1
+            sim.run(stop=lambda: len(dispatched) >= target)
+        assert sim.idle() == (not queued(sim))
+        # lands behind whatever a stop left queued at now_us
+        schedule(sim.now_us)
+    sim.run()
+    assert sim.idle()
+    assert dispatched == sorted(scheduled)
 
 
 def test_scheduling_in_the_past_is_fatal():
@@ -85,7 +130,7 @@ def test_scheduling_in_the_past_is_fatal():
 def test_fixed_delay_without_jitter_or_loss():
     sim = line_sim(2, link=LinkParams(delay_us=2_000, jitter_us=0, loss=0.0))
     sim.transmit(0, 1, _probe(sim, 0, 1))
-    assert sim._queue[0][0] == 2_000
+    assert queued(sim)[0][0] == 2_000
 
 
 def test_certain_loss_schedules_nothing():
@@ -102,7 +147,7 @@ def test_broadcast_fans_out_to_every_neighbor():
     sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
     count = sim.broadcast(0, _probe(sim, 0, 1))
     assert count == 3
-    assert len(sim._queue) == 3
+    assert len(queued(sim)) == 3
 
 
 def test_unicast_to_non_neighbor_raises():
@@ -190,8 +235,8 @@ def test_broadcast_queues_no_copy_for_a_neighbor_that_saw_the_request():
     for seed in range(16):
         sim = _star_rreq_broadcast(seed, seen=(1, 2))
         twin = _star_rreq_broadcast(seed, seen=())
-        twin_queued = [event[3] for event in twin._queue]
-        assert [event[3] for event in sim._queue] == [d for d in twin_queued if d == 3]
+        twin_queued = [event[2] for event in queued(twin)]
+        assert [event[2] for event in queued(sim)] == [d for d in twin_queued if d == 3]
         survived.add(3 in twin_queued)
     assert survived == {True, False}
 
@@ -205,6 +250,46 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
         twin = _star_rreq_broadcast(seed, seen=())
         assert sim.rngs[0].getstate() == twin.rngs[0].getstate()
         assert sim.collector.drops == twin.collector.drops
-        unseen_lost = 3 not in [event[3] for event in twin._queue]
+        unseen_lost = 3 not in [event[2] for event in queued(twin)]
         seen_dropped += len(sim.collector.drops) - unseen_lost
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
+
+
+def _star_rreq(sim: Simulator) -> Packet:
+    return Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,)))
+
+
+def test_stop_mid_broadcast_leaves_the_remaining_copies_queued_in_order():
+    topo = topology_from_positions(
+        [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
+    )
+    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
+    rreq = _star_rreq(sim)
+    sim.broadcast(0, rreq)
+    arrival = sim.link.delay_us
+    sim.run(stop=lambda: True)
+    assert sim.now_us == arrival
+    assert queued(sim)[:2] == [
+        (arrival, EventKind.DELIVER, 2, rreq),
+        (arrival, EventKind.DELIVER, 3, rreq),
+    ]
+    assert all(t > arrival for t, _, _, _ in queued(sim)[2:])
+    sim.run(stop=lambda: True)
+    assert queued(sim)[0] == (arrival, EventKind.DELIVER, 3, rreq)
+    sim.run()
+    assert sim.idle()
+
+
+def test_broadcast_logs_one_deliver_per_copy():
+    topo = topology_from_positions(
+        [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
+    )
+    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
+    sim.log_events = True
+    sim.broadcast(0, _star_rreq(sim))
+    sim.run()
+    arrival = sim.link.delay_us
+    assert sim.event_log[:3] == [
+        (arrival, "deliver", leaf, int(PacketKind.RREQ), 0, 1) for leaf in (1, 2, 3)
+    ]
+    assert all(entry[0] > arrival for entry in sim.event_log[3:])

@@ -9,7 +9,7 @@ from relsim.engine import MICROS_PER_S, Simulator
 from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import warm_up
+from conftest import queued, warm_up
 
 
 def _cfg(**kwargs):
@@ -211,7 +211,7 @@ def _warmup_run(**kwargs) -> ScenarioRun:
 
 def test_warmup_queues_one_event_per_round():
     run = _warmup_run()
-    assert len(run.sim._queue) == run.cfg.warmup_packets
+    assert len(queued(run.sim)) == run.cfg.warmup_packets
 
 
 @pytest.mark.parametrize("loss", [0.0, 0.05])

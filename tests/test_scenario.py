@@ -71,6 +71,15 @@ def test_finite_floats_whose_run_values_overflow_rejected(key, overrides):
         ScenarioConfig(**overrides).validate()
 
 
+def test_link_delay_below_one_microsecond_rejected():
+    """A run truncates the delay to whole microseconds, so 0.4 us would
+    simulate a 0 us link."""
+    assert ScenarioConfig(link_delay_ms=0.001).validate().link_delay_ms == 0.001
+    for value in (0.0004, 0.000999, 0.0, -2.0):
+        with pytest.raises(ConfigError, match="^link_delay_ms: must be at least 1 microsecond$"):
+            ScenarioConfig(link_delay_ms=value).validate()
+
+
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("warp_speed = 9\n")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relsim.errors import ConfigError, TopologyError
 from relsim.topology import (
@@ -78,3 +80,66 @@ def test_bfs_hop_counts_on_line():
     topo = topology_from_positions([(i * 100.0, 0.0) for i in range(5)], 100.0)
     assert bfs_hop_counts(topo, 0) == [0, 1, 2, 3, 4]
     assert bfs_hop_counts(topo, 2) == [2, 1, 0, 1, 2]
+
+
+def _quadratic_neighbors(positions, radio_range):
+    """The all-pairs unit-disk adjacency the cell grid must reproduce."""
+    nbrs = [[] for _ in positions]
+    for u in range(len(positions)):
+        for v in range(u + 1, len(positions)):
+            if math.dist(positions[u], positions[v]) <= radio_range:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
+
+
+@st.composite
+def _layouts(draw):
+    """Points in any quadrant, on cell boundaries (multiples of the range,
+    give or take an ulp), and in pairs exactly one range apart."""
+    radio_range = draw(st.sampled_from([1.0, 3.0, 0.1, 250.0]) | st.floats(0.01, 1000.0))
+    coord = st.floats(-5 * radio_range, 5 * radio_range, allow_nan=False) | st.builds(
+        lambda k, ulps: _nudge(k * radio_range, ulps),
+        st.integers(-6, 6), st.integers(-2, 2),
+    )
+    positions = []
+    for x, y, mate in draw(st.lists(
+        st.tuples(coord, coord, st.sampled_from([None, (1, 0), (0, 1), (-1, 0), (0, -1)])),
+        min_size=1, max_size=25,
+    )):
+        positions.append((x, y))
+        if mate is not None:
+            positions.append((x + mate[0] * radio_range, y + mate[1] * radio_range))
+    if len(positions) < 2:
+        positions.append((positions[0][0] + radio_range, positions[0][1]))
+    return positions, radio_range
+
+
+def _nudge(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@given(_layouts())
+@settings(max_examples=300, deadline=None)
+def test_cell_grid_matches_all_pairs_reference(layout):
+    positions, radio_range = layout
+    topo = topology_from_positions(positions, radio_range)
+    assert topo.neighbors == _quadratic_neighbors(positions, radio_range)
+
+
+def test_points_one_range_apart_by_rounding_stay_adjacent():
+    """``math.dist`` rounds 2.0 - 0.9999999999999999 to exactly 1.0, yet
+    the two points sit in unit cells 0 and 2."""
+    positions = [(0.9999999999999999, 0.0), (2.0, 0.0)]
+    assert math.dist(*positions) == 1.0
+    assert topology_from_positions(positions, 1.0).adjacent(0, 1)
+
+
+@pytest.mark.parametrize("nodes, side", [(2000, 6324.6), (400, 2828.0), (50, 1000.0), (30, 800.0)])
+def test_cell_grid_matches_all_pairs_reference_on_uniform_layouts(nodes, side):
+    rng = random.Random(nodes)
+    positions = [(rng.uniform(0.0, side), rng.uniform(0.0, side)) for _ in range(nodes)]
+    topo = topology_from_positions(positions, 250.0)
+    assert topo.neighbors == _quadratic_neighbors(positions, 250.0)

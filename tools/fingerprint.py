@@ -16,11 +16,16 @@ only the event log can be checked on the record column alone:
     diff <(cut -d' ' -f1,2 before.txt) <(cut -d' ' -f1,2 after.txt)
 
 The grid is 3 schemes x 5 sizes x 3 link losses x warm-up on/off x
-2 seeds = 180 configs of 10 simulated seconds; a config
-whose set-up fails (too few eligible nodes for the adversaries) still
-prints the digest of its failed record.  A last line, ``csv <sha256>``,
-pins the bytes ``cli.write_csv`` writes for all 180 records with their
-summary rows, so CSV formatting is covered as well as the records.
+2 seeds = 180 configs of 10 simulated seconds, followed by a zero-jitter
+family of 3 schemes x 5 sizes x 2 seeds = 30 configs at loss 0.02 with
+``link_jitter_ms=0``.  Without jitter every probe of a warm-up round and
+every copy of a unicast burst lands at one time, the densest case of
+events tied on time in the queue.  The family comes last, so the first
+180 lines keep their keys.  A config whose set-up fails (too few eligible
+nodes for the adversaries) still prints the digest of its failed record.
+A last line, ``csv <sha256>``, pins the bytes ``cli.write_csv`` writes
+for all 210 records with their summary rows, so CSV formatting is covered
+as well as the records.
 """
 
 from __future__ import annotations
@@ -43,8 +48,23 @@ SIZES = (12, 20, 35, 50, 80)
 LOSSES = (0.0, 0.02, 0.1)
 WARMUPS = (10, 0)
 SEEDS = (1, 7)
+ZERO_JITTER_LOSS = 0.02
 # the default 50-node area, scaled so that every size has the same density
 DENSITY_NODES, DENSITY_SIDE = 50, 1000.0
+
+
+def _config(scheme: str, nodes: int, seed: int, **overrides) -> ScenarioConfig:
+    return ScenarioConfig(
+        nodes=nodes,
+        area_side=round(DENSITY_SIDE * math.sqrt(nodes / DENSITY_NODES), 1),
+        flows=6,
+        blackholes=2,
+        colluding_pairs=2,
+        scheme=scheme,
+        duration=10.0,
+        seed=seed,
+        **overrides,
+    ).validate()
 
 
 def grid() -> list[tuple[str, ScenarioConfig]]:
@@ -53,18 +73,14 @@ def grid() -> list[tuple[str, ScenarioConfig]]:
         SCHEMES, SIZES, LOSSES, WARMUPS, SEEDS
     ):
         key = f"{scheme}-n{nodes}-loss{loss:g}-warm{warmup}-seed{seed}"
-        configs.append((key, ScenarioConfig(
-            nodes=nodes,
-            area_side=round(DENSITY_SIDE * math.sqrt(nodes / DENSITY_NODES), 1),
-            flows=6,
-            blackholes=2,
-            colluding_pairs=2,
-            scheme=scheme,
-            duration=10.0,
-            seed=seed,
-            warmup_packets=warmup,
-            link_loss=loss,
-        ).validate()))
+        configs.append((key, _config(
+            scheme, nodes, seed, warmup_packets=warmup, link_loss=loss,
+        )))
+    for scheme, nodes, seed in itertools.product(SCHEMES, SIZES, SEEDS):
+        key = f"{scheme}-n{nodes}-loss{ZERO_JITTER_LOSS:g}-jitter0-seed{seed}"
+        configs.append((key, _config(
+            scheme, nodes, seed, link_loss=ZERO_JITTER_LOSS, link_jitter_ms=0.0,
+        )))
     return configs
 
 
