@@ -60,8 +60,11 @@ def topology_from_positions(
     """Build the unit-disk adjacency for explicitly placed nodes."""
     if len(positions) < 2:
         raise ConfigError("a topology needs at least two nodes")
-    if radio_range <= 0:
+    if not radio_range > 0:
         raise ConfigError("radio_range must be positive")
+    coords = [c for p in positions for c in p]
+    if not all(map(math.isfinite, coords)):
+        raise ConfigError("positions must be finite")
     # Bucket nodes into square cells, so that a neighbor lies in the same
     # cell or one of the eight around it.  A side of exactly radio_range
     # would not do: math.dist rounds, so two points can test exactly
@@ -69,8 +72,7 @@ def topology_from_positions(
     # and 2.0 do at range 1.  The side is therefore wider than radio_range
     # by more than the rounding of a difference and of each coordinate's
     # quotient, which both scale with the largest coordinate.
-    reach = max(abs(c) for p in positions for c in p)
-    side = radio_range + (radio_range + reach) * 2.0**-50
+    side = radio_range + (radio_range + max(map(abs, coords))) * 2.0**-50
     cells: dict[tuple[int, int], list[int]] = {}
     for i, (x, y) in enumerate(positions):
         cells.setdefault((math.floor(x / side), math.floor(y / side)), []).append(i)

@@ -82,6 +82,17 @@ def test_bfs_hop_counts_on_line():
     assert bfs_hop_counts(topo, 2) == [2, 1, 0, 1, 2]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_positions_and_range_rejected(bad):
+    with pytest.raises(ConfigError, match="positions must be finite"):
+        topology_from_positions([(0.0, 0.0), (bad, 0.0)], 100.0)
+    with pytest.raises(ConfigError, match="positions must be finite"):
+        topology_from_positions([(0.0, bad), (0.0, 0.0)], 100.0)
+    if bad != math.inf:
+        with pytest.raises(ConfigError, match="radio_range must be positive"):
+            topology_from_positions([(0.0, 0.0), (1.0, 0.0)], bad)
+
+
 def _quadratic_neighbors(positions, radio_range):
     """The all-pairs unit-disk adjacency the cell grid must reproduce."""
     nbrs = [[] for _ in positions]
