@@ -4,11 +4,10 @@ Time is integer microseconds.  Events are totally ordered by time, and
 events at one time by insertion order, so two runs over the same scenario
 and seed replay the exact same trace.  The queue is the simplest calendar
 queue (R. Brown, CACM 31(10), 1988): a heap of the distinct pending times
-and, per time, a FIFO bucket of its events.  Most pending events share a
-time (a broadcast's copies, a warm-up round's probes), so one heap entry
-serves many events.  Every node owns a pseudo-random stream derived from
-``(seed, node_id)``; link jitter and loss are always drawn from the
-*sender's* stream.
+and, per time, a FIFO bucket of its events.  Events that share a time (a
+broadcast's copies, a warm-up round's probes) share one heap entry.
+Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
+link jitter and loss are always drawn from the *sender's* stream.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class EventKind(IntEnum):
     APP = 2
 
 
-# queued as plain ints: comparing them is cheaper than comparing members
+# kinds are queued as plain ints, cheaper to look up and compare than members
 _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 
 

@@ -255,16 +255,18 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
 
 
-def _star_rreq(sim: Simulator) -> Packet:
-    return Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,)))
-
-
-def test_stop_mid_broadcast_leaves_the_remaining_copies_queued_in_order():
+def _lossless_star_rreq() -> tuple[Simulator, Packet]:
+    """Center 0 with leaves 1..3 in range, no loss, and a route request
+    from 0 to broadcast."""
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
     sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
-    rreq = _star_rreq(sim)
+    return sim, Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,)))
+
+
+def test_stop_mid_broadcast_leaves_the_remaining_copies_queued_in_order():
+    sim, rreq = _lossless_star_rreq()
     sim.broadcast(0, rreq)
     arrival = sim.link.delay_us
     sim.run(stop=lambda: True)
@@ -281,12 +283,9 @@ def test_stop_mid_broadcast_leaves_the_remaining_copies_queued_in_order():
 
 
 def test_broadcast_logs_one_deliver_per_copy():
-    topo = topology_from_positions(
-        [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
-    )
-    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
+    sim, rreq = _lossless_star_rreq()
     sim.log_events = True
-    sim.broadcast(0, _star_rreq(sim))
+    sim.broadcast(0, rreq)
     sim.run()
     arrival = sim.link.delay_us
     assert sim.event_log[:3] == [
