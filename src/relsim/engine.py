@@ -8,14 +8,19 @@ and, per time, a FIFO bucket of its events.  Events that share a time (a
 broadcast's copies, a warm-up round's probes) share one heap entry.
 Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
 link jitter and loss are always drawn from the *sender's* stream.
+
+The per-hop path is flat: ``broadcast`` fans out in its own loop, with
+one kind test per broadcast and one bucket for all its copies, and
+``_send`` is the one unicast path, with its jitter draw and its enqueue
+written inline.  Neither changes a draw or the order of any event.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from heapq import heappop, heappush
 from random import Random
 from typing import Callable
 
@@ -44,6 +49,8 @@ class EventKind(IntEnum):
 
 # kinds are queued as plain ints, cheaper to look up and compare than members
 _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
+# a module global is read about ten times faster than an enum member
+_DATA, _RREQ = PacketKind.DATA, PacketKind.RREQ
 
 
 @dataclass(slots=True)
@@ -104,11 +111,15 @@ class Simulator:
 
     def _push(self, time_us: int, kind: int, node_id: int, payload) -> None:
         """Queue an event behind every event already queued at ``time_us``."""
+        self._bucket(time_us).append((kind, node_id, payload))
+
+    def _bucket(self, time_us: int) -> deque[tuple[int, int, object]]:
+        """The bucket of ``time_us``, made and its time pushed if new."""
         bucket = self._buckets.get(time_us)
         if bucket is None:
             bucket = self._buckets[time_us] = deque()
-            heapq.heappush(self._times, time_us)
-        bucket.append((kind, node_id, payload))
+            heappush(self._times, time_us)
+        return bucket
 
     def schedule_in(self, delay_us: int, kind: EventKind, node_id: int, payload) -> None:
         self.schedule_at(self.now_us + delay_us, kind, node_id, payload)
@@ -137,7 +148,7 @@ class Simulator:
         """
         if dst not in self.topology.neighbors[src]:
             raise UndeliverableError(f"{src} -> {dst}: nodes are not adjacent")
-        self._send(src, dst, packet, True)
+        self._send(src, dst, packet)
 
     def transmit_or_drop(self, src: int, dst: int, packet: Packet) -> bool:
         """Forwarding along unverified (possibly forged) paths: a hop that
@@ -145,7 +156,7 @@ class Simulator:
         if dst not in self.topology.neighbors[src]:
             self.collector.on_undeliverable(packet)
             return False
-        self._send(src, dst, packet, True)
+        self._send(src, dst, packet)
         return True
 
     def broadcast(self, src: int, packet: Packet) -> int:
@@ -155,6 +166,11 @@ class Simulator:
         copies land at one time, so they share one heap entry and are
         delivered in neighbor order, each logged as its own ``deliver``.
 
+        The fan-out is one loop: the kind is tested once per broadcast,
+        and each copy, in neighbor order, is counted as ``_send`` counts a
+        unicast (a vetting message, a sent DATA packet), takes its loss
+        draw from the sender's stream and joins the arrival bucket.
+
         A route request copy is not queued for a neighbor that has already
         seen ``(origin, request_id)``: it would be dropped on arrival, and
         ``seen_rreqs`` only grows.  The copy still takes its loss draw, and
@@ -162,33 +178,66 @@ class Simulator:
         reception.  Returns the number of neighbors.
         """
         neighbors = self.topology.neighbors[src]
-        key = None
-        if packet.kind is PacketKind.RREQ:
-            key = (packet.origin, packet.payload.request_id)
+        kind = packet.kind
+        key = (packet.origin, packet.payload.request_id) if kind is _RREQ else None
+        vetting = kind in VETTING_KINDS
+        sender = self.nodes[src] if kind is _DATA else None
+        nodes = self.nodes
+        collector = self.collector
+        loss = self.link.loss
+        random = self.rngs[src].random
+        time_us = self.now_us + self.link.delay_us
+        bucket = None
         for dst in neighbors:
-            fresh = key is None or key not in self.nodes[dst].seen_rreqs
-            self._send(src, dst, packet, False, fresh)
+            if vetting:
+                collector.on_vet_message(packet)
+            elif sender is not None:
+                # the sender's count reflects what it transmitted, lost or not
+                sender.note_data_sent(dst)
+            if loss > 0.0 and random() < loss:
+                collector.on_link_drop(packet)
+            elif key is None or key not in nodes[dst].seen_rreqs:
+                if bucket is None:
+                    bucket = self._bucket(time_us)
+                bucket.append((_DELIVER, dst, packet))
         return len(neighbors)
 
-    def _send(self, src: int, dst: int, packet: Packet, jitter: bool, queue: bool = True) -> None:
-        """Draw loss (and jitter) from the sender's stream, then queue the
-        delivery unless the copy was lost or ``queue`` is false."""
-        rng = self.rngs[src]
-        if packet.kind in VETTING_KINDS:
-            self.collector.on_vet_message(packet)
-        if packet.kind is PacketKind.DATA:
+    def _send(self, src: int, dst: int, packet: Packet) -> None:
+        """Unicast one copy: count it, draw its loss and then its jitter
+        from the sender's stream, and queue its delivery unless it was lost.
+
+        The jitter draw is ``randint(0, jitter_us)`` written out: the
+        rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
+        takes the same draws (``tests/test_engine.py`` pins both).
+        """
+        kind = packet.kind
+        if kind is _DATA:
             # the sender's count reflects what it transmitted, lost or not
             self.nodes[src].note_data_sent(dst)
-        if self.link.loss > 0.0 and rng.random() < self.link.loss:
+        elif kind in VETTING_KINDS:
+            self.collector.on_vet_message(packet)
+        link = self.link
+        rng = self.rngs[src]
+        loss = link.loss
+        if loss > 0.0 and rng.random() < loss:
             self.collector.on_link_drop(packet)
             return
-        if not queue:
-            return
-        delay = self.link.delay_us
-        if jitter and self.link.jitter_us > 0:
-            # randint(0, j) without its argument checks: the same draws
-            delay += rng._randbelow(self.link.jitter_us + 1)
-        self._push(self.now_us + delay, _DELIVER, dst, packet)
+        time_us = self.now_us + link.delay_us
+        jitter = link.jitter_us
+        if jitter > 0:
+            bound = jitter + 1
+            bits = bound.bit_length()
+            getrandbits = rng.getrandbits
+            draw = getrandbits(bits)
+            while draw >= bound:
+                draw = getrandbits(bits)
+            time_us += draw
+        # ``_bucket`` inlined, as this runs once per unicast
+        bucket = self._buckets.get(time_us)
+        if bucket is None:
+            bucket = self._buckets[time_us] = deque()
+            heappush(self._times, time_us)
+        bucket.append((_DELIVER, dst, packet))
 
     # -- main loop ----------------------------------------------------
 
@@ -201,10 +250,15 @@ class Simulator:
         vetting facades); a stop leaves the rest of the current time's
         events queued in place.  An event queued at ``now_us`` during
         dispatch joins the tail of the bucket being drained, and a time
-        leaves the heap only once its bucket is empty.
+        leaves the heap only once its bucket is empty.  ``log_events`` and
+        the app handler are read once per call.
         """
         times = self._times
         buckets = self._buckets
+        nodes = self.nodes
+        log_events = self.log_events
+        event_log = self.event_log
+        app_handler = self._app_handler
         while times:
             time_us = times[0]
             if until_us is not None and time_us > until_us:
@@ -215,26 +269,26 @@ class Simulator:
             while bucket:
                 kind, node_id, payload = bucket.popleft()
                 if kind == _DELIVER:
-                    if self.log_events:
+                    if log_events:
                         pkt: Packet = payload  # type: ignore[assignment]
-                        self.event_log.append(
+                        event_log.append(
                             (time_us, "deliver", node_id, int(pkt.kind), pkt.origin, pkt.seq_no)
                         )
-                    self.nodes[node_id].on_packet(payload)
+                    nodes[node_id].on_packet(payload)
                 elif kind == _TIMER:
-                    if self.log_events:
-                        self.event_log.append((time_us, "timer", node_id, payload[0]))
-                    self.nodes[node_id].on_timer(payload)
+                    if log_events:
+                        event_log.append((time_us, "timer", node_id, payload[0]))
+                    nodes[node_id].on_timer(payload)
                 else:
-                    if self.log_events:
-                        self.event_log.append((time_us, "app", node_id, payload))
-                    if self._app_handler is not None:
-                        self._app_handler(payload)
+                    if log_events:
+                        event_log.append((time_us, "app", node_id, payload))
+                    if app_handler is not None:
+                        app_handler(payload)
                 if stop is not None and stop():
                     stopped = True
                     break
             if not bucket:
-                heapq.heappop(times)
+                heappop(times)
                 del buckets[time_us]
             if stopped:
                 break

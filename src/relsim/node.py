@@ -22,6 +22,9 @@ from .packets import DATA_PLANE, DataPayload, Packet, PacketKind
 if TYPE_CHECKING:
     from .engine import Simulator
 
+# a module global is read about ten times faster than an enum member
+_DATA, _ACK = PacketKind.DATA, PacketKind.ACK
+
 
 class Node:
     def __init__(self, sim: Simulator, node_id: int, profile, neighbors: tuple[int, ...],
@@ -83,13 +86,13 @@ class Node:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its through flag
             if payload.flow_id < 0:
-                ack = Packet(PacketKind.ACK, self.id, self.id, self.next_seq())
+                ack = Packet(_ACK, self.id, self.id, self.next_seq())
                 self.sim.transmit(self.id, pkt.prev_hop, ack)
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
         pos = payload.pos + 1
-        fwd = Packet(PacketKind.DATA, pkt.origin, self.id, pkt.seq_no,
+        fwd = Packet(_DATA, pkt.origin, self.id, pkt.seq_no,
                      DataPayload(payload.flow_id, payload.created_us, payload.path, pos))
         self.sim.transmit_or_drop(self.id, payload.path[pos], fwd)
 

@@ -28,6 +28,8 @@ FIRST_FLOW_START_S = 1.0
 FLOW_STAGGER_S = 0.1
 # per-node conversation maps that must all be empty once a run has ended
 OPEN_CONVERSATIONS = ("rel_pending", "vet_waiters", "base_vets", "discoveries", "ping_waits")
+# a module global is read about ten times faster than an enum member
+_DATA, _APP = PacketKind.DATA, EventKind.APP
 
 
 @dataclass(slots=True)
@@ -158,9 +160,13 @@ class ScenarioRun:
 
     def _probe_round(self) -> None:
         sim = self.sim
-        for sender, receiver in self._probe_pairs:
-            pkt = Packet(PacketKind.DATA, sender, sender, sim.nodes[sender].next_seq(),
-                         DataPayload(-1, sim.now_us, (sender, receiver), 1))
+        nodes = sim.nodes
+        now_us = sim.now_us
+        for pair in self._probe_pairs:
+            # the pair is the probe's path, shared by every round
+            sender, receiver = pair
+            pkt = Packet(_DATA, sender, sender, nodes[sender].next_seq(),
+                         DataPayload(-1, now_us, pair, 1))
             sim.transmit(sender, receiver, pkt)
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
@@ -174,12 +180,12 @@ class ScenarioRun:
         if nxt < flow.packet_count:
             when = flow.start_us + int(nxt / self.cfg.packet_rate * MICROS_PER_S)
             self.sim.schedule_at(
-                when, EventKind.APP, flow.source, ("flow_send", flow.flow_id, nxt)
+                when, _APP, flow.source, ("flow_send", flow.flow_id, nxt)
             )
 
     def _send_data(self, flow: _FlowDriver, created_us: int) -> None:
         self.sim.nodes[flow.source].send(
-            PacketKind.DATA, flow.route[1], DataPayload(flow.flow_id, created_us, flow.route, 1)
+            _DATA, flow.route[1], DataPayload(flow.flow_id, created_us, flow.route, 1)
         )
 
     # -- route acquisition ------------------------------------------------

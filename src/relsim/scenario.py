@@ -88,6 +88,9 @@ class ScenarioConfig:
             raise ConfigError("link_delay_ms: must be at least 1 microsecond")
         if self.link_jitter_ms < 0:
             raise ConfigError("link_jitter_ms: must be non-negative")
+        # the jitter is truncated too: 0.4 us would run a jitter-free link
+        if 0 < self.link_jitter_ms * MICROS_PER_MS < 1:
+            raise ConfigError("link_jitter_ms: must be 0 or at least 1 microsecond")
         if not 0.0 <= self.link_loss <= 1.0:
             raise ConfigError("link_loss: must be within [0, 1]")
         # a run converts these products to integer times and packet counts

@@ -142,10 +142,12 @@ def test_cli_run_rejects_non_finite_floats(key, raw, capsys):
 
 
 def test_cli_run_rejects_sub_microsecond_link_delay(capsys):
-    args = ["run", "--nodes", "10", "--area_side", "300", "--flows", "1",
-            "--link_delay_ms", "0.0004"]
-    assert main(args) == 1
+    args = ["run", "--nodes", "10", "--area_side", "300", "--flows", "1"]
+    assert main([*args, "--link_delay_ms", "0.0004"]) == 1
     assert "config error: link_delay_ms: must be at least 1 microsecond" in capsys.readouterr().err
+    assert main([*args, "--link_jitter_ms", "0.0004"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: link_jitter_ms: must be 0 or at least 1 microsecond" in err
 
 
 def test_cli_rejects_unknown_scheme_in_list(tmp_path, capsys):

@@ -8,7 +8,7 @@ from relsim.adversary import honest_profiles
 from relsim.engine import EventKind, LinkParams, Simulator, derive_stream
 from relsim.errors import SchedulingError, UndeliverableError
 from relsim.metrics import RunCollector
-from relsim.packets import DataPayload, Packet, PacketKind, RreqPayload
+from relsim.packets import DataPayload, DriReqPayload, Packet, PacketKind, RreqPayload
 from relsim.topology import topology_from_positions
 
 from conftest import line_sim, queued
@@ -198,13 +198,37 @@ def test_derived_streams_are_independent_and_stable():
 
 @pytest.mark.parametrize("jitter", [0, 1, 7, 1_000, 2**40])
 def test_randbelow_draws_what_randint_draws(jitter):
-    """``Simulator._send`` draws jitter with the private ``_randbelow``;
-    this pins it to ``randint(0, jitter)``, draw for draw."""
+    """``randint(0, jitter)`` is the private ``_randbelow(jitter + 1)``,
+    draw for draw: the rejection loop on ``getrandbits`` that
+    ``Simulator._send`` writes out (pinned by the next test)."""
     ours, theirs = random.Random(jitter), random.Random(jitter)
     assert [ours._randbelow(jitter + 1) for _ in range(2_000)] == [
         theirs.randint(0, jitter) for _ in range(2_000)
     ]
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.25])
+@pytest.mark.parametrize("jitter", [1, 7, 1_000, 1_023, 1_024])
+def test_transmit_jitter_draws_what_randint_draws(jitter, loss):
+    """Each unicast takes its loss draw, then, if it survived, arrives at
+    ``delay + randint(0, jitter)`` drawn from the sender's stream; the
+    stream ends where a twin making those calls ends."""
+    seed = 1_000 + jitter
+    link = LinkParams(delay_us=2_000, jitter_us=jitter, loss=loss)
+    sim = line_sim(2, seed=seed, link=link)
+    packets = [_probe(sim, 0, 1) for _ in range(3_000)]
+    for pkt in packets:
+        sim.transmit(0, 1, pkt)
+    arrival = {id(payload): t for t, _, _, payload in queued(sim)}
+    twin = derive_stream(seed, 0)
+    expected = [
+        None if loss > 0.0 and twin.random() < loss else link.delay_us + twin.randint(0, jitter)
+        for _ in packets
+    ]
+    assert [arrival.get(id(pkt)) for pkt in packets] == expected
+    assert sim.rngs[0].getstate() == twin.getstate()
+    assert len(set(expected) - {None}) > 1
 
 
 class _DropLog(RunCollector):
@@ -292,3 +316,35 @@ def test_broadcast_logs_one_deliver_per_copy():
         (arrival, "deliver", leaf, int(PacketKind.RREQ), 0, 1) for leaf in (1, 2, 3)
     ]
     assert all(entry[0] > arrival for entry in sim.event_log[3:])
+
+
+def _lossy_star(seed: int) -> Simulator:
+    """Center 0 with leaves 1..3 in range, at loss 0.5."""
+    topo = topology_from_positions(
+        [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
+    )
+    return Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
+
+
+def test_data_broadcast_counts_every_copy_as_sent_lost_or_not():
+    lost = 0
+    for seed in range(16):
+        sim = _lossy_star(seed)
+        assert sim.broadcast(0, _probe(sim, 0, 1)) == 3
+        assert [sim.nodes[0].dri[leaf].sent for leaf in (1, 2, 3)] == [1, 1, 1]
+        lost += 3 - len(queued(sim))
+        twin = derive_stream(seed, 0)
+        for _ in range(3):
+            twin.random()
+        assert sim.rngs[0].getstate() == twin.getstate()
+    assert lost > 0
+
+
+def test_vetting_broadcast_counts_one_vet_message_per_neighbor():
+    lost = 0
+    for seed in range(16):
+        sim = _lossy_star(seed)
+        sim.broadcast(0, Packet(PacketKind.DRI_REQ, 0, 0, 1, DriReqPayload(1, 0)))
+        assert sim.collector.vet_messages == 3
+        lost += 3 - len(queued(sim))
+    assert lost > 0

@@ -72,12 +72,20 @@ def test_finite_floats_whose_run_values_overflow_rejected(key, overrides):
 
 
 def test_link_delay_below_one_microsecond_rejected():
-    """A run truncates the delay to whole microseconds, so 0.4 us would
-    simulate a 0 us link."""
+    """A run truncates the delay and the jitter to whole microseconds, so
+    0.4 us would simulate a 0 us link or a jitter-free one; zero jitter
+    stays a legal setting."""
     assert ScenarioConfig(link_delay_ms=0.001).validate().link_delay_ms == 0.001
     for value in (0.0004, 0.000999, 0.0, -2.0):
         with pytest.raises(ConfigError, match="^link_delay_ms: must be at least 1 microsecond$"):
             ScenarioConfig(link_delay_ms=value).validate()
+    for value in (0.0, 0.001, 0.0015):
+        assert ScenarioConfig(link_jitter_ms=value).validate().link_jitter_ms == value
+    for value in (0.0004, 0.000999, 1e-12):
+        with pytest.raises(
+            ConfigError, match="^link_jitter_ms: must be 0 or at least 1 microsecond$"
+        ):
+            ScenarioConfig(link_jitter_ms=value).validate()
 
 
 def test_unknown_key_rejected(tmp_path):
