@@ -10,7 +10,7 @@ next-hop id; this is exactly the ordering a forged reply is built to win.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .engine import MICROS_PER_MS
@@ -187,8 +187,7 @@ def ping_destination(
 def handle_ping(node: Node, pkt: Packet) -> None:
     payload: PingPayload = pkt.payload
     if payload.pos == len(payload.path) - 1:
-        node.send(PacketKind.PONG, payload.path[payload.pos - 1],
-                  replace(payload, pos=payload.pos - 1))
+        node.send(PacketKind.PONG, payload.path[payload.pos - 1], payload.at(payload.pos - 1))
         return
     node.relay(pkt, +1)
 

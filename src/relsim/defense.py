@@ -12,7 +12,7 @@ burn retry and strike counters until the path is declared untrusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .engine import MICROS_PER_MS
@@ -276,13 +276,15 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
     if cross_check(local, reported, cfg.delta_match):
         # matched: the accumulator moves one hop down the path
         rel = accumulate_rel(walk.rel, reliability_ratio(reported, cfg))
-        node.send(PacketKind.REL, nhn, replace(
-            walk, pos=walk.pos + 1, rel=rel, strikes=probe.strikes, checked_hops=checked,
+        node.send(PacketKind.REL, nhn, RelPayload(
+            walk.vet_id, walk.path, walk.pos + 1, rel, probe.strikes, checked, walk.status,
         ))
     else:
         strikes = probe.strikes + 1
         status = VetStatus.UNTRUSTED if strikes > cfg.k_m else VetStatus.REL_ZEROED
-        _send_home(node, replace(walk, rel=0.0, strikes=strikes, checked_hops=checked), status)
+        _send_home(node, RelPayload(
+            walk.vet_id, walk.path, walk.pos, 0.0, strikes, checked, walk.status,
+        ), status)
 
 
 def handle_feedback_timer(node: Node, payload: tuple) -> None:
@@ -294,7 +296,10 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
         _send_dri_request(node, probe)
         return
     del node.rel_pending[vet_id]
-    _send_home(node, replace(probe.walk, rel=0.0, strikes=probe.strikes), VetStatus.UNTRUSTED)
+    walk = probe.walk
+    _send_home(node, RelPayload(
+        walk.vet_id, walk.path, walk.pos, 0.0, probe.strikes, walk.checked_hops, walk.status,
+    ), VetStatus.UNTRUSTED)
 
 
 def _send_home(node: Node, walk: RelPayload, status: VetStatus) -> None:
@@ -302,8 +307,9 @@ def _send_home(node: Node, walk: RelPayload, status: VetStatus) -> None:
     if walk.pos == 0:
         _finalize(node, walk.vet_id, status, walk.rel, walk.checked_hops)
         return
-    node.send(PacketKind.REL, walk.path[walk.pos - 1],
-              replace(walk, pos=walk.pos - 1, status=status))
+    node.send(PacketKind.REL, walk.path[walk.pos - 1], RelPayload(
+        walk.vet_id, walk.path, walk.pos - 1, walk.rel, walk.strikes, walk.checked_hops, status,
+    ))
 
 
 def handle_rel(node: Node, pkt: Packet) -> None:

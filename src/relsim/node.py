@@ -13,7 +13,6 @@ lying path alive long enough to be interrogated.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from . import adversary, aodv, baseline, defense
@@ -65,8 +64,7 @@ class Node:
         """Move a source-routed control packet one hop, ``step`` = +1 toward
         the end of ``payload.path`` or -1 back toward its start."""
         pos = pkt.payload.pos + step
-        fwd = Packet(pkt.kind, pkt.origin, self.id, self.next_seq(),
-                     replace(pkt.payload, pos=pos))
+        fwd = Packet(pkt.kind, pkt.origin, self.id, self.next_seq(), pkt.payload.at(pos))
         self.sim.transmit_or_drop(self.id, pkt.payload.path[pos], fwd)
 
     # -- dispatch -------------------------------------------------------

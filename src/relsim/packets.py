@@ -5,7 +5,10 @@ either the same payload object or a rebuilt one (e.g. an extended RREQ
 path).  Source-routed payloads carry the whole ``path`` and ``pos``, the
 index of the node the packet is addressed to.  Every sender hands such a
 packet to ``path[pos]``, so a receiver never checks that it is the
-addressee, and one relay step is the same ``pos`` shift for every kind.
+addressee, and one relay step is the same ``pos`` shift for every kind:
+``at(pos)`` is the payload addressed to ``path[pos]``, built by calling
+the constructor, which takes well under half the time of
+``dataclasses.replace``.
 A payload holds nothing its packet already says, such as the sender
 (``pkt.origin``).  Control-plane kinds are relayed even by misbehaving
 nodes; the data-plane kinds listed in ``DATA_PLANE`` are the ones a black
@@ -80,6 +83,9 @@ class RrepPayload:
     pos: int  # index of the node currently relaying the reply
     hops: int  # advertised hop count, which a forged reply understates
 
+    def at(self, pos: int) -> RrepPayload:
+        return RrepPayload(self.request_id, self.dest_seq, self.path, pos, self.hops)
+
 
 class DataPayload(NamedTuple):
     flow_id: int
@@ -95,6 +101,9 @@ class PingPayload:
     ping_id: int
     path: tuple[int, ...]
     pos: int
+
+    def at(self, pos: int) -> PingPayload:
+        return PingPayload(self.ping_id, self.path, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +145,10 @@ class RelPayload:
     checked_hops: int = 0
     status: VetStatus = VetStatus.IN_PROGRESS
 
+    def at(self, pos: int) -> RelPayload:
+        return RelPayload(self.vet_id, self.path, pos, self.rel, self.strikes,
+                          self.checked_hops, self.status)
+
 
 @dataclass(frozen=True, slots=True)
 class BaseReqPayload:
@@ -150,6 +163,10 @@ class BaseReqPayload:
     pos: int
     attempt: int
 
+    def at(self, pos: int) -> BaseReqPayload:
+        return BaseReqPayload(self.vet_id, self.piece, self.destination, self.expected_next,
+                              self.path, pos, self.attempt)
+
 
 @dataclass(frozen=True, slots=True)
 class BaseRepPayload:
@@ -159,3 +176,6 @@ class BaseRepPayload:
     path: tuple[int, ...]  # the request's path, retraced
     pos: int
     attempt: int
+
+    def at(self, pos: int) -> BaseRepPayload:
+        return BaseRepPayload(self.vet_id, self.piece, self.value, self.path, pos, self.attempt)

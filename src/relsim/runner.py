@@ -10,8 +10,10 @@ obtain a route keep generating and are reported as starved.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import aodv, baseline, defense, metrics
 from .adversary import assign_adversaries
@@ -214,7 +216,11 @@ class ScenarioRun:
         """Vet ``paths``, ranked best first, one at a time with the scheme's
         vetter.  Undefended trusts every path and baseline stops at its first
         trusted path; proposed vets them all, then takes the ``select_route``
-        pick.  A flow left without a route stays starved."""
+        pick.  A flow left without a route stays starved.
+
+        Each vetting reports to a ``partial`` of ``_collect_vetting`` that
+        carries the walk's state, so no reference cycle is made: the event
+        loop runs with the cyclic garbage collector off."""
         scheme = self.cfg.scheme
         # looked up at call time so that wrappers installed on the modules apply
         if scheme == "proposed":
@@ -223,27 +229,25 @@ class ScenarioRun:
             vetter = baseline.begin_baseline_vetting
         else:
             vetter = _trust
-        node = self.sim.nodes[flow.source]
-        pending = iter(paths)
-        results: list[tuple[tuple[int, ...], defense.VettingResult]] = []
+        self._vet_next(flow, vetter, iter(paths), [])
 
-        def vet_next() -> None:
-            path = next(pending, None)
-            if path is not None:
-                vetter(node, path, collect)
-            elif results and scheme == "proposed":
-                chosen = defense.select_route(results)
-                if chosen is not None:
-                    self._activate(flow, chosen)
+    def _vet_next(self, flow: _FlowDriver, vetter, pending, results: list) -> None:
+        path = next(pending, None)
+        if path is not None:
+            vetter(self.sim.nodes[flow.source], path,
+                   partial(self._collect_vetting, flow, vetter, pending, results))
+        elif results and self.cfg.scheme == "proposed":
+            chosen = defense.select_route(results)
+            if chosen is not None:
+                self._activate(flow, chosen)
 
-        def collect(result: defense.VettingResult) -> None:
-            if scheme != "proposed" and result.status is defense.VetStatus.TRUSTED:
-                self._activate(flow, result.path)
-                return
-            results.append((result.path, result))
-            vet_next()
-
-        vet_next()
+    def _collect_vetting(self, flow: _FlowDriver, vetter, pending, results: list,
+                         result: defense.VettingResult) -> None:
+        if self.cfg.scheme != "proposed" and result.status is defense.VetStatus.TRUSTED:
+            self._activate(flow, result.path)
+            return
+        results.append((result.path, result))
+        self._vet_next(flow, vetter, pending, results)
 
     def _activate(self, flow: _FlowDriver, path: tuple[int, ...]) -> None:
         flow.route = path
@@ -324,8 +328,16 @@ def check_invariants(sim: Simulator) -> None:
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     """Run one scenario to completion; a run that fails, from an impossible
-    topology to a broken invariant, produces a marked record."""
+    topology to a broken invariant, produces a marked record.
+
+    The event loop runs with the cyclic garbage collector off, and a
+    finished run is still one reference cycle (its ``Simulator`` and
+    ``Node`` objects point at each other), so the run is collected here,
+    once per run, good or failed: a process running many scenarios then
+    peaks no higher than one run."""
     try:
         return ScenarioRun(cfg).execute()
     except SimulationError as exc:
         return _record(cfg, failed=True, failure_reason=str(exc))
+    finally:
+        gc.collect()

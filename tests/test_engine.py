@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -348,3 +349,87 @@ def test_vetting_broadcast_counts_one_vet_message_per_neighbor():
         assert sim.collector.vet_messages == 3
         lost += 3 - len(queued(sim))
     assert lost > 0
+
+
+# -- the cyclic garbage collector is off while the loop runs ---------------
+
+
+def _set_gc(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_before(request):
+    """The GC on or off before the test's runs; put back as it was after."""
+    enabled = gc.isenabled()
+    _set_gc(request.param)
+    yield request.param
+    _set_gc(enabled)
+
+
+def _gc_watching_sim(fail_at: int | None = None):
+    """A simulator whose app events note whether the GC was on, with one
+    event at each of the times 10, 20 and 30; the one at ``fail_at`` raises."""
+    sim = line_sim(2)
+    seen = []
+
+    def app(payload):
+        seen.append(gc.isenabled())
+        if payload == fail_at:
+            raise RuntimeError("handler failed")
+
+    sim.set_app_handler(app)
+    for t in (10, 20, 30):
+        sim.schedule_at(t, EventKind.APP, 0, t)
+    return sim, seen
+
+
+def test_run_leaves_the_gc_as_it_found_it_when_the_queue_drains(gc_before):
+    sim, seen = _gc_watching_sim()
+    sim.run()
+    assert sim.idle()
+    assert seen == [False, False, False]
+    assert gc.isenabled() is gc_before
+
+
+def test_run_leaves_the_gc_as_it_found_it_after_until_and_stop(gc_before):
+    sim, seen = _gc_watching_sim()
+    sim.run(until_us=15)
+    assert seen == [False]
+    assert gc.isenabled() is gc_before
+    sim.run(stop=lambda: len(seen) == 2)
+    assert seen == [False, False]
+    assert gc.isenabled() is gc_before
+    sim.run()
+    assert seen == [False, False, False]
+    assert gc.isenabled() is gc_before
+
+
+def test_run_leaves_the_gc_as_it_found_it_when_a_handler_raises(gc_before):
+    sim, seen = _gc_watching_sim(fail_at=20)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        sim.run()
+    assert seen == [False, False]
+    assert gc.isenabled() is gc_before
+
+
+def test_nested_run_keeps_the_gc_off_for_the_rest_of_the_outer_loop(gc_before):
+    sim, seen = _gc_watching_sim()
+    inner = line_sim(2)
+    inner.schedule_at(5, EventKind.TIMER, 0, ("x",))
+    sim.schedule_at(15, EventKind.APP, 0, "nested")
+    handler = sim._app_handler
+
+    def app(payload):
+        if payload == "nested":
+            inner.run()
+        handler(payload)
+
+    sim.set_app_handler(app)
+    sim.run()
+    assert inner.idle()
+    assert seen == [False, False, False, False]
+    assert gc.isenabled() is gc_before

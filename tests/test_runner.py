@@ -1,15 +1,18 @@
+import gc
 import math
+import weakref
 
 import pytest
 
-from relsim import aodv, baseline, defense
+from relsim import aodv, baseline, defense, runner
+from relsim.baseline import baseline_vet
 from relsim.defense import VetStatus
 from relsim.errors import SimulationError
 from relsim.engine import MICROS_PER_S, Simulator
 from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import queued, warm_up
+from conftest import blackhole, line_sim, queued, warm_up
 
 
 def _cfg(**kwargs):
@@ -229,3 +232,91 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
         assert ours.dri == theirs.dri
         assert ours._packet_seq == theirs._packet_seq
     assert [r.getstate() for r in run.sim.rngs] == [r.getstate() for r in oracle.rngs]
+
+
+# -- a run leaves no cyclic garbage: its loop runs with the GC off ---------
+
+
+def _cyclic_garbage(make):
+    """``make()``, called with the GC off, and the number of objects in
+    reference cycles it left unreachable."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        made = make()
+        return made, gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _executed(cfg: ScenarioConfig) -> ScenarioRun:
+    run = ScenarioRun(cfg)
+    run.execute()
+    return run
+
+
+@pytest.mark.parametrize("adversaries", [dict(blackholes=3), dict(colluding_pairs=2)],
+                         ids=["solo", "colluding"])
+@pytest.mark.parametrize("loss", [0.0, 0.1])
+@pytest.mark.parametrize("scheme", ["undefended", "baseline", "proposed"])
+def test_run_creates_no_cyclic_garbage(scheme, loss, adversaries):
+    cfg = _cfg(scheme=scheme, link_loss=loss, nodes=30, seed=10, **adversaries)
+    run, garbage = _cyclic_garbage(lambda: _executed(cfg))
+    assert garbage == 0
+    # routes were chosen, so every vetting callback ran
+    assert any(f.route is not None for f in run.flows)
+
+
+COLLUDERS = {2: blackhole(2, collusion_group=0, collusion_partner=3),
+             3: blackhole(3, collusion_group=0, collusion_partner=2)}
+
+
+@pytest.mark.parametrize("roles", [{}, {2: blackhole(2)}, COLLUDERS],
+                         ids=["honest", "solo", "colluding"])
+@pytest.mark.parametrize("vet", [defense.vet_path, baseline_vet])
+def test_synchronous_vetting_creates_no_cyclic_garbage(vet, roles):
+    sim = line_sim(5, roles)
+    warm_up(sim)
+    _, garbage = _cyclic_garbage(lambda: vet(sim, 0, (0, 1, 2, 3, 4)))
+    assert garbage == 0
+
+
+def _run_scenario_and_watch(monkeypatch, cfg: ScenarioConfig):
+    """``run_scenario(cfg)`` with the GC off, and whether the run's
+    simulator was still alive when it returned, read before the GC is
+    turned back on."""
+    refs = []
+    build = ScenarioRun.__init__
+
+    def watched(self, cfg):
+        build(self, cfg)
+        refs.append(weakref.ref(self.sim))
+
+    monkeypatch.setattr(ScenarioRun, "__init__", watched)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        record = run_scenario(cfg)
+        (ref,) = refs
+        return record, ref() is not None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_run_scenario_frees_a_good_run(monkeypatch):
+    record, alive = _run_scenario_and_watch(monkeypatch, _cfg(colluding_pairs=1))
+    assert not record.failed
+    assert not alive
+
+
+def test_run_scenario_frees_a_failed_run(monkeypatch):
+    def broken(sim):
+        raise SimulationError("invariant broken")
+
+    monkeypatch.setattr(runner, "check_invariants", broken)
+    record, alive = _run_scenario_and_watch(monkeypatch, _cfg(colluding_pairs=1))
+    assert record.failed and record.failure_reason == "invariant broken"
+    assert not alive
