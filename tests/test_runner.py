@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
@@ -237,18 +238,24 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
 # -- a run leaves no cyclic garbage: its loop runs with the GC off ---------
 
 
-def _cyclic_garbage(make):
-    """``make()``, called with the GC off, and the number of objects in
-    reference cycles it left unreachable."""
+@contextmanager
+def _gc_off():
     enabled = gc.isenabled()
-    gc.collect()
     gc.disable()
     try:
-        made = make()
-        return made, gc.collect()
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def _cyclic_garbage(make):
+    """``make()``, called with the GC off, and the number of objects in
+    reference cycles it left unreachable."""
+    gc.collect()
+    with _gc_off():
+        made = make()
+        return made, gc.collect()
 
 
 def _executed(cfg: ScenarioConfig) -> ScenarioRun:
@@ -295,15 +302,10 @@ def _run_scenario_and_watch(monkeypatch, cfg: ScenarioConfig):
         refs.append(weakref.ref(self.sim))
 
     monkeypatch.setattr(ScenarioRun, "__init__", watched)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_off():
         record = run_scenario(cfg)
         (ref,) = refs
         return record, ref() is not None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def test_run_scenario_frees_a_good_run(monkeypatch):
