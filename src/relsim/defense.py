@@ -190,10 +190,12 @@ def expire(state, cfg: VettingConfig) -> bool:
 
 
 def run_vetting(begin, sim, source: int, path) -> VettingResult:
-    """Start ``begin`` on the live simulator and run it until the result."""
+    """Start ``begin`` on the live simulator, drain the queue and return the
+    result; timers the vetting left behind (its deadline) fire, and find
+    the conversation already closed."""
     done: list[VettingResult] = []
     begin(sim.nodes[source], tuple(path), done.append)
-    sim.run(stop=lambda: bool(done))
+    sim.run()
     return done[0]
 
 

@@ -14,7 +14,11 @@ one kind test per broadcast and one bucket for all its copies, and
 ``_send`` is the one unicast path, with its jitter draw and its enqueue
 written inline.  Neither changes a draw or the order of any event.
 
-``run`` turns CPython's cyclic garbage collector off for its loop and
+``run`` is the one loop: it drains the queue, or stops before the first
+time past ``until_us``.  Setting ``event_log`` to a list records one
+tuple per dispatched event; production runs leave it ``None``.
+
+``run`` also turns CPython's cyclic garbage collector off for its loop and
 back on only if it was on.  Warm-up queues tens of thousands of events
 at once, which would otherwise trigger a full collection pass over the
 live queue every round, and reference counting still frees every packet
@@ -93,8 +97,8 @@ class Simulator:
         self.collector = RunCollector()
         self.vetting_config = VettingConfig() if vetting_config is None else vetting_config
         self.profiles = profiles
-        self.log_events = False
-        self.event_log: list[tuple] = []
+        # set to a list to record every dispatched event (tests, fingerprints)
+        self.event_log: list[tuple] | None = None
         # every time in the heap has a bucket; only the bucket being
         # drained may be empty, until its time leaves the heap
         self._times: list[int] = []
@@ -116,11 +120,8 @@ class Simulator:
             raise SchedulingError(
                 f"event at t={time_us}us is before current time {self.now_us}us"
             )
-        self._push(time_us, int(kind), node_id, payload)
-
-    def _push(self, time_us: int, kind: int, node_id: int, payload) -> None:
-        """Queue an event behind every event already queued at ``time_us``."""
-        self._bucket(time_us).append((kind, node_id, payload))
+        # behind every event already queued at ``time_us``
+        self._bucket(time_us).append((int(kind), node_id, payload))
 
     def _bucket(self, time_us: int) -> deque[tuple[int, int, object]]:
         """The bucket of ``time_us``, made and its time pushed if new."""
@@ -130,11 +131,8 @@ class Simulator:
             heappush(self._times, time_us)
         return bucket
 
-    def schedule_in(self, delay_us: int, kind: EventKind, node_id: int, payload) -> None:
-        self.schedule_at(self.now_us + delay_us, kind, node_id, payload)
-
     def schedule_timer(self, node_id: int, delay_us: int, payload) -> None:
-        self.schedule_in(delay_us, EventKind.TIMER, node_id, payload)
+        self.schedule_at(self.now_us + delay_us, EventKind.TIMER, node_id, payload)
 
     def set_app_handler(self, handler: Callable[[object], None]) -> None:
         self._app_handler = handler
@@ -250,70 +248,59 @@ class Simulator:
 
     # -- main loop ----------------------------------------------------
 
-    def run(self, until_us: int | None = None, stop: Callable[[], bool] | None = None) -> None:
+    def run(self, until_us: int | None = None) -> None:
         """Process events in time order, ties in insertion order, until the
-        queue drains.
+        queue drains or, with ``until_us``, until only later times are
+        queued; ``until_us`` is checked once per time.
 
-        ``until_us`` leaves later times queued; it is checked once per
-        time.  ``stop`` is polled after each event (used by the synchronous
-        vetting facades); a stop leaves the rest of the current time's
-        events queued in place.  An event queued at ``now_us`` during
-        dispatch joins the tail of the bucket being drained, and a time
-        leaves the heap only once its bucket is empty.  ``log_events`` and
-        the app handler are read once per call.
+        An event queued at ``now_us`` during dispatch joins the tail of the
+        bucket being drained, and a time leaves the heap once its bucket is
+        empty.  When ``event_log`` is a list, each dispatched event is
+        appended to it.  ``event_log`` and the app handler are read once per
+        call.
 
         The cyclic garbage collector is off while the loop runs and is
         turned back on afterwards only if it was on, whether the loop
-        drained, stopped or raised.
+        returned or raised.
         """
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            self._run(until_us, stop)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _run(self, until_us: int | None, stop: Callable[[], bool] | None) -> None:
         times = self._times
         buckets = self._buckets
         nodes = self.nodes
-        log_events = self.log_events
         event_log = self.event_log
         app_handler = self._app_handler
-        while times:
-            time_us = times[0]
-            if until_us is not None and time_us > until_us:
-                break
-            self.now_us = time_us
-            bucket = buckets[time_us]
-            stopped = False
-            while bucket:
-                kind, node_id, payload = bucket.popleft()
-                if kind == _DELIVER:
-                    if log_events:
-                        pkt: Packet = payload  # type: ignore[assignment]
-                        event_log.append(
-                            (time_us, "deliver", node_id, int(pkt.kind), pkt.origin, pkt.seq_no)
-                        )
-                    nodes[node_id].on_packet(payload)
-                elif kind == _TIMER:
-                    if log_events:
-                        event_log.append((time_us, "timer", node_id, payload[0]))
-                    nodes[node_id].on_timer(payload)
-                else:
-                    if log_events:
-                        event_log.append((time_us, "app", node_id, payload))
-                    if app_handler is not None:
-                        app_handler(payload)
-                if stop is not None and stop():
-                    stopped = True
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            while times:
+                time_us = times[0]
+                if until_us is not None and time_us > until_us:
                     break
-            if not bucket:
+                self.now_us = time_us
+                bucket = buckets[time_us]
+                while bucket:
+                    kind, node_id, payload = bucket.popleft()
+                    if kind == _DELIVER:
+                        if event_log is not None:
+                            pkt: Packet = payload  # type: ignore[assignment]
+                            event_log.append((
+                                time_us, "deliver", node_id, int(pkt.kind), pkt.origin,
+                                pkt.seq_no,
+                            ))
+                        nodes[node_id].on_packet(payload)
+                    elif kind == _TIMER:
+                        if event_log is not None:
+                            event_log.append((time_us, "timer", node_id, payload[0]))
+                        nodes[node_id].on_timer(payload)
+                    else:
+                        if event_log is not None:
+                            event_log.append((time_us, "app", node_id, payload))
+                        if app_handler is not None:
+                            app_handler(payload)
                 heappop(times)
                 del buckets[time_us]
-            if stopped:
-                break
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     def idle(self) -> bool:
         return not self._times

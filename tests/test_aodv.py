@@ -60,7 +60,7 @@ def test_duplicate_rreqs_are_suppressed():
     from relsim.engine import LinkParams, Simulator
 
     sim = Simulator(topo, honest_profiles(5), LinkParams(), seed=4)
-    sim.log_events = True
+    sim.event_log = []
     _discover(sim, 0, 4)
     from relsim.packets import PacketKind
 

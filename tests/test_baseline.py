@@ -4,6 +4,8 @@ from relsim import aodv
 from relsim.baseline import baseline_update, baseline_vet, flags
 from relsim.defense import VetStatus, VettingConfig, record_data_packet, vet_path
 from relsim.packets import PacketKind
+from relsim.runner import ScenarioRun
+from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim, warm_up
 
@@ -53,6 +55,16 @@ def test_warmup_leaves_blackhole_flags_dark():
 def test_honest_warmed_path_is_trusted(honest_line):
     result = baseline_vet(honest_line, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.TRUSTED
+
+
+@pytest.mark.parametrize("facade", [vet_path, baseline_vet])
+def test_facades_drain_the_queue_and_production_runs_keep_no_log(facade, honest_line):
+    result = facade(honest_line, 0, (0, 1, 2, 3))
+    assert result.status is VetStatus.TRUSTED
+    assert honest_line.idle()  # the vetting deadline fired too
+    run = ScenarioRun(ScenarioConfig(nodes=20, area_side=630.0, flows=2, duration=2.0).validate())
+    run.execute()
+    assert run.sim.event_log is None
 
 
 def test_honest_single_intermediate_is_trusted():

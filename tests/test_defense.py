@@ -143,7 +143,7 @@ def test_silent_neighbor_burns_counters_to_untrusted():
     """Three feedback expiries per attempt; the second strike passes k_m=1."""
     sim = line_sim(4, {2: blackhole(2, silent=True)}, vet_cfg=VettingConfig(k_r=3, k_m=1))
     warm_up(sim)
-    sim.log_events = True
+    sim.event_log = []
     result = vet_path(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
     timers = [e for e in sim.event_log if e[1] == "timer" and e[3] == "rel_tf"]

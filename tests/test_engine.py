@@ -75,17 +75,13 @@ def test_pop_sequence_is_sorted_property(times):
 @given(
     first=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=30),
     spawned=st.lists(st.lists(st.integers(min_value=0, max_value=8), max_size=3), max_size=80),
-    steps=st.lists(
-        st.tuples(st.sampled_from(["until", "stop"]), st.integers(min_value=0, max_value=12)),
-        max_size=6,
-    ),
+    steps=st.lists(st.integers(min_value=0, max_value=12), max_size=6),
 )
 @settings(max_examples=150, deadline=None)
 def test_dispatch_order_is_time_then_insertion_property(first, spawned, steps):
     """Timers scheduled up front, from inside handlers at ``now_us`` (delay
-    0) or later, and between ``run(until_us=...)`` and ``run(stop=...)``
-    calls that may stop mid-bucket, are dispatched in (time, insertion
-    index) order."""
+    0) or later, and between ``run(until_us=...)`` calls, are dispatched in
+    (time, insertion index) order."""
     sim = line_sim(2)
     scheduled: list[tuple[int, int]] = []
     dispatched: list[tuple[int, int]] = []
@@ -103,16 +99,12 @@ def test_dispatch_order_is_time_then_insertion_property(first, spawned, steps):
     sim.set_app_handler(app)
     for t in first:
         schedule(t)
-    for mode, n in steps:
-        if mode == "until":
-            until_us = sim.now_us + n
-            sim.run(until_us=until_us)
-            assert all(t > until_us for t, _, _, _ in queued(sim))
-        else:
-            target = len(dispatched) + n + 1
-            sim.run(stop=lambda: len(dispatched) >= target)
+    for n in steps:
+        until_us = sim.now_us + n
+        sim.run(until_us=until_us)
+        assert all(t > until_us for t, _, _, _ in queued(sim))
         assert sim.idle() == (not queued(sim))
-        # lands behind whatever a stop left queued at now_us
+        # queues ``now_us`` again, after its first bucket drained
         schedule(sim.now_us)
     sim.run()
     assert sim.idle()
@@ -177,7 +169,7 @@ def test_lossless_unicast_conservation():
 def test_identical_seeds_reproduce_event_log():
     def build():
         sim = line_sim(4, seed=33)
-        sim.log_events = True
+        sim.event_log = []
         for j in range(20):
             sim.schedule_at(j * 100, EventKind.APP, 0, ("noop",))
         sim.set_app_handler(lambda payload: None)
@@ -290,26 +282,9 @@ def _lossless_star_rreq() -> tuple[Simulator, Packet]:
     return sim, Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,)))
 
 
-def test_stop_mid_broadcast_leaves_the_remaining_copies_queued_in_order():
-    sim, rreq = _lossless_star_rreq()
-    sim.broadcast(0, rreq)
-    arrival = sim.link.delay_us
-    sim.run(stop=lambda: True)
-    assert sim.now_us == arrival
-    assert queued(sim)[:2] == [
-        (arrival, EventKind.DELIVER, 2, rreq),
-        (arrival, EventKind.DELIVER, 3, rreq),
-    ]
-    assert all(t > arrival for t, _, _, _ in queued(sim)[2:])
-    sim.run(stop=lambda: True)
-    assert queued(sim)[0] == (arrival, EventKind.DELIVER, 3, rreq)
-    sim.run()
-    assert sim.idle()
-
-
 def test_broadcast_logs_one_deliver_per_copy():
     sim, rreq = _lossless_star_rreq()
-    sim.log_events = True
+    sim.event_log = []
     sim.broadcast(0, rreq)
     sim.run()
     arrival = sim.link.delay_us
@@ -395,13 +370,10 @@ def test_run_leaves_the_gc_as_it_found_it_when_the_queue_drains(gc_before):
     assert gc.isenabled() is gc_before
 
 
-def test_run_leaves_the_gc_as_it_found_it_after_until_and_stop(gc_before):
+def test_run_leaves_the_gc_as_it_found_it_after_until(gc_before):
     sim, seen = _gc_watching_sim()
     sim.run(until_us=15)
     assert seen == [False]
-    assert gc.isenabled() is gc_before
-    sim.run(stop=lambda: len(seen) == 2)
-    assert seen == [False, False]
     assert gc.isenabled() is gc_before
     sim.run()
     assert seen == [False, False, False]

@@ -67,7 +67,7 @@ def _sha256(data: bytes) -> str:
 
 def _event_log_digest(**config) -> str:
     run = ScenarioRun(ScenarioConfig(**config).validate())
-    run.sim.log_events = True
+    run.sim.event_log = []
     run.execute()
     return _sha256(repr(run.sim.event_log).encode())
 

@@ -38,7 +38,7 @@ def test_same_config_twice_is_identical():
 def test_same_config_twice_replays_the_event_trace():
     def trace(cfg):
         run = ScenarioRun(cfg)
-        run.sim.log_events = True
+        run.sim.event_log = []
         run.execute()
         return run.sim.event_log
 
