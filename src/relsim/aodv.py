@@ -178,10 +178,12 @@ def ping_destination(
         raise NoRouteError(f"node {node.id} has no stored route to {destination}")
     node.ping_counter += 1
     ping_id = node.ping_counter
-    timeout_ms = 4 * len(entry.path) * 3 + 50  # generous round trip bound
+    # generous: over twice a round trip of slowest hops, plus 50 ms
+    link = node.sim.link
+    timeout_us = 4 * len(entry.path) * (link.delay_us + link.jitter_us) + 50 * MICROS_PER_MS
     node.ping_waits[ping_id] = (entry.path, on_result)
     node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path, 1))
-    node.sim.schedule_timer(node.id, timeout_ms * MICROS_PER_MS, ("ping", ping_id))
+    node.sim.schedule_timer(node.id, timeout_us, ("ping", ping_id))
 
 
 def handle_ping(node: Node, pkt: Packet) -> None:
