@@ -48,7 +48,8 @@ def test_handler_replaced_before_the_simulator_is_built_is_called(
 @pytest.mark.parametrize("scheme", ["undefended", "baseline", "proposed"])
 def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     """Every sender of a source-routed packet hands it to ``path[pos]``, so
-    a receiver never has to check that it is the addressee."""
+    a receiver never has to check that it is the addressee, and every DATA
+    copy is sent by ``path[pos - 1]``, so its receiver knows the sender."""
     seen = []
 
     def checked(send):
@@ -57,6 +58,8 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
             if hasattr(payload, "pos"):
                 seen.append(pkt.kind)
                 assert dst == payload.path[payload.pos], (pkt, src, dst)
+                if pkt.kind is PacketKind.DATA:
+                    assert src == payload.path[payload.pos - 1], (pkt, src, dst)
             return send(sim, src, dst, pkt)
         return wrapper
 
@@ -67,4 +70,4 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
         duration=10.0, seed=3, scheme=scheme, link_loss=loss,
     ).validate())
     assert not record.failed, record.failure_reason
-    assert seen
+    assert PacketKind.DATA in seen
