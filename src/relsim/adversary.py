@@ -15,6 +15,7 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from . import baseline
+from .engine import COLLUSION_STREAM, derive_stream
 from .errors import TopologyError
 from .packets import (
     BaseReqPayload,
@@ -60,6 +61,11 @@ def honest_profiles(node_count: int) -> list[AdversaryProfile]:
     return [AdversaryProfile(node=i) for i in range(node_count)]
 
 
+def collusion_story(seed: int, group: int) -> int:
+    """Shared fabricated packet count a collusion group sticks to."""
+    return derive_stream(seed, COLLUSION_STREAM + group).randint(FABRICATED_LOW, FABRICATED_HIGH)
+
+
 def fabricated_counts(node: Node, subject_profile: AdversaryProfile | None) -> tuple[int, int]:
     """Counts a black hole claims when queried.
 
@@ -74,7 +80,7 @@ def fabricated_counts(node: Node, subject_profile: AdversaryProfile | None) -> t
         and profile.collusion_group is not None
         and subject_profile.collusion_group == profile.collusion_group
     ):
-        story = node.sim.collusion_story(profile.collusion_group)
+        story = collusion_story(node.sim.seed, profile.collusion_group)
         return story, story
     value = node.rng.randint(FABRICATED_LOW, FABRICATED_HIGH)
     return value, value

@@ -95,7 +95,7 @@ def initiate_discovery(
     requested_seq = known.dest_seq_no if known is not None else 0
     node.discoveries[request_id] = DiscoveryState(on_done)
     node.seen_rreqs.add((node.id, request_id))
-    rreq = Packet(PacketKind.RREQ, node.id, node.id, node.next_seq(),
+    rreq = Packet(PacketKind.RREQ, node.id, node.next_seq(),
                   RreqPayload(request_id, destination, requested_seq, (node.id,)))
     node.sim.broadcast(node.id, rreq)
     node.sim.schedule_timer(
@@ -123,7 +123,7 @@ def handle_rreq(node: Node, pkt: Packet) -> None:
             node, payload.path + cached.path, cached.dest_seq_no, payload.request_id
         )
         return
-    relay = Packet(PacketKind.RREQ, pkt.origin, node.id, node.next_seq(), RreqPayload(
+    relay = Packet(PacketKind.RREQ, pkt.origin, node.next_seq(), RreqPayload(
         payload.request_id, payload.target, payload.requested_seq, payload.path + (node.id,),
     ))
     node.sim.broadcast(node.id, relay)

@@ -257,10 +257,9 @@ def handle_dri_req(node: Node, pkt: Packet) -> None:
     """An honest node reports its true counts about the asker."""
     payload: DriReqPayload = pkt.payload
     entry = node.dri.get(pkt.origin, EMPTY_ENTRY)
-    reply = Packet(PacketKind.DRI_REP, node.id, node.id, node.next_seq(), DriRepPayload(
+    node.send(PacketKind.DRI_REP, pkt.origin, DriRepPayload(
         payload.vet_id, payload.attempt, entry.sent, entry.received,
     ))
-    node.sim.transmit(node.id, pkt.origin, reply)
 
 
 def handle_dri_rep(node: Node, pkt: Packet) -> None:

@@ -9,10 +9,10 @@ broadcast's copies, a warm-up round's probes) share one heap entry.
 Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
 link jitter and loss are always drawn from the *sender's* stream.
 
-The per-hop path is flat: ``broadcast`` fans out in its own loop, with
-one kind test per broadcast and one bucket for all its copies, and
-``_send`` is the one unicast path, with its jitter draw and its enqueue
-written inline.  Neither changes a draw or the order of any event.
+The per-hop path is flat: ``broadcast`` floods a route request, all a
+run ever floods, with one bucket for all its copies, and ``_send`` is the
+one unicast path, with its jitter draw and enqueue inline and the only
+transmission accounting (sent DATA, vetting messages).
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
@@ -47,6 +47,12 @@ MICROS_PER_S = 1_000_000
 _STREAM_SALT = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
+# Stream indices under one seed: node i draws from stream i, collusion group g
+# from COLLUSION_STREAM + g (at most MAX_NODES // 2 groups), set-up from SCENARIO_STREAM.
+MAX_NODES = 0x10000
+COLLUSION_STREAM = MAX_NODES
+SCENARIO_STREAM = 0x20000
+
 
 def derive_stream(seed: int, index: int) -> Random:
     """Independent deterministic RNG for stream ``index`` under ``seed``."""
@@ -63,7 +69,7 @@ class EventKind(IntEnum):
 # kinds are queued as plain ints, cheaper to look up and compare than members
 _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 # a module global is read about ten times faster than an enum member
-_DATA, _RREQ = PacketKind.DATA, PacketKind.RREQ
+_DATA = PacketKind.DATA
 
 
 @dataclass(slots=True)
@@ -141,10 +147,6 @@ class Simulator:
         self._vet_counter += 1
         return self._vet_counter
 
-    def collusion_story(self, group: int) -> int:
-        """Shared fabricated packet count a collusion group sticks to."""
-        return derive_stream(self.seed, 0x10000 + group).randint(20, 60)
-
     # -- link layer ---------------------------------------------------
 
     def transmit(self, src: int, dst: int, packet: Packet) -> None:
@@ -157,57 +159,40 @@ class Simulator:
             raise UndeliverableError(f"{src} -> {dst}: nodes are not adjacent")
         self._send(src, dst, packet)
 
-    def transmit_or_drop(self, src: int, dst: int, packet: Packet) -> bool:
+    def transmit_or_drop(self, src: int, dst: int, packet: Packet) -> None:
         """Forwarding along unverified (possibly forged) paths: a hop that
         does not exist drops the packet instead of crashing the run."""
         if dst not in self.topology.neighbors[src]:
             self.collector.on_undeliverable(packet)
-            return False
+            return
         self._send(src, dst, packet)
-        return True
 
-    def broadcast(self, src: int, packet: Packet) -> int:
-        """One transmission heard by every neighbor of ``src``, each copy with
-        its own loss draw but no jitter, so that the first copy of a flooded
-        route request anywhere arrives along a minimum-hop chain.  All
-        copies land at one time, so they share one heap entry and are
-        delivered in neighbor order, each logged as its own ``deliver``.
+    def broadcast(self, src: int, packet: Packet) -> None:
+        """Flood the route request ``packet`` to every neighbor of ``src``,
+        each copy with its own loss draw but no jitter, so that the first
+        copy of a request anywhere arrives along a minimum-hop chain.  All
+        copies land at one time, in one heap entry, and are delivered in
+        neighbor order, each logged as its own ``deliver``.  A route
+        request is neither DATA nor vetting traffic, so no copy is counted.
 
-        The fan-out is one loop: the kind is tested once per broadcast,
-        and each copy, in neighbor order, is counted as ``_send`` counts a
-        unicast (a vetting message, a sent DATA packet), takes its loss
-        draw from the sender's stream and joins the arrival bucket.
-
-        A route request copy is not queued for a neighbor that has already
-        seen ``(origin, request_id)``: it would be dropped on arrival, and
+        A copy is not queued for a neighbor that has already seen
+        ``(origin, request_id)``: it would be dropped on arrival, and
         ``seen_rreqs`` only grows.  The copy still takes its loss draw, and
         the radio still sent it, so an energy count must charge its
-        reception.  Returns the number of neighbors.
+        reception.
         """
-        neighbors = self.topology.neighbors[src]
-        kind = packet.kind
-        key = (packet.origin, packet.payload.request_id) if kind is _RREQ else None
-        vetting = kind in VETTING_KINDS
-        sender = self.nodes[src] if kind is _DATA else None
+        key = (packet.origin, packet.payload.request_id)
         nodes = self.nodes
-        collector = self.collector
         loss = self.link.loss
         random = self.rngs[src].random
-        time_us = self.now_us + self.link.delay_us
         bucket = None
-        for dst in neighbors:
-            if vetting:
-                collector.on_vet_message(packet)
-            elif sender is not None:
-                # the sender's count reflects what it transmitted, lost or not
-                sender.note_data_sent(dst)
+        for dst in self.topology.neighbors[src]:
             if loss > 0.0 and random() < loss:
-                collector.on_link_drop(packet)
-            elif key is None or key not in nodes[dst].seen_rreqs:
+                self.collector.on_link_drop(packet)
+            elif key not in nodes[dst].seen_rreqs:
                 if bucket is None:
-                    bucket = self._bucket(time_us)
+                    bucket = self._bucket(self.now_us + self.link.delay_us)
                 bucket.append((_DELIVER, dst, packet))
-        return len(neighbors)
 
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter

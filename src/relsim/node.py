@@ -55,16 +55,16 @@ class Node:
         defense.record_data_packet(self.dri, dst, "sent")
 
     def send(self, kind: PacketKind, to: int, payload) -> None:
-        """Originate a unicast to neighbour ``to`` along a path that may be
-        forged: a hop that does not exist drops the packet."""
-        pkt = Packet(kind, self.id, self.id, self.next_seq(), payload)
+        """Originate a unicast to ``to``; a hop that does not exist, as on a
+        forged path, drops the packet."""
+        pkt = Packet(kind, self.id, self.next_seq(), payload)
         self.sim.transmit_or_drop(self.id, to, pkt)
 
     def relay(self, pkt: Packet, step: int) -> None:
         """Move a source-routed control packet one hop, ``step`` = +1 toward
         the end of ``payload.path`` or -1 back toward its start."""
         pos = pkt.payload.pos + step
-        fwd = Packet(pkt.kind, pkt.origin, self.id, self.next_seq(), pkt.payload.at(pos))
+        fwd = Packet(pkt.kind, pkt.origin, self.next_seq(), pkt.payload.at(pos))
         self.sim.transmit_or_drop(self.id, pkt.payload.path[pos], fwd)
 
     # -- dispatch -------------------------------------------------------
@@ -79,18 +79,18 @@ class Node:
 
     def _on_data(self, pkt: Packet) -> None:
         payload = pkt.payload
-        defense.record_data_packet(self.dri, pkt.prev_hop, "received")
+        sender = payload.path[payload.pos - 1]
+        defense.record_data_packet(self.dri, sender, "received")
         if payload.pos == len(payload.path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its through flag
             if payload.flow_id < 0:
-                ack = Packet(_ACK, self.id, self.id, self.next_seq())
-                self.sim.transmit(self.id, pkt.prev_hop, ack)
+                self.send(_ACK, sender, None)
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
         pos = payload.pos + 1
-        fwd = Packet(_DATA, pkt.origin, self.id, pkt.seq_no,
+        fwd = Packet(_DATA, pkt.origin, pkt.seq_no,
                      DataPayload(payload.flow_id, payload.created_us, payload.path, pos))
         self.sim.transmit_or_drop(self.id, payload.path[pos], fwd)
 

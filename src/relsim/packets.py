@@ -9,8 +9,11 @@ addressee, and one relay step is the same ``pos`` shift for every kind:
 ``at(pos)`` is the payload addressed to ``path[pos]``, built by calling
 the constructor, which takes well under half the time of
 ``dataclasses.replace``.
-A payload holds nothing its packet already says, such as the sender
-(``pkt.origin``).  Control-plane kinds are relayed even by misbehaving
+The header ``(kind, origin, seq_no, payload)`` names no hop, as the
+payload already does: a source-routed packet is sent by ``path[pos - 1]``
+(a DATA hop counts it as received from that node), a flooded route
+request by ``path[-1]``.  A payload holds nothing the header says, such
+as the originator (``pkt.origin``).  Control-plane kinds are relayed even by misbehaving
 nodes; the data-plane kinds listed in ``DATA_PLANE`` are the ones a black
 hole silently absorbs.
 
@@ -62,7 +65,6 @@ VETTING_KINDS = frozenset(
 class Packet:
     kind: PacketKind
     origin: int
-    prev_hop: int
     seq_no: int
     payload: object = None
 

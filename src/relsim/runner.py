@@ -17,13 +17,13 @@ from functools import partial
 
 from . import aodv, baseline, defense, metrics
 from .adversary import assign_adversaries
-from .engine import MICROS_PER_MS, MICROS_PER_S, EventKind, LinkParams, Simulator, derive_stream
+from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, LinkParams,
+                     Simulator, derive_stream)
 from .errors import SimulationError, UndefinedMetricError
 from .packets import DataPayload, Packet, PacketKind
 from .scenario import ScenarioConfig
 from .topology import build_connected_topology
 
-SCENARIO_STREAM = 0x20000
 WARMUP_START_MS = 50
 PROBE_SPACING_MS = 5
 FIRST_FLOW_START_S = 1.0
@@ -167,7 +167,7 @@ class ScenarioRun:
         for pair in self._probe_pairs:
             # the pair is the probe's path, shared by every round
             sender, receiver = pair
-            pkt = Packet(_DATA, sender, sender, nodes[sender].next_seq(),
+            pkt = Packet(_DATA, sender, nodes[sender].next_seq(),
                          DataPayload(-1, now_us, pair, 1))
             sim.transmit(sender, receiver, pkt)
 

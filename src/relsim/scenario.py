@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .engine import MICROS_PER_MS, MICROS_PER_S
+from .engine import MAX_NODES, MICROS_PER_MS, MICROS_PER_S
 from .errors import ConfigError
 
 SCHEMES = ("undefended", "baseline", "proposed")
@@ -46,6 +46,9 @@ class ScenarioConfig:
                 raise ConfigError(f"{f.name}: must be finite")
         if self.nodes < 2:
             raise ConfigError("nodes: need at least 2 nodes")
+        # node i draws from RNG stream i, below the collusion and set-up streams
+        if self.nodes > MAX_NODES:
+            raise ConfigError(f"nodes: at most {MAX_NODES}")
         if self.area_side <= 0:
             raise ConfigError("area_side: must be positive")
         if self.radio_range <= 0:

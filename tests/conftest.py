@@ -58,7 +58,6 @@ def warm_up(sim: Simulator, packets: int = 10) -> None:
         pkt = Packet(
             kind=PacketKind.DATA,
             origin=sender,
-            prev_hop=sender,
             seq_no=node.next_seq(),
             payload=DataPayload(-1, sim.now_us, (sender, receiver), 1),
         )

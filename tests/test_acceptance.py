@@ -139,7 +139,7 @@ def test_criterion_4_attack_potency_on_fixture():
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
-            kind=PacketKind.DATA, origin=0, prev_hop=0,
+            kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
             payload=DataPayload(0, sim.now_us, chosen.path, 1),
         )

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from relsim import aodv
-from relsim.adversary import assign_adversaries, honest_profiles
+from relsim.adversary import assign_adversaries, collusion_story, honest_profiles
 from relsim.defense import VetStatus, VettingConfig, cross_check, DriEntry, vet_path
 from relsim.errors import TopologyError
 from relsim.packets import DataPayload, Packet, PacketKind
@@ -70,7 +70,7 @@ def test_data_absorption_is_total():
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
-            kind=PacketKind.DATA, origin=0, prev_hop=0,
+            kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
             payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
         )
@@ -94,7 +94,7 @@ def test_fabricated_counts_fail_cross_check_against_truth():
     warm_up(sim)
     truth = sim.nodes[1].dri[2]
     assert (truth.sent, truth.received) == (10, 0)
-    story = sim.collusion_story(0)
+    story = collusion_story(sim.seed, 0)
     assert 20 <= story <= 60
     # any fabricated equal pair in [20, 60] is mirror-inconsistent here
     for claimed in range(20, 61):
@@ -145,7 +145,7 @@ def test_role_purity_honest_profiles_never_drop():
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
-            kind=PacketKind.DATA, origin=0, prev_hop=0,
+            kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
             payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
         )

@@ -99,7 +99,7 @@ def test_rrep_for_unknown_discovery_is_dropped():
     from relsim.packets import Packet, PacketKind, RrepPayload
 
     stray = Packet(
-        kind=PacketKind.RREP, origin=2, prev_hop=1, seq_no=1,
+        kind=PacketKind.RREP, origin=2, seq_no=1,
         payload=RrepPayload(request_id=77, dest_seq=3, path=(0, 1, 2), pos=0, hops=2),
     )
     aodv.handle_rrep(node, stray)

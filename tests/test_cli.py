@@ -131,6 +131,12 @@ def test_cli_rejects_bad_config(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_more_nodes_than_rng_streams_before_any_run(capsys, monkeypatch):
+    monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
+    assert main(["run", "--nodes", "65537"]) == 1
+    assert "config error: nodes: at most 65536" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, raw", [("duration", "inf"), ("duration", "nan"),
                                       ("packet_rate", "nan"), ("duration", "1e308"),
                                       ("packet_rate", "1e308"), ("link_delay_ms", "1e306"),

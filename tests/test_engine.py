@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsim.adversary import honest_profiles
-from relsim.engine import EventKind, LinkParams, Simulator, derive_stream
+from relsim.engine import (
+    COLLUSION_STREAM,
+    MAX_NODES,
+    SCENARIO_STREAM,
+    EventKind,
+    LinkParams,
+    Simulator,
+    derive_stream,
+)
 from relsim.errors import SchedulingError, UndeliverableError
 from relsim.metrics import RunCollector
 from relsim.packets import DataPayload, DriReqPayload, Packet, PacketKind, RreqPayload
@@ -20,7 +28,6 @@ def _probe(sim, src, dst, flow=-1):
     return Packet(
         kind=PacketKind.DATA,
         origin=src,
-        prev_hop=src,
         seq_no=node.next_seq(),
         payload=DataPayload(flow, sim.now_us, (src, dst), 1),
     )
@@ -138,9 +145,8 @@ def test_broadcast_fans_out_to_every_neighbor():
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
     sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
-    count = sim.broadcast(0, _probe(sim, 0, 1))
-    assert count == 3
-    assert len(queued(sim)) == 3
+    sim.broadcast(0, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,))))
+    assert [event[2] for event in queued(sim)] == [1, 2, 3]
 
 
 def test_unicast_to_non_neighbor_raises():
@@ -152,7 +158,7 @@ def test_unicast_to_non_neighbor_raises():
 def test_transmit_or_drop_counts_undeliverable_flow_packets():
     sim = line_sim(3)
     sim.collector.register_flow(0, 0, 2)
-    assert not sim.transmit_or_drop(0, 2, _probe(sim, 0, 2, flow=0))
+    sim.transmit_or_drop(0, 2, _probe(sim, 0, 2, flow=0))
     assert sim.collector.flows[0].undeliverable == 1
 
 
@@ -187,6 +193,15 @@ def test_derived_streams_are_independent_and_stable():
     b = [derive_stream(9, 1).random() for _ in range(5)]
     assert a1 == a2
     assert a1 != b
+
+
+def test_stream_index_ranges_do_not_overlap():
+    """Node streams, collusion-group streams (at most one group per two
+    nodes) and the set-up stream stay apart for every accepted node count."""
+    node_streams = range(MAX_NODES)
+    group_streams = range(COLLUSION_STREAM, COLLUSION_STREAM + MAX_NODES // 2)
+    assert node_streams[-1] < group_streams[0]
+    assert group_streams[-1] < SCENARIO_STREAM
 
 
 @pytest.mark.parametrize("jitter", [0, 1, 7, 1_000, 2**40])
@@ -243,7 +258,7 @@ def _star_rreq_broadcast(seed: int, seen: tuple[int, ...]) -> Simulator:
     sim.collector = _DropLog()
     for leaf in seen:
         sim.nodes[leaf].seen_rreqs.add((0, 1))
-    sim.broadcast(0, Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,))))
+    sim.broadcast(0, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,))))
     return sim
 
 
@@ -279,7 +294,7 @@ def _lossless_star_rreq() -> tuple[Simulator, Packet]:
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
     sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
-    return sim, Packet(PacketKind.RREQ, 0, 0, 1, RreqPayload(1, 3, 0, (0,)))
+    return sim, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,)))
 
 
 def test_broadcast_logs_one_deliver_per_copy():
@@ -302,25 +317,23 @@ def _lossy_star(seed: int) -> Simulator:
     return Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
 
 
-def test_data_broadcast_counts_every_copy_as_sent_lost_or_not():
+def test_data_unicast_counts_every_copy_as_sent_lost_or_not():
     lost = 0
     for seed in range(16):
         sim = _lossy_star(seed)
-        assert sim.broadcast(0, _probe(sim, 0, 1)) == 3
+        for leaf in (1, 2, 3):
+            sim.transmit(0, leaf, _probe(sim, 0, leaf))
         assert [sim.nodes[0].dri[leaf].sent for leaf in (1, 2, 3)] == [1, 1, 1]
         lost += 3 - len(queued(sim))
-        twin = derive_stream(seed, 0)
-        for _ in range(3):
-            twin.random()
-        assert sim.rngs[0].getstate() == twin.getstate()
     assert lost > 0
 
 
-def test_vetting_broadcast_counts_one_vet_message_per_neighbor():
+def test_vetting_unicast_counts_one_vet_message_per_copy_lost_or_not():
     lost = 0
     for seed in range(16):
         sim = _lossy_star(seed)
-        sim.broadcast(0, Packet(PacketKind.DRI_REQ, 0, 0, 1, DriReqPayload(1, 0)))
+        for leaf in (1, 2, 3):
+            sim.transmit(0, leaf, Packet(PacketKind.DRI_REQ, 0, 1, DriReqPayload(1, 0)))
         assert sim.collector.vet_messages == 3
         lost += 3 - len(queued(sim))
     assert lost > 0

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import pytest
 
+from relsim.engine import MAX_NODES
 from relsim.errors import ConfigError
 from relsim.scenario import ScenarioConfig, parse_config, parse_config_file
 
@@ -21,6 +22,14 @@ def test_empty_file_gives_all_defaults(tmp_path):
 def test_ten_holes_among_fifty_nodes_accepted():
     cfg = parse_config(overrides={"blackholes": 10, "nodes": 50})
     assert cfg.blackholes == 10
+
+
+def test_node_count_is_capped_below_the_other_rng_streams():
+    """Node i draws from stream i, so a larger run would share a stream
+    with a collusion group or the set-up."""
+    assert ScenarioConfig(nodes=MAX_NODES).validate().nodes == MAX_NODES
+    with pytest.raises(ConfigError, match=f"^nodes: at most {MAX_NODES}$"):
+        ScenarioConfig(nodes=MAX_NODES + 1).validate()
 
 
 def test_endpoints_must_stay_honest():

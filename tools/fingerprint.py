@@ -10,10 +10,7 @@ behaviour is checked by running this against both trees and diffing:
 
 Without ``PYTHONPATH`` the tool imports relsim from this checkout's
 ``src``; an explicit ``PYTHONPATH`` comes first on the path and wins.
-The event log is recorded by setting ``sim.event_log`` to a list.  The
-tool also sets ``sim.log_events = True``, the switch that older trees
-read instead, so the same tool fingerprints either tree; on a newer
-tree the attribute is set and never read.
+The event log is recorded by setting ``sim.event_log`` to a list.
 
 The two digests are separate columns, so a change that is meant to move
 only the event log can be checked on the record column alone:
@@ -99,7 +96,6 @@ def fingerprint(cfg: ScenarioConfig):
     try:
         run = ScenarioRun(cfg)
         run.sim.event_log = log
-        run.sim.log_events = True  # the switch older trees read
         record = run.execute()
     except SimulationError:
         record = run_scenario(cfg)
