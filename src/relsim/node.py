@@ -78,21 +78,21 @@ class Node:
             handler(self, payload)
 
     def _on_data(self, pkt: Packet) -> None:
-        payload = pkt.payload
-        sender = payload.path[payload.pos - 1]
+        # one unpack reads the fields faster than NamedTuple attribute reads
+        flow_id, created_us, path, pos = pkt.payload
+        sender = path[pos - 1]
         defense.record_data_packet(self.dri, sender, "received")
-        if payload.pos == len(payload.path) - 1:
+        if pos == len(path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its through flag
-            if payload.flow_id < 0:
+            if flow_id < 0:
                 self.send(_ACK, sender, None)
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
-        pos = payload.pos + 1
-        fwd = Packet(_DATA, pkt.origin, pkt.seq_no,
-                     DataPayload(payload.flow_id, payload.created_us, payload.path, pos))
-        self.sim.transmit_or_drop(self.id, payload.path[pos], fwd)
+        pos += 1
+        fwd = Packet(_DATA, pkt.origin, pkt.seq_no, DataPayload(flow_id, created_us, path, pos))
+        self.sim.transmit_or_drop(self.id, path[pos], fwd)
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:

@@ -13,9 +13,9 @@ The header ``(kind, origin, seq_no, payload)`` names no hop, as the
 payload already does: a source-routed packet is sent by ``path[pos - 1]``
 (a DATA hop counts it as received from that node), a flooded route
 request by ``path[-1]``.  A payload holds nothing the header says, such
-as the originator (``pkt.origin``).  Control-plane kinds are relayed even by misbehaving
-nodes; the data-plane kinds listed in ``DATA_PLANE`` are the ones a black
-hole silently absorbs.
+as the originator (``pkt.origin``).  Control-plane kinds are relayed
+even by misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE``
+are the ones a black hole silently absorbs.
 
 Payloads are frozen slotted dataclasses, except ``DataPayload``: one is
 built per warm-up probe and per DATA hop, so it is a ``NamedTuple``,
