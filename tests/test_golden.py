@@ -54,6 +54,22 @@ NO_WARMUP_DIGESTS = {
     ("proposed", 0.03): "e6ff21f241c4db373fe1c362e406f7a8f779d4a9fb4bd4c54f01d348862ca302",
 }
 
+# ``RunRecord`` digests, not event logs, of runs whose warm-up (250 rounds)
+# lasts past the first flow's start, so the defenses read evidence while
+# probes and acknowledgements are still in flight; at 20 ms hops a flood
+# also outlives its 200 ms discovery window.  Keyed by (scheme, loss,
+# link delay in ms).
+OVERLAP_RECORD_DIGESTS = {
+    ("baseline", 0.0, 2.0): "e87ae26130422bebe3fe743562fddabe48dcdd695808e785198a6b7ddb5ba306",
+    ("baseline", 0.05, 2.0): "fd7f81271d20aa6124dc18cfca68f32c969a27cdec10b19f6705fdb8e9350aea",
+    ("proposed", 0.0, 2.0): "2933551a37adb231c4bcab78b04b5a7c78fd5396ddc2a509173c9e5ddf609e50",
+    ("proposed", 0.05, 2.0): "bb5ea502a5bc2075d00765fad60fd934c3be4665ae2ae23a328ea11f3b6f0b43",
+    ("baseline", 0.0, 20.0): "eecb056c48dca426269e99f5df83f2a3e77da85d320b56e99325734cac802261",
+    ("baseline", 0.05, 20.0): "a8afbdced286dd848b7253ec4b41c4e3a1c4381632390a4bd63940c8484099ad",
+    ("proposed", 0.0, 20.0): "4ee2ae982ee2f8d64ad22aeaa7ef1d72d89f97096a808f216134589c05dac24e",
+    ("proposed", 0.05, 20.0): "0db3f71b3eefe6dffb8ed7d3046c5f0304f3972419b4fb0998e25132dd37434e",
+}
+
 SWEEP_ARGS = [
     "sweep", "--max-blackholes", "3", "--seeds", "2", "--duration", "10",
     "--colluding_pairs", "1", "--link_loss", "0.02",
@@ -97,6 +113,16 @@ def test_no_warmup_event_log_matches_stored_digest(scheme, loss):
         warmup_packets=0, scheme=scheme, link_loss=loss,
     )
     assert digest == NO_WARMUP_DIGESTS[(scheme, loss)]
+
+
+@pytest.mark.parametrize("scheme,loss,delay_ms", sorted(OVERLAP_RECORD_DIGESTS))
+def test_overlapping_warmup_record_matches_stored_digest(scheme, loss, delay_ms):
+    cfg = ScenarioConfig(
+        nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10, seed=10,
+        warmup_packets=250, link_delay_ms=delay_ms, scheme=scheme, link_loss=loss,
+    ).validate()
+    record = ScenarioRun(cfg).execute()
+    assert _sha256(repr(record).encode()) == OVERLAP_RECORD_DIGESTS[(scheme, loss, delay_ms)]
 
 
 def test_sweep_csv_matches_stored_digest(tmp_path, capsys):
