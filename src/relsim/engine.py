@@ -14,6 +14,15 @@ run ever floods, with one bucket for all its copies, and ``_send`` is the
 one unicast path, with its jitter draw and enqueue inline and the only
 transmission accounting (sent DATA, vetting messages).
 
+A transmission is not always a delivery.  Each copy takes every draw it
+would take if it were delivered, but the link layer queues only copies
+that can change their receiver: a route request copy goes only to a node
+that no copy of that request has been queued for yet, and an ACK is not
+queued when its prober already holds the acknowledgement flag for the
+sender.  The radio still sent such a copy, so a count of transmissions
+or of energy must be taken in ``broadcast`` and ``_send``, not at
+dispatch; the event log records only the queued copies.
+
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
 tuple per dispatched event; production runs leave it ``None``.
@@ -69,7 +78,7 @@ class EventKind(IntEnum):
 # kinds are queued as plain ints, cheaper to look up and compare than members
 _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 # a module global is read about ten times faster than an enum member
-_DATA = PacketKind.DATA
+_DATA, _ACK = PacketKind.DATA, PacketKind.ACK
 
 
 @dataclass(slots=True)
@@ -110,6 +119,8 @@ class Simulator:
         self._times: list[int] = []
         self._buckets: dict[int, deque[tuple[int, int, object]]] = {}
         self._vet_counter = 0
+        # route request (origin, request_id) -> nodes a copy has been queued for
+        self._rreq_reached: dict[tuple[int, int], set[int]] = {}
         self._app_handler: Callable[[object], None] | None = None
         self.rngs = [derive_stream(seed, i) for i in range(topology.node_count)]
         # built per simulator, so that handlers replaced on their modules apply
@@ -175,21 +186,26 @@ class Simulator:
         neighbor order, each logged as its own ``deliver``.  A route
         request is neither DATA nor vetting traffic, so no copy is counted.
 
-        A copy is not queued for a neighbor that has already seen
-        ``(origin, request_id)``: it would be dropped on arrival, and
-        ``seen_rreqs`` only grows.  The copy still takes its loss draw, and
-        the radio still sent it, so an energy count must charge its
-        reception.
+        Each request ``(origin, request_id)`` queues at most one copy per
+        node, and none for its origin.  Floods have no jitter and one fixed
+        delay, so the first copy queued for a node is the first it
+        receives; every later copy would arrive after it and be dropped as
+        a duplicate.  An unqueued copy still takes its loss draw and still
+        reports its link drop, and the radio still sent it, so an energy
+        count must charge its reception.
         """
         key = (packet.origin, packet.payload.request_id)
-        nodes = self.nodes
+        reached = self._rreq_reached.get(key)
+        if reached is None:
+            reached = self._rreq_reached[key] = {packet.origin}
         loss = self.link.loss
         random = self.rngs[src].random
         bucket = None
         for dst in self.topology.neighbors[src]:
             if loss > 0.0 and random() < loss:
                 self.collector.on_link_drop(packet)
-            elif key not in nodes[dst].seen_rreqs:
+            elif dst not in reached:
+                reached.add(dst)
                 if bucket is None:
                     bucket = self._bucket(self.now_us + self.link.delay_us)
                 bucket.append((_DELIVER, dst, packet))
@@ -197,6 +213,12 @@ class Simulator:
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
+
+        An ACK that survives both draws is still not queued if its receiver,
+        the prober, already holds the ``acked`` flag for the sender: the
+        flag is never cleared, so the ACK would change nothing.  The check
+        reads the prober's flag as it is now, not whether an earlier ACK was
+        queued, since jitter can deliver a later ACK first.
 
         The jitter draw is ``randint(0, jitter_us)`` written out: the
         rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
@@ -224,6 +246,10 @@ class Simulator:
             while draw >= bound:
                 draw = getrandbits(bits)
             time_us += draw
+        if kind is _ACK:
+            entry = self.nodes[dst].dri.get(src)
+            if entry is not None and entry.acked:
+                return
         # ``_bucket`` inlined, as this runs once per unicast
         bucket = self._buckets.get(time_us)
         if bucket is None:

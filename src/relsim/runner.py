@@ -119,9 +119,11 @@ class ScenarioRun:
         Queuing every probe on its own would run them in this same order,
         back to back: all were queued before anything else, so they carry
         the lowest ``seq`` of their time.  Only the queue shrinks, not the
-        traffic: every probe is still transmitted, and so is each route
-        request copy that ``Simulator.broadcast`` leaves unqueued for a
-        neighbor that has already seen it, so an energy count charges both.
+        traffic: a transmission is not always a delivery.  Every probe is
+        still transmitted and answered, but ``Simulator._send`` queues no
+        ACK whose prober already holds the flag it would set, and
+        ``Simulator.broadcast`` queues no second copy of a route request for
+        a node.  An energy count charges those unqueued copies too.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:

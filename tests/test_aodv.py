@@ -52,8 +52,9 @@ def test_discovery_to_self_is_an_error():
 
 
 def test_duplicate_rreqs_are_suppressed():
-    """Each node relays a given (origin, request) once: on a dense graph
-    the flood produces exactly one broadcast per node."""
+    """Each node receives a given (origin, request) once: on a complete
+    graph the origin's broadcast reaches every other node, and no relay's
+    broadcast queues a copy."""
     positions = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (25.0, 25.0)]
     topo = topology_from_positions(positions, 80.0)  # complete graph
     from relsim.adversary import honest_profiles
@@ -65,12 +66,7 @@ def test_duplicate_rreqs_are_suppressed():
     from relsim.packets import PacketKind
 
     rreq_deliveries = [e for e in sim.event_log if e[1] == "deliver" and e[3] == int(PacketKind.RREQ)]
-    # origin broadcast reaches 4 nodes; relays other than the destination
-    # rebroadcast at most once each
-    seen_relays = set()
-    for event in rreq_deliveries:
-        seen_relays.add(event[2])
-    assert len(rreq_deliveries) <= 4 + 3 * 4
+    assert sorted(event[2] for event in rreq_deliveries) == [1, 2, 3, 4]
 
 
 def test_rrep_installs_forward_routes_at_relays():
@@ -173,3 +169,32 @@ def test_reverse_path_soundness_on_random_topology():
     for candidate in candidates:
         for u, v in zip(candidate.path, candidate.path[1:]):
             assert topo.adjacent(u, v)
+
+
+def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
+    """On a 60-node random field at loss 0.1, with six floods in flight
+    at once, no node is ever handed a copy of a request it has seen."""
+    import random
+
+    from relsim.adversary import honest_profiles
+    from relsim.engine import LinkParams, Simulator
+    from relsim.topology import build_connected_topology
+
+    deliveries = []
+
+    def handle_rreq(node, pkt):
+        key = (pkt.origin, pkt.payload.request_id)
+        deliveries.append((node.id, key, key in node.seen_rreqs))
+        handle(node, pkt)
+
+    handle = aodv.handle_rreq
+    monkeypatch.setattr(aodv, "handle_rreq", handle_rreq)
+    topo = build_connected_topology(60, 1100.0, 250.0, random.Random(3))
+    sim = Simulator(topo, honest_profiles(60), LinkParams(loss=0.1), seed=3)
+    for source in range(6):
+        aodv.initiate_discovery(sim.nodes[source], 59 - source, lambda cands: None)
+    sim.run()
+    assert not [d for d in deliveries if d[2]]
+    reached = {(node_id, key) for node_id, key, _ in deliveries}
+    assert len(reached) == len(deliveries) > 6 * 40
+    assert all(node_id != key[0] for node_id, key, _ in deliveries)

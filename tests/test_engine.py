@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relsim.adversary import honest_profiles
+from relsim.defense import DriEntry
 from relsim.engine import (
     COLLUSION_STREAM,
     MAX_NODES,
@@ -250,14 +251,13 @@ class _DropLog(RunCollector):
 
 def _star_rreq_broadcast(seed: int, seen: tuple[int, ...]) -> Simulator:
     """Center 0 broadcasts a route request to leaves 1..3 at loss 0.5;
-    the leaves in ``seen`` have already seen it."""
+    a copy of it has already been queued for the leaves in ``seen``."""
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
     sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
     sim.collector = _DropLog()
-    for leaf in seen:
-        sim.nodes[leaf].seen_rreqs.add((0, 1))
+    sim._rreq_reached[(0, 1)] = {0, *seen}
     sim.broadcast(0, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,))))
     return sim
 
@@ -285,6 +285,46 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
         unseen_lost = 3 not in [event[2] for event in queued(twin)]
         seen_dropped += len(sim.collector.drops) - unseen_lost
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
+
+
+def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
+    """Node 1 sends 32 ACKs to its prober, node 0, at loss 0.5; the
+    prober's ``acked`` flag for node 1 is set beforehand or not."""
+    sim = line_sim(2, seed=seed, link=LinkParams(loss=0.5))
+    sim.collector = _DropLog()
+    if prober_holds_flag:
+        sim.nodes[0].dri[1] = DriEntry(acked=True)
+    for _ in range(32):
+        sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+    return sim
+
+
+def test_unqueued_ack_still_takes_its_loss_and_jitter_draws():
+    """An ACK its prober already holds is never queued, yet the sender's
+    stream and the link drops the collector hears of are those of a run
+    in which every surviving ACK was queued."""
+    for seed in range(8):
+        sim = _acks_to_prober(seed, prober_holds_flag=True)
+        twin = _acks_to_prober(seed, prober_holds_flag=False)
+        assert sim.idle()
+        assert queued(twin)
+        assert sim.rngs[1].getstate() == twin.rngs[1].getstate()
+        assert sim.collector.drops == twin.collector.drops
+        assert 0 < len(sim.collector.drops) < 32
+
+
+def test_ack_is_queued_while_its_prober_lacks_the_flag():
+    """The rule reads the prober's flag when the ACK is sent: every ACK sent
+    before the first arrival is queued, however many are in flight, since
+    jitter may deliver a later one first; none is queued after it."""
+    sim = line_sim(2, link=LinkParams(delay_us=2_000, jitter_us=10_000))
+    for _ in range(3):
+        sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+    assert len(queued(sim)) == 3
+    sim.run()
+    assert sim.nodes[0].dri[1].acked
+    sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+    assert sim.idle()
 
 
 def _lossless_star_rreq() -> tuple[Simulator, Packet]:

@@ -5,10 +5,13 @@ The sweep CSV digest was recorded from the code as it stood before the
 packet plumbing was refactored.  Change one only as a deliberate, named
 re-baseline, never as a side effect.
 
-Re-baseline of the 18 event-log digests: warm-up became one app event per
-probe round, and a route request copy is no longer queued for a neighbor
-that has already seen the request.  Only the event log moved; every
-``RunRecord`` and the sweep CSV digest stayed the same.
+Re-baselines of the 18 event-log digests, each moving only the event log
+(every ``RunRecord`` and the sweep CSV digest stayed the same):
+
+- warm-up became one app event per probe round, and a route request copy
+  is no longer queued for a neighbor that has already seen the request;
+- a route request queues at most one copy per node, and an ACK is no
+  longer queued when its prober already holds the flag it would set.
 """
 
 from __future__ import annotations
@@ -22,36 +25,36 @@ from relsim.runner import ScenarioRun
 from relsim.scenario import ScenarioConfig
 
 EVENT_LOG_DIGESTS = {
-    ("undefended", 0.0): "a5245d5922895592712f1a6849cb214a0c0183bb5072aa84ac78a3a6dbb60570",
-    ("undefended", 0.03): "1b0e67978fec3314e824f34a59993dfbe831121434154ff71d242740d80e836d",
-    ("baseline", 0.0): "b634682748c3074570fdc24190af51d4c8040e5eb080f70b601d252551f4406d",
-    ("baseline", 0.03): "34081cca7ac232ff1699f9878b8dabc77531adc70c176b72b2c15149db32ddf5",
-    ("proposed", 0.0): "7cec7e3b93870ebe18c989f63453c8a5994441cd91a0cf19fe88bd87f2ff1b16",
-    ("proposed", 0.03): "0a5a83e192b6e3187a5cda92c1e7c7562358290420d6b3f7786fc2c906a8e070",
+    ("undefended", 0.0): "d10687b538edf0db447d8b7e69269558981ee71f6d7bae291f80740089e19b80",
+    ("undefended", 0.03): "f751277a11bd969f34818c4a9b978bd63de521fdf1fedf0941cc25e823f64f1f",
+    ("baseline", 0.0): "194365cfeb0f498b1432fad592b35fdac677d0e65211ac610a3b5da4382c5bed",
+    ("baseline", 0.03): "5725bb7c5cbdb4bc995b5edb649371dbe8c7d6785a2217832cd59c17f253eed1",
+    ("proposed", 0.0): "5f7c080343463347d50d16e62d1560309b0885615c968ef9930dcd81590180f1",
+    ("proposed", 0.03): "051e7d75e58766b696b167df767a7c9eff4cfa24deb101a3d5957239a1f62a0b",
 }
 
 # Each of these runs pings a stored route that answers once: undefended
 # activates the path, the defenses vet it again.  The golden runs above
 # ping only dead routes.
 ALIVE_PING_DIGESTS = {
-    ("undefended", 0.0): "af77f2939c3b77f12aa8e364327adcaabd9d84a546695e0b2ce548cbdf0d5457",
-    ("undefended", 0.01): "6df0f75928cc945389507a0d336bf7661802a990d0d82f0c0fcdcc9471d528c0",
-    ("baseline", 0.0): "6736545f13d2edb4eb1ae182658caf66e80cbe6c36b87501882ea80063ac16f2",
-    ("baseline", 0.01): "dda3cf6d228762242d2602ddfbd57a4a0b062ef45b3a8e54a941f6f9e11c9bc4",
-    ("proposed", 0.0): "6f5c77c85534aa36892971a97da4b18d0a7d190166cb8b10277ebc0a8fd45d7e",
-    ("proposed", 0.01): "ca3f90ff8eb66675a9be2740f31ea5a2207f3b109c27f6b4127522e319037c3b",
+    ("undefended", 0.0): "44cd34ecb6411bc87eb71c37db5643bb3b27bed0305979ff79aa9d00d9e73ef9",
+    ("undefended", 0.01): "a863350c9025e5ce7bf952121935ea68877e5d9ea2d1d3aa62c4027b89757b6d",
+    ("baseline", 0.0): "4efff48d04301fa001d7117880019847415a1f10b13a01e5a67f967e07f508d3",
+    ("baseline", 0.01): "18c1ef0317c5d25eab89587d748247fcb61a7c63daeac7044c5d015177a91f74",
+    ("proposed", 0.0): "91e1d1f54643d15e30a729ba82c5026314631ec125bcb3d6d8d26a425ff9e7fe",
+    ("proposed", 0.01): "4efb254c7cdcf92633b63e2d4f46e47587a4bd63996a6e0ddeb5dbdf9ff6ca38",
 }
 
 # Without warm-up every count and flag table starts empty: the baseline
 # refuses paths on its own empty table, the proposed scheme trusts on the
 # neutral ratio of an empty entry.
 NO_WARMUP_DIGESTS = {
-    ("undefended", 0.0): "baedb08951021cb5c796f43f3d1dad0b6cc8185b44b416c237c88a7cadcc0b0d",
-    ("undefended", 0.03): "21c2addbea7122f3d061dd6223ab2770b351b90ea7780dee5fd6c2c10d700ab7",
-    ("baseline", 0.0): "2c3498e75dfa8c02d604e7b9742434051b54a5d6b4163403425defaa40357481",
-    ("baseline", 0.03): "7996851a985274c92e8dd6097a4a4a90557517b67f638cddabde2c4d25d2cf4d",
-    ("proposed", 0.0): "2479c4c831140c8bbab96f324e42244a27409a6935279e7f29b3342ba78ea561",
-    ("proposed", 0.03): "e6ff21f241c4db373fe1c362e406f7a8f779d4a9fb4bd4c54f01d348862ca302",
+    ("undefended", 0.0): "cd6d848d106ef6a1e2eb11c84a08a43b245f7b87468747a1fe8fe2e9803751f3",
+    ("undefended", 0.03): "2ebea53d71a9d29f22d4551b5338114c368037b6a1af0babc8906406f6f76f7c",
+    ("baseline", 0.0): "2d84045280cf9d90bb60dbff8317ac2d2448d2d8b2e414d84f24e41cc500d013",
+    ("baseline", 0.03): "a13fdb318fc3be05e1b767dcc0d7069db5c784674e3111d068d91aa4a1e31a09",
+    ("proposed", 0.0): "9aa54a510fab0aadc9f271a7df606995013e3f3606a1cfa1d720d735b2fb2a8a",
+    ("proposed", 0.03): "f101f84e97f648af5df16391926e71a3a2823bd512e7ebac77f5e1d8aceee770",
 }
 
 # ``RunRecord`` digests, not event logs, of runs whose warm-up (250 rounds)

@@ -22,12 +22,19 @@ The grid is 3 schemes x 5 sizes x 3 link losses x warm-up on/off x
 family of 3 schemes x 5 sizes x 2 seeds = 30 configs at loss 0.02 with
 ``link_jitter_ms=0``.  Without jitter every probe of a warm-up round and
 every copy of a unicast burst lands at one time, the densest case of
-events tied on time in the queue.  The family comes last, so the first
-180 lines keep their keys.  A config whose set-up fails (too few eligible
-nodes for the adversaries) still prints the digest of its failed record.
-A last line, ``csv <sha256>``, pins the bytes ``cli.write_csv`` writes
-for all 210 records with their summary rows, so CSV formatting is covered
-as well as the records.
+events tied on time in the queue.  The family comes after the grid, so
+the first 180 lines keep their keys.  A config whose set-up fails (too
+few eligible nodes for the adversaries) still prints the digest of its
+failed record.  Line 211, ``csv <sha256>``, pins the bytes
+``cli.write_csv`` writes for those 210 records with their summary rows,
+so CSV formatting is covered as well as the records.
+
+An overlap family of 3 schemes x 5 sizes x 2 seeds x 2 variants = 60
+configs at loss 0.05 follows the ``csv`` line, so the first 211 lines
+keep their keys and bytes: ``warmup_packets=250``, whose warm-up runs past
+the first flow's start, so evidence is read while probes and
+acknowledgements are in flight, and ``link_delay_ms=20``, whose floods
+outlive the 200 ms discovery window.  The tool prints 271 lines.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ LOSSES = (0.0, 0.02, 0.1)
 WARMUPS = (10, 0)
 SEEDS = (1, 7)
 ZERO_JITTER_LOSS = 0.02
+OVERLAP_LOSS = 0.05
+OVERLAPS = {"warm250": {"warmup_packets": 250}, "delay20": {"link_delay_ms": 20.0}}
 # the default 50-node area, scaled so that every size has the same density
 DENSITY_NODES, DENSITY_SIDE = 50, 1000.0
 
@@ -86,6 +95,17 @@ def grid() -> list[tuple[str, ScenarioConfig]]:
     return configs
 
 
+def overlap_grid() -> list[tuple[str, ScenarioConfig]]:
+    return [
+        (f"{scheme}-n{nodes}-loss{OVERLAP_LOSS:g}-{name}-seed{seed}", _config(
+            scheme, nodes, seed, link_loss=OVERLAP_LOSS, **overrides,
+        ))
+        for scheme, nodes, seed, (name, overrides) in itertools.product(
+            SCHEMES, SIZES, SEEDS, OVERLAPS.items()
+        )
+    ]
+
+
 def _sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -117,6 +137,9 @@ def main() -> int:
         records.append(record)
         print(key, _sha(record), log_sha)
     print("csv", csv_digest(records))
+    for key, cfg in overlap_grid():
+        record, log_sha = fingerprint(cfg)
+        print(key, _sha(record), log_sha)
     return 0
 
 
