@@ -14,14 +14,14 @@ run ever floods, with one bucket for all its copies, and ``_send`` is the
 one unicast path, with its jitter draw and enqueue inline and the only
 transmission accounting (sent DATA, vetting messages).
 
-A transmission is not always a delivery.  Each copy takes every draw it
-would take if it were delivered, but the link layer queues only copies
-that can change their receiver: a route request copy goes only to a node
-that no copy of that request has been queued for yet, and an ACK is not
-queued when its prober already holds the acknowledgement flag for the
-sender.  The radio still sent such a copy, so a count of transmissions
-or of energy must be taken in ``broadcast`` and ``_send``, not at
-dispatch; the event log records only the queued copies.
+A transmission is not always a delivery.  The link layer queues only
+copies that can change their receiver: a route request copy goes only to
+a node that no copy of that request has been queued for yet, and an ACK
+is not queued when its prober already holds the acknowledgement flag for
+the sender.  An unqueued copy still takes every draw a queued one takes,
+and the radio still sent it, so a count of transmissions or of energy
+must be taken in ``broadcast`` and ``_send``, not at dispatch; the event
+log records only the queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
