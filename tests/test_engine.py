@@ -295,7 +295,7 @@ def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
     if prober_holds_flag:
         sim.nodes[0].dri[1] = DriEntry(acked=True)
     for _ in range(32):
-        sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+        sim.nodes[1].send(PacketKind.ACK, 0, None)
     return sim
 
 
@@ -319,11 +319,11 @@ def test_ack_is_queued_while_its_prober_lacks_the_flag():
     jitter may deliver a later one first; none is queued after it."""
     sim = line_sim(2, link=LinkParams(delay_us=2_000, jitter_us=10_000))
     for _ in range(3):
-        sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+        sim.nodes[1].send(PacketKind.ACK, 0, None)
     assert len(queued(sim)) == 3
     sim.run()
     assert sim.nodes[0].dri[1].acked
-    sim.transmit(1, 0, Packet(PacketKind.ACK, 1, sim.nodes[1].next_seq(), None))
+    sim.nodes[1].send(PacketKind.ACK, 0, None)
     assert sim.idle()
 
 
