@@ -107,8 +107,8 @@ def blackhole_on_rreq(node: Node, pkt: Packet) -> None:
     forged_seq = payload.requested_seq + SEQ_INFLATION
     claimed_hops = len(payload.path) - 1 + CLAIMED_HOP_COUNT
     node.send(PacketKind.RREP, payload.path[-1], RrepPayload(
-        payload.request_id, forged_seq, forged_path, len(payload.path) - 1, claimed_hops,
-    ))
+        payload.request_id, forged_seq, forged_path, claimed_hops,
+    ), len(payload.path) - 1)
 
 
 def blackhole_on_data(node: Node, pkt: Packet) -> None:

@@ -71,7 +71,7 @@ class Candidate:
 
 
 def candidate_rank_key(c: Candidate):
-    return (-c.dest_seq, c.adv_hops, c.path[1] if len(c.path) > 1 else -1, c.path)
+    return (-c.dest_seq, c.adv_hops, c.path[1], c.path)
 
 
 @dataclass(slots=True)
@@ -94,7 +94,6 @@ def initiate_discovery(
     known = node.routes.best(destination)
     requested_seq = known.dest_seq_no if known is not None else 0
     node.discoveries[request_id] = DiscoveryState(on_done)
-    node.seen_rreqs.add((node.id, request_id))
     rreq = Packet(PacketKind.RREQ, node.id, node.next_seq(),
                   RreqPayload(request_id, destination, requested_seq, (node.id,)))
     node.sim.broadcast(node.id, rreq)
@@ -136,12 +135,12 @@ def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int
     if my_pos == 0:
         return
     node.send(PacketKind.RREP, path[my_pos - 1],
-              RrepPayload(request_id, dest_seq, path, my_pos - 1, len(path) - 1))
+              RrepPayload(request_id, dest_seq, path, len(path) - 1), my_pos - 1)
 
 
 def handle_rrep(node: Node, pkt: Packet) -> None:
     payload: RrepPayload = pkt.payload
-    pos = payload.pos
+    pos = pkt.pos
     if not node.profile.is_blackhole:
         node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
     if pos == 0:
@@ -182,22 +181,23 @@ def ping_destination(
     link = node.sim.link
     timeout_us = 4 * len(entry.path) * (link.delay_us + link.jitter_us) + 50 * MICROS_PER_MS
     node.ping_waits[ping_id] = (entry.path, on_result)
-    node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path, 1))
+    node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path), 1)
     node.sim.schedule_timer(node.id, timeout_us, ("ping", ping_id))
 
 
 def handle_ping(node: Node, pkt: Packet) -> None:
     payload: PingPayload = pkt.payload
-    if payload.pos == len(payload.path) - 1:
-        node.send(PacketKind.PONG, payload.path[payload.pos - 1], payload.at(payload.pos - 1))
+    pos = pkt.pos
+    if pos == len(payload.path) - 1:
+        # the PONG carries the PING's payload back
+        node.send(PacketKind.PONG, payload.path[pos - 1], payload, pos - 1)
         return
     node.relay(pkt, +1)
 
 
 def handle_pong(node: Node, pkt: Packet) -> None:
-    payload: PingPayload = pkt.payload
-    if payload.pos == 0:
-        waiter = node.ping_waits.pop(payload.ping_id, None)
+    if pkt.pos == 0:
+        waiter = node.ping_waits.pop(pkt.payload.ping_id, None)
         if waiter is not None:
             path, on_result = waiter
             on_result(True, path)

@@ -112,10 +112,9 @@ def _send_piece(node: Node, state: BaselineState) -> None:
         destination=state.path[-1],
         expected_next=_onward(state),
         path=state.path[: state.idx + 2],
-        pos=1,
         attempt=state.attempt,
     )
-    node.send(PacketKind.BASE_REQ, state.path[1], payload)
+    node.send(PacketKind.BASE_REQ, state.path[1], payload, 1)
     node.sim.schedule_timer(
         node.id,
         node.sim.vetting_config.t1_ms * MICROS_PER_MS,
@@ -126,7 +125,7 @@ def _send_piece(node: Node, state: BaselineState) -> None:
 def handle_base_req(node: Node, pkt: Packet) -> None:
     """Relay toward the voucher, or answer truthfully if we are it."""
     payload: BaseReqPayload = pkt.payload
-    if payload.pos < len(payload.path) - 1:
+    if pkt.pos < len(payload.path) - 1:
         node.relay(pkt, +1)
         return
     answer(node, payload, _honest_answer(node, payload))
@@ -136,8 +135,8 @@ def answer(node: Node, payload: BaseReqPayload, value) -> None:
     """The voucher's reply, honest or not, retraces the request's path."""
     back = len(payload.path) - 2
     node.send(PacketKind.BASE_REP, payload.path[back], BaseRepPayload(
-        payload.vet_id, payload.piece, value, payload.path, back, payload.attempt,
-    ))
+        payload.vet_id, payload.piece, value, payload.path, payload.attempt,
+    ), back)
 
 
 def _honest_answer(node: Node, payload: BaseReqPayload):
@@ -161,7 +160,7 @@ def _honest_answer(node: Node, payload: BaseReqPayload):
 
 def handle_base_rep(node: Node, pkt: Packet) -> None:
     payload: BaseRepPayload = pkt.payload
-    if payload.pos > 0:
+    if pkt.pos > 0:
         node.relay(pkt, -1)
         return
     state = node.base_vets.get(payload.vet_id)

@@ -208,7 +208,8 @@ def run_vetting(begin, sim, source: int, path) -> VettingResult:
 class HopProbe:
     """One in-flight next-hop interrogation at the walk's current holder."""
 
-    walk: RelPayload  # as it reached the holder, ``path[walk.pos]``
+    walk: RelPayload  # as it reached the holder
+    pos: int  # the holder's index in ``walk.path``
     strikes: int  # the walk's strikes, plus those this hop has burned
     attempt: int = 1
     timeouts: int = 0  # feedback-timer expiries within the current attempt
@@ -228,23 +229,23 @@ def begin_vetting(
     node.vet_waiters[vet_id] = (path, on_done)
     deadline_us = node.sim.vetting_config.deadline_us(len(path))
     node.sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
-    _advance(node, RelPayload(vet_id, path, 0))
+    _advance(node, RelPayload(vet_id, path), 0)
 
 
-def _advance(node: Node, walk: RelPayload) -> None:
+def _advance(node: Node, walk: RelPayload, pos: int) -> None:
     """The holder ``path[pos]`` inspects its next-hop neighbour."""
-    if walk.pos + 2 == len(walk.path):
+    if pos + 2 == len(walk.path):
         # next hop is the destination: send the accumulator home as-is
-        _send_home(node, walk, VetStatus.TRUSTED)
+        _send_home(node, walk, pos, VetStatus.TRUSTED)
         return
-    probe = HopProbe(walk, walk.strikes)
+    probe = HopProbe(walk, pos, walk.strikes)
     node.rel_pending[walk.vet_id] = probe
     _send_dri_request(node, probe)
 
 
 def _send_dri_request(node: Node, probe: HopProbe) -> None:
     walk = probe.walk
-    node.send(PacketKind.DRI_REQ, walk.path[walk.pos + 1],
+    node.send(PacketKind.DRI_REQ, walk.path[probe.pos + 1],
               DriReqPayload(walk.vet_id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
@@ -270,7 +271,7 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
     del node.rel_pending[payload.vet_id]
     cfg = node.sim.vetting_config
     walk = probe.walk
-    nhn = walk.path[walk.pos + 1]
+    nhn = walk.path[probe.pos + 1]
     local = node.dri.get(nhn, EMPTY_ENTRY)
     reported = DriEntry(sent=payload.sent, received=payload.received)
     checked = walk.checked_hops + 1
@@ -278,14 +279,14 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
         # matched: the accumulator moves one hop down the path
         rel = accumulate_rel(walk.rel, reliability_ratio(reported, cfg))
         node.send(PacketKind.REL, nhn, RelPayload(
-            walk.vet_id, walk.path, walk.pos + 1, rel, probe.strikes, checked, walk.status,
-        ))
+            walk.vet_id, walk.path, rel, probe.strikes, checked, walk.status,
+        ), probe.pos + 1)
     else:
         strikes = probe.strikes + 1
         status = VetStatus.UNTRUSTED if strikes > cfg.k_m else VetStatus.REL_ZEROED
         _send_home(node, RelPayload(
-            walk.vet_id, walk.path, walk.pos, 0.0, strikes, checked, walk.status,
-        ), status)
+            walk.vet_id, walk.path, 0.0, strikes, checked, walk.status,
+        ), probe.pos, status)
 
 
 def handle_feedback_timer(node: Node, payload: tuple) -> None:
@@ -299,26 +300,27 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
     del node.rel_pending[vet_id]
     walk = probe.walk
     _send_home(node, RelPayload(
-        walk.vet_id, walk.path, walk.pos, 0.0, probe.strikes, walk.checked_hops, walk.status,
-    ), VetStatus.UNTRUSTED)
+        walk.vet_id, walk.path, 0.0, probe.strikes, walk.checked_hops, walk.status,
+    ), probe.pos, VetStatus.UNTRUSTED)
 
 
-def _send_home(node: Node, walk: RelPayload, status: VetStatus) -> None:
-    """Turn the walk around at its holder with the verdict ``status``."""
-    if walk.pos == 0:
+def _send_home(node: Node, walk: RelPayload, pos: int, status: VetStatus) -> None:
+    """Turn the walk around at its holder ``path[pos]`` with the verdict
+    ``status``."""
+    if pos == 0:
         _finalize(node, walk.vet_id, status, walk.rel, walk.checked_hops)
         return
-    node.send(PacketKind.REL, walk.path[walk.pos - 1], RelPayload(
-        walk.vet_id, walk.path, walk.pos - 1, walk.rel, walk.strikes, walk.checked_hops, status,
-    ))
+    node.send(PacketKind.REL, walk.path[pos - 1], RelPayload(
+        walk.vet_id, walk.path, walk.rel, walk.strikes, walk.checked_hops, status,
+    ), pos - 1)
 
 
 def handle_rel(node: Node, pkt: Packet) -> None:
     walk: RelPayload = pkt.payload
     if walk.status is VetStatus.IN_PROGRESS:
         # outbound: this node is the new holder
-        _advance(node, walk)
-    elif walk.pos == 0:
+        _advance(node, walk, pkt.pos)
+    elif pkt.pos == 0:
         _finalize(node, walk.vet_id, walk.status, walk.rel, walk.checked_hops)
     else:
         node.relay(pkt, -1)

@@ -79,8 +79,6 @@ class FlowLedger:
     """Ground-truth per-packet ledger for one flow (must balance exactly)."""
 
     flow_id: int
-    source: int
-    destination: int
     generated: int = 0
     delivered: int = 0
     blackhole_drops: int = 0
@@ -101,8 +99,8 @@ class RunCollector:
         self.vet_messages = 0
         self.untrusted_paths = 0
 
-    def register_flow(self, flow_id: int, source: int, destination: int) -> FlowLedger:
-        ledger = FlowLedger(flow_id=flow_id, source=source, destination=destination)
+    def register_flow(self, flow_id: int) -> FlowLedger:
+        ledger = FlowLedger(flow_id)
         self.flows[flow_id] = ledger
         return ledger
 

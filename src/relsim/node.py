@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import adversary, aodv, baseline, defense
-from .packets import DATA_PLANE, DataPayload, Packet, PacketKind
+from .packets import DATA_PLANE, Packet, PacketKind
 
 if TYPE_CHECKING:
     from .engine import Simulator
@@ -54,17 +54,19 @@ class Node:
     def note_data_sent(self, dst: int) -> None:
         defense.record_data_packet(self.dri, dst, "sent")
 
-    def send(self, kind: PacketKind, to: int, payload) -> None:
-        """Originate a unicast to ``to``; a hop that does not exist, as on a
-        forged path, drops the packet."""
-        pkt = Packet(kind, self.id, self.next_seq(), payload)
+    def send(self, kind: PacketKind, to: int, payload, pos: int = 0) -> None:
+        """Originate a unicast to ``to``, which is ``payload.path[pos]`` for a
+        source-routed kind; a hop that does not exist, as on a forged path,
+        drops the packet."""
+        pkt = Packet(kind, self.id, self.next_seq(), payload, pos)
         self.sim.transmit_or_drop(self.id, to, pkt)
 
     def relay(self, pkt: Packet, step: int) -> None:
         """Move a source-routed control packet one hop, ``step`` = +1 toward
-        the end of ``payload.path`` or -1 back toward its start."""
-        pos = pkt.payload.pos + step
-        fwd = Packet(pkt.kind, pkt.origin, self.next_seq(), pkt.payload.at(pos))
+        the end of ``payload.path`` or -1 back toward its start; the payload
+        object travels on unchanged."""
+        pos = pkt.pos + step
+        fwd = Packet(pkt.kind, pkt.origin, self.next_seq(), pkt.payload, pos)
         self.sim.transmit_or_drop(self.id, pkt.payload.path[pos], fwd)
 
     # -- dispatch -------------------------------------------------------
@@ -79,7 +81,8 @@ class Node:
 
     def _on_data(self, pkt: Packet) -> None:
         # one unpack reads the fields faster than NamedTuple attribute reads
-        flow_id, created_us, path, pos = pkt.payload
+        flow_id, _, path = payload = pkt.payload
+        pos = pkt.pos
         sender = path[pos - 1]
         defense.record_data_packet(self.dri, sender, "received")
         if pos == len(path) - 1:
@@ -91,7 +94,7 @@ class Node:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
         pos += 1
-        fwd = Packet(_DATA, pkt.origin, pkt.seq_no, DataPayload(flow_id, created_us, path, pos))
+        fwd = Packet(_DATA, pkt.origin, pkt.seq_no, payload, pos)
         self.sim.transmit_or_drop(self.id, path[pos], fwd)
 
 
@@ -101,8 +104,7 @@ def _on_ack(node: Node, pkt: Packet) -> None:
 
 def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
     """Lie when asked as the voucher; relay the charade otherwise."""
-    payload = pkt.payload
-    if payload.pos == len(payload.path) - 1:
+    if pkt.pos == len(pkt.payload.path) - 1:
         adversary.blackhole_on_base_request(node, pkt)
     else:
         baseline.handle_base_req(node, pkt)

@@ -1,24 +1,26 @@
 """Packet kinds and payloads exchanged between nodes.
 
-Payloads are immutable; a forwarded packet is a fresh ``Packet`` carrying
-either the same payload object or a rebuilt one (e.g. an extended RREQ
-path).  Source-routed payloads carry the whole ``path`` and ``pos``, the
-index of the node the packet is addressed to.  Every sender hands such a
-packet to ``path[pos]``, so a receiver never checks that it is the
-addressee, and one relay step is the same ``pos`` shift for every kind:
-``at(pos)`` is the payload addressed to ``path[pos]``, built by calling
-the constructor, which takes well under half the time of
-``dataclasses.replace``.
-The header ``(kind, origin, seq_no, payload)`` names no hop, as the
-payload already does: a source-routed packet is sent by ``path[pos - 1]``
-(a DATA hop counts it as received from that node), a flooded route
-request by ``path[-1]``.  A payload holds nothing the header says, such
-as the originator (``pkt.origin``).  Control-plane kinds are relayed
-even by misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE``
-are the ones a black hole silently absorbs.
+The header ``(kind, origin, seq_no, payload, pos)`` names no hop, as the
+payload's ``path`` already does.  A source-routed packet carries the
+whole ``path`` in its payload and, in ``pos``, the index of the node it
+is addressed to.  Every sender hands such a packet to ``path[pos]``, so a
+receiver never checks that it is the addressee, and a source-routed
+packet is sent by ``path[pos - 1]`` (a DATA hop counts it as received
+from that node).  ``pos`` stays 0 and unread for the other kinds; a
+flooded route request is sent by ``path[-1]``.
+
+Payloads are immutable and hold only the state of one conversation, so
+a relay step is the same header operation for every kind: a fresh
+``Packet`` with ``pos`` moved by one, carrying the payload object
+unchanged.  The exceptions are RREQ, whose path grows at each relay,
+and REL, whose accumulator changes at each holder.  A payload holds
+nothing the header says, such as the originator (``pkt.origin``).
+Control-plane kinds are relayed even by misbehaving nodes; the
+data-plane kinds listed in ``DATA_PLANE`` are the ones a black hole
+silently absorbs.
 
 Payloads are frozen slotted dataclasses, except ``DataPayload``: one is
-built per warm-up probe and per DATA hop, so it is a ``NamedTuple``,
+built per warm-up probe and per flow packet, so it is a ``NamedTuple``,
 just as immutable and with the same fields and repr, but built in well
 under half the time (about 0.4 against 1.0 us on CPython 3.11).
 """
@@ -67,6 +69,7 @@ class Packet:
     origin: int
     seq_no: int
     payload: object = None
+    pos: int = 0  # index in ``payload.path`` of the addressee, if source-routed
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,18 +85,13 @@ class RrepPayload:
     request_id: int
     dest_seq: int
     path: tuple[int, ...]  # full origin..destination node sequence
-    pos: int  # index of the node currently relaying the reply
     hops: int  # advertised hop count, which a forged reply understates
-
-    def at(self, pos: int) -> RrepPayload:
-        return RrepPayload(self.request_id, self.dest_seq, self.path, pos, self.hops)
 
 
 class DataPayload(NamedTuple):
     flow_id: int
     created_us: int
     path: tuple[int, ...]
-    pos: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,10 +100,6 @@ class PingPayload:
 
     ping_id: int
     path: tuple[int, ...]
-    pos: int
-
-    def at(self, pos: int) -> PingPayload:
-        return PingPayload(self.ping_id, self.path, pos)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,15 +135,10 @@ class RelPayload:
 
     vet_id: int
     path: tuple[int, ...]
-    pos: int  # index of the node the packet is moving to
     rel: float = 0.0
     strikes: int = 0  # mismatches / exhausted hops so far
     checked_hops: int = 0
     status: VetStatus = VetStatus.IN_PROGRESS
-
-    def at(self, pos: int) -> RelPayload:
-        return RelPayload(self.vet_id, self.path, pos, self.rel, self.strikes,
-                          self.checked_hops, self.status)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,12 +151,7 @@ class BaseReqPayload:
     destination: int
     expected_next: int | None  # the onward hop; None when the voucher is the destination
     path: tuple[int, ...]  # source .. subject, voucher
-    pos: int
     attempt: int
-
-    def at(self, pos: int) -> BaseReqPayload:
-        return BaseReqPayload(self.vet_id, self.piece, self.destination, self.expected_next,
-                              self.path, pos, self.attempt)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,8 +160,4 @@ class BaseRepPayload:
     piece: int
     value: object  # piece 1/3: (from_flag, through_flag); piece 2: node id or None
     path: tuple[int, ...]  # the request's path, retraced
-    pos: int
     attempt: int
-
-    def at(self, pos: int) -> BaseRepPayload:
-        return BaseRepPayload(self.vet_id, self.piece, self.value, self.path, pos, self.attempt)

@@ -107,7 +107,7 @@ class ScenarioRun:
         self.sim = Simulator(self.topology, profiles, link, cfg.seed, vetting_config=vet_cfg)
         self.sim.set_app_handler(self._on_app_event)
         for flow in self.flows:
-            self.sim.collector.register_flow(flow.flow_id, flow.source, flow.destination)
+            self.sim.collector.register_flow(flow.flow_id)
 
     # -- warm-up --------------------------------------------------------
 
@@ -170,7 +170,7 @@ class ScenarioRun:
             # the pair is the probe's path, shared by every round
             sender, receiver = pair
             pkt = Packet(_DATA, sender, nodes[sender].next_seq(),
-                         DataPayload(-1, now_us, pair, 1))
+                         DataPayload(-1, now_us, pair), 1)
             sim.transmit(sender, receiver, pkt)
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
@@ -189,7 +189,7 @@ class ScenarioRun:
 
     def _send_data(self, flow: _FlowDriver, created_us: int) -> None:
         self.sim.nodes[flow.source].send(
-            _DATA, flow.route[1], DataPayload(flow.flow_id, created_us, flow.route, 1)
+            _DATA, flow.route[1], DataPayload(flow.flow_id, created_us, flow.route), 1
         )
 
     # -- route acquisition ------------------------------------------------

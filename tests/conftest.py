@@ -59,7 +59,7 @@ def warm_up(sim: Simulator, packets: int = 10) -> None:
             kind=PacketKind.DATA,
             origin=sender,
             seq_no=node.next_seq(),
-            payload=DataPayload(-1, sim.now_us, (sender, receiver), 1),
+            payload=DataPayload(-1, sim.now_us, (sender, receiver)), pos=1,
         )
         sim.transmit(sender, receiver, pkt)
 

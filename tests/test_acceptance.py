@@ -130,7 +130,7 @@ def test_criterion_3_adversary_free_sanity():
 
 def test_criterion_4_attack_potency_on_fixture():
     sim = line_sim(4, {2: blackhole(2)}, seed=5)
-    ledger = sim.collector.register_flow(0, 0, 3)
+    ledger = sim.collector.register_flow(0)
     candidates = []
     aodv.initiate_discovery(sim.nodes[0], 3, candidates.extend)
     sim.run()
@@ -141,7 +141,7 @@ def test_criterion_4_attack_potency_on_fixture():
         pkt = Packet(
             kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
-            payload=DataPayload(0, sim.now_us, chosen.path, 1),
+            payload=DataPayload(0, sim.now_us, chosen.path), pos=1,
         )
         sim.transmit_or_drop(0, chosen.path[1], pkt)
     sim.run()

@@ -65,14 +65,14 @@ def test_honest_node_never_forges():
 
 def test_data_absorption_is_total():
     sim = line_sim(4, {2: blackhole(2)})
-    ledger = sim.collector.register_flow(0, 0, 3)
+    ledger = sim.collector.register_flow(0)
     for _ in range(100):
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
             kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
-            payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
+            payload=DataPayload(0, sim.now_us, (0, 1, 2, 3)), pos=1,
         )
         sim.transmit(0, 1, pkt)
     sim.run()
@@ -140,14 +140,14 @@ def test_silent_mode_reaches_timeout_branch():
 
 def test_role_purity_honest_profiles_never_drop():
     sim = line_sim(4)
-    ledger = sim.collector.register_flow(0, 0, 3)
+    ledger = sim.collector.register_flow(0)
     for _ in range(40):
         ledger.generated += 1
         node = sim.nodes[0]
         pkt = Packet(
             kind=PacketKind.DATA, origin=0,
             seq_no=node.next_seq(),
-            payload=DataPayload(0, sim.now_us, (0, 1, 2, 3), 1),
+            payload=DataPayload(0, sim.now_us, (0, 1, 2, 3)), pos=1,
         )
         sim.transmit(0, 1, pkt)
     sim.run()

@@ -96,7 +96,7 @@ def test_rrep_for_unknown_discovery_is_dropped():
 
     stray = Packet(
         kind=PacketKind.RREP, origin=2, seq_no=1,
-        payload=RrepPayload(request_id=77, dest_seq=3, path=(0, 1, 2), pos=0, hops=2),
+        payload=RrepPayload(request_id=77, dest_seq=3, path=(0, 1, 2), hops=2),
     )
     aodv.handle_rrep(node, stray)
     assert node.discoveries == {}
@@ -135,6 +135,34 @@ def test_ping_on_a_slow_link_waits_for_the_pong():
     aodv.ping_destination(sim.nodes[0], 3, lambda alive, path: results.append(alive))
     sim.run()
     assert results == [True]
+
+
+def test_ping_round_trip_carries_one_payload_object(monkeypatch):
+    """Every hop of a PING and of its PONG carries the payload object the
+    pinging source built, addressed by the header's ``pos``."""
+    from relsim.engine import Simulator
+    from relsim.packets import PacketKind
+
+    hops = []
+    transmit_or_drop = Simulator.transmit_or_drop
+
+    def recorded(sim, src, dst, pkt):
+        hops.append((pkt.kind, src, dst, pkt.pos, pkt.payload))
+        transmit_or_drop(sim, src, dst, pkt)
+
+    monkeypatch.setattr(Simulator, "transmit_or_drop", recorded)
+    sim = line_sim(4)
+    sim.nodes[0].routes.upsert(aodv.RouteEntry((0, 1, 2, 3), 100))
+    results = []
+    aodv.ping_destination(sim.nodes[0], 3, lambda alive, path: results.append(alive))
+    sim.run()
+    assert results == [True]
+    ping, pong = PacketKind.PING, PacketKind.PONG
+    assert [hop[:4] for hop in hops] == [
+        (ping, 0, 1, 1), (ping, 1, 2, 2), (ping, 2, 3, 3),
+        (pong, 3, 2, 2), (pong, 2, 1, 1), (pong, 1, 0, 0),
+    ]
+    assert all(hop[4] is hops[0][4] for hop in hops)
 
 
 def test_ping_through_blackhole_stays_silent():

@@ -30,7 +30,7 @@ def _probe(sim, src, dst, flow=-1):
         kind=PacketKind.DATA,
         origin=src,
         seq_no=node.next_seq(),
-        payload=DataPayload(flow, sim.now_us, (src, dst), 1),
+        payload=DataPayload(flow, sim.now_us, (src, dst)), pos=1,
     )
 
 
@@ -158,7 +158,7 @@ def test_unicast_to_non_neighbor_raises():
 
 def test_transmit_or_drop_counts_undeliverable_flow_packets():
     sim = line_sim(3)
-    sim.collector.register_flow(0, 0, 2)
+    sim.collector.register_flow(0)
     sim.transmit_or_drop(0, 2, _probe(sim, 0, 2, flow=0))
     assert sim.collector.flows[0].undeliverable == 1
 

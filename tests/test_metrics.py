@@ -164,7 +164,7 @@ def test_direct_neighbor_route_scores_unity():
 def _collector_with_routes(routes):
     collector = RunCollector()
     for flow_id, (path, mrr, t_us) in enumerate(routes):
-        collector.register_flow(flow_id, path[0], path[-1])
+        collector.register_flow(flow_id)
         collector.on_route_selected(flow_id, path, mrr, t_us)
     return collector
 

@@ -12,6 +12,10 @@ from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim
 
+SOURCE_ROUTED = {
+    PacketKind.DATA, PacketKind.RREP, PacketKind.PING, PacketKind.PONG, PacketKind.REL,
+    PacketKind.BASE_REQ, PacketKind.BASE_REP,
+}
 TIMER_TAGS = {"rel_tf", "vet_deadline", "base_tf", "base_deadline", "discovery", "ping"}
 
 
@@ -49,17 +53,22 @@ def test_handler_replaced_before_the_simulator_is_built_is_called(
 def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     """Every sender of a source-routed packet hands it to ``path[pos]``, so
     a receiver never has to check that it is the addressee, and every DATA
-    copy is sent by ``path[pos - 1]``, so its receiver knows the sender."""
+    copy is sent by ``path[pos - 1]``, so its receiver knows the sender.
+    Every hop of one DATA packet carries the payload object its source
+    built."""
     seen = []
+    data_payloads = {}
 
     def checked(send):
         def wrapper(sim, src, dst, pkt):
-            payload = pkt.payload
-            if hasattr(payload, "pos"):
+            if pkt.kind in SOURCE_ROUTED:
                 seen.append(pkt.kind)
-                assert dst == payload.path[payload.pos], (pkt, src, dst)
+                path = pkt.payload.path
+                assert dst == path[pkt.pos], (pkt, src, dst)
                 if pkt.kind is PacketKind.DATA:
-                    assert src == payload.path[payload.pos - 1], (pkt, src, dst)
+                    assert src == path[pkt.pos - 1], (pkt, src, dst)
+                    first = data_payloads.setdefault((pkt.origin, pkt.seq_no), pkt.payload)
+                    assert pkt.payload is first, (pkt, first)
             return send(sim, src, dst, pkt)
         return wrapper
 
