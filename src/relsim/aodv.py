@@ -189,7 +189,6 @@ def handle_ping(node: Node, pkt: Packet) -> None:
     payload: PingPayload = pkt.payload
     pos = pkt.pos
     if pos == len(payload.path) - 1:
-        # the PONG carries the PING's payload back
         node.send(PacketKind.PONG, payload.path[pos - 1], payload, pos - 1)
         return
     node.relay(pkt, +1)
