@@ -39,26 +39,15 @@ SEQ_INFLATION = 100
 CLAIMED_HOP_COUNT = 1
 
 
-class Role:
-    HONEST = "honest"
-    BLACKHOLE = "blackhole"
-
-
 @dataclass(slots=True)
 class AdversaryProfile:
-    node: int
-    role: str = Role.HONEST
+    is_blackhole: bool = False
     collusion_group: int | None = None
     collusion_partner: int | None = None
-    silent: bool = False  # a black hole that ignores every table query
-
-    @property
-    def is_blackhole(self) -> bool:
-        return self.role == Role.BLACKHOLE
 
 
 def honest_profiles(node_count: int) -> list[AdversaryProfile]:
-    return [AdversaryProfile(node=i) for i in range(node_count)]
+    return [AdversaryProfile() for _ in range(node_count)]
 
 
 def collusion_story(seed: int, group: int) -> int:
@@ -118,8 +107,6 @@ def blackhole_on_data(node: Node, pkt: Packet) -> None:
 
 def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
-    if node.profile.silent:
-        return  # the asker's feedback timer will burn out
     sent, received = fabricated_counts(node, node.sim.profiles[pkt.origin])
     node.send(PacketKind.DRI_REP, pkt.origin,
               DriRepPayload(payload.vet_id, payload.attempt, sent, received))
@@ -128,8 +115,6 @@ def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
 def blackhole_on_base_request(node: Node, pkt: Packet) -> None:
     """Answer a flag-table interrogation with uniformly rosy lies."""
     payload: BaseReqPayload = pkt.payload
-    if node.profile.silent:
-        return
     value = payload.expected_next if payload.piece == 2 else (True, True)
     baseline.answer(node, payload, value)
 
@@ -153,15 +138,12 @@ def assign_adversaries(
         second = rng.choice([v for v in topology.neighbors[first] if v in free])
         for member, partner in ((first, second), (second, first)):
             profiles[member] = AdversaryProfile(
-                node=member,
-                role=Role.BLACKHOLE,
-                collusion_group=group,
-                collusion_partner=partner,
+                is_blackhole=True, collusion_group=group, collusion_partner=partner,
             )
         free -= {first, second}
     remaining = sorted(free)
     if blackholes > len(remaining):
         raise TopologyError("not enough eligible nodes for the requested black holes")
     for member in rng.sample(remaining, blackholes):
-        profiles[member] = AdversaryProfile(node=member, role=Role.BLACKHOLE)
+        profiles[member] = AdversaryProfile(is_blackhole=True)
     return profiles

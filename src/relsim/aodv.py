@@ -130,10 +130,9 @@ def handle_rreq(node: Node, pkt: Packet) -> None:
 
 def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int) -> None:
     """Unicast a reply back along the recorded path; ``path`` starts at the
-    requesting source and this node sits at ``path.index(node.id)``."""
+    requesting source and this node sits at ``path.index(node.id)``, past
+    the source, which is never handed a copy of its own request."""
     my_pos = path.index(node.id)
-    if my_pos == 0:
-        return
     node.send(PacketKind.RREP, path[my_pos - 1],
               RrepPayload(request_id, dest_seq, path, len(path) - 1), my_pos - 1)
 

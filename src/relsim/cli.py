@@ -231,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_schemes(raw: str) -> list[str]:
     schemes = [item.strip() for item in raw.split(",") if item.strip()]
-    for scheme in schemes:
+    for i, scheme in enumerate(schemes):
         if scheme not in SCHEMES:
             raise ConfigError(f"scheme: unknown scheme {scheme!r}")
+        if scheme in schemes[:i]:
+            raise ConfigError(f"scheme: duplicate scheme {scheme!r}")
     if not schemes:
         raise ConfigError("scheme: empty scheme list")
     return schemes

@@ -2,7 +2,9 @@
 
 Throughput ratio is byte-denominated, loss is packet-denominated, delay
 averages the per-flow mean delay of delivered packets, and route quality
-is the mean reliability score of the routes actually selected.  A flow
+is the mean reliability score of the routes actually selected.  Every
+packet has one size and both throughputs divide by the run's duration,
+so the throughput ratio equals 100 minus the loss, up to rounding.  A flow
 that delivered nothing is excluded from the delay average and reported
 as starved instead, so schemes that lose everything cannot masquerade as
 zero-delay.
@@ -88,7 +90,6 @@ class FlowLedger:
     delay_sum_us: int = 0
     route_path: tuple[int, ...] | None = None
     route_mrr: float = 0.0
-    route_time_us: int | None = None
 
 
 class RunCollector:
@@ -140,13 +141,10 @@ class RunCollector:
             ledger.delivered += 1
             ledger.delay_sum_us += now_us - pkt.payload.created_us
 
-    def on_route_selected(
-        self, flow_id: int, path: tuple[int, ...], mrr: float, now_us: int
-    ) -> None:
+    def on_route_selected(self, flow_id: int, path: tuple[int, ...], mrr: float) -> None:
         ledger = self.flows[flow_id]
         ledger.route_path = path
         ledger.route_mrr = mrr
-        ledger.route_time_us = now_us
 
     # -- aggregation ----------------------------------------------------
 
@@ -194,25 +192,3 @@ def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
         rel = accumulate_rel(rel, reliability_ratio(entry, cfg))
     return rel / len(inner)
 
-
-def reliability_series(
-    collector: RunCollector, duration_s: float, interval_s: float
-) -> list[tuple[float, float]]:
-    """Mean selected-route score (percent) sampled at interval boundaries."""
-    if interval_s <= 0:
-        raise UndefinedMetricError("sampling interval must be positive")
-    series = []
-    t = interval_s
-    while t <= duration_s + 1e-9:
-        t_us = int(t * 1e6)
-        active = [
-            led.route_mrr
-            for led in collector.flows.values()
-            if led.route_path is not None
-            and led.route_time_us is not None
-            and led.route_time_us <= t_us
-        ]
-        if active:
-            series.append((t, sum(active) / len(active) * 100.0))
-        t += interval_s
-    return series

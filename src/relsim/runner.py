@@ -259,7 +259,7 @@ class ScenarioRun:
             (e.dest_seq_no for e in node.routes.entries(flow.destination)), default=0
         )
         node.routes.upsert(aodv.RouteEntry(path, dest_seq))
-        self.sim.collector.on_route_selected(flow.flow_id, path, mrr, self.sim.now_us)
+        self.sim.collector.on_route_selected(flow.flow_id, path, mrr)
         for created in flow.buffer:
             self._send_data(flow, created)
         flow.buffer.clear()

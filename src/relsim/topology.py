@@ -17,16 +17,12 @@ from .errors import ConfigError, TopologyError
 @dataclass(frozen=True)
 class Topology:
     positions: tuple[tuple[float, float], ...]
-    radio_range: float
     neighbors: tuple[tuple[int, ...], ...]  # sorted neighbor ids per node
     connected: bool
 
     @property
     def node_count(self) -> int:
         return len(self.positions)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list with u < v, in deterministic order."""
@@ -89,7 +85,6 @@ def topology_from_positions(
     frozen = tuple(tuple(sorted(ns)) for ns in nbrs)
     return Topology(
         positions=tuple(positions),
-        radio_range=radio_range,
         neighbors=frozen,
         connected=_is_connected(frozen),
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from relsim.adversary import AdversaryProfile, Role, honest_profiles
+from relsim.adversary import AdversaryProfile, honest_profiles
 from relsim.defense import VettingConfig
 from relsim.engine import EventKind, LinkParams, Simulator
 from relsim.packets import DataPayload, Packet, PacketKind
@@ -13,8 +13,8 @@ from relsim.topology import topology_from_positions
 PROBE_SPACING_US = 5_000
 
 
-def blackhole(node: int, **kwargs) -> AdversaryProfile:
-    return AdversaryProfile(node=node, role=Role.BLACKHOLE, **kwargs)
+def blackhole(**kwargs) -> AdversaryProfile:
+    return AdversaryProfile(is_blackhole=True, **kwargs)
 
 
 def line_sim(

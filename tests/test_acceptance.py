@@ -129,7 +129,7 @@ def test_criterion_3_adversary_free_sanity():
 
 
 def test_criterion_4_attack_potency_on_fixture():
-    sim = line_sim(4, {2: blackhole(2)}, seed=5)
+    sim = line_sim(4, {2: blackhole()}, seed=5)
     ledger = sim.collector.register_flow(0)
     candidates = []
     aodv.initiate_discovery(sim.nodes[0], 3, candidates.extend)
@@ -172,7 +172,7 @@ def test_criterion_5_detection_soundness_property():
         source = rng.choice(endpoints)
         dest = rng.choice([u for u in endpoints if u != source])
         profiles = honest_profiles(n)
-        profiles[hole] = blackhole(hole)
+        profiles[hole] = blackhole()
         sim = Simulator(topo, profiles, LinkParams(), seed=attempts,
                         vetting_config=cfg)
         warm_up(sim, packets=4)
@@ -201,8 +201,8 @@ def test_criterion_5_detection_soundness_property():
 
 def test_criterion_6_collusion_differential():
     roles = {
-        2: blackhole(2, collusion_group=0, collusion_partner=3),
-        3: blackhole(3, collusion_group=0, collusion_partner=2),
+        2: blackhole(collusion_group=0, collusion_partner=3),
+        3: blackhole(collusion_group=0, collusion_partner=2),
     }
     fixture_path = (0, 1, 2, 3, 4)
 

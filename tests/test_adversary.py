@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from relsim import aodv
+from relsim import adversary, aodv
 from relsim.adversary import assign_adversaries, collusion_story, honest_profiles
 from relsim.defense import VetStatus, VettingConfig, cross_check, DriEntry, vet_path
 from relsim.errors import TopologyError
@@ -27,7 +27,7 @@ def test_forged_reply_wins_ranking_over_longer_honest_route():
     from relsim.engine import LinkParams, Simulator
 
     profiles = honest_profiles(5)
-    profiles[3] = blackhole(3)
+    profiles[3] = blackhole()
     sim = Simulator(topo, profiles, LinkParams(), seed=6)
     candidates = _discover(sim, 0, 4)
     paths = {c.path for c in candidates}
@@ -48,8 +48,8 @@ def test_two_blackholes_both_enter_candidate_set():
     from relsim.engine import LinkParams, Simulator
 
     profiles = honest_profiles(5)
-    profiles[3] = blackhole(3)
-    profiles[4] = blackhole(4)
+    profiles[3] = blackhole()
+    profiles[4] = blackhole()
     sim = Simulator(topo, profiles, LinkParams(), seed=6)
     candidates = _discover(sim, 0, 2)
     forged = [c for c in candidates if 3 in c.path or 4 in c.path]
@@ -64,7 +64,7 @@ def test_honest_node_never_forges():
 
 
 def test_data_absorption_is_total():
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     ledger = sim.collector.register_flow(0)
     for _ in range(100):
         ledger.generated += 1
@@ -81,7 +81,7 @@ def test_data_absorption_is_total():
 
 
 def test_blackhole_still_answers_control_queries():
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3))
     # a reply arrived (otherwise timeouts would mark it untrusted);
@@ -90,7 +90,7 @@ def test_blackhole_still_answers_control_queries():
 
 
 def test_fabricated_counts_fail_cross_check_against_truth():
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     truth = sim.nodes[1].dri[2]
     assert (truth.sent, truth.received) == (10, 0)
@@ -105,8 +105,8 @@ def test_colluding_pair_vouches_consistently_but_is_caught_upstream():
     sim = line_sim(
         5,
         {
-            2: blackhole(2, collusion_group=0, collusion_partner=3),
-            3: blackhole(3, collusion_group=0, collusion_partner=2),
+            2: blackhole(collusion_group=0, collusion_partner=3),
+            3: blackhole(collusion_group=0, collusion_partner=2),
         },
     )
     warm_up(sim)
@@ -123,15 +123,16 @@ def test_colluders_forge_a_tail_through_their_partner():
     from relsim.engine import LinkParams, Simulator
 
     profiles = honest_profiles(5)
-    profiles[2] = blackhole(2, collusion_group=0, collusion_partner=3)
-    profiles[3] = blackhole(3, collusion_group=0, collusion_partner=2)
+    profiles[2] = blackhole(collusion_group=0, collusion_partner=3)
+    profiles[3] = blackhole(collusion_group=0, collusion_partner=2)
     sim = Simulator(topo, profiles, LinkParams(), seed=9)
     candidates = _discover(sim, 0, 4)
     assert any(c.path == (0, 1, 2, 3, 4) for c in candidates)
 
 
-def test_silent_mode_reaches_timeout_branch():
-    sim = line_sim(4, {2: blackhole(2, silent=True)},
+def test_silent_mode_reaches_timeout_branch(monkeypatch):
+    monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
+    sim = line_sim(4, {2: blackhole()},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3))
@@ -160,13 +161,13 @@ def test_assignment_respects_protected_nodes():
     topo = build_connected_topology(20, 500.0, 220.0, rng)
     protected = {0, 1, 2, 3}
     profiles = assign_adversaries(rng, topo, protected, 4, 2)
-    holes = [p.node for p in profiles if p.is_blackhole]
+    holes = [i for i, p in enumerate(profiles) if p.is_blackhole]
     assert len(holes) == 8
     assert not set(holes) & protected
-    pairs = [p for p in profiles if p.collusion_group is not None]
+    pairs = [(i, p) for i, p in enumerate(profiles) if p.collusion_group is not None]
     assert len(pairs) == 4
-    for p in pairs:
-        assert topo.adjacent(p.node, p.collusion_partner)
+    for i, p in pairs:
+        assert p.collusion_partner in topo.neighbors[i]
         partner = profiles[p.collusion_partner]
         assert partner.collusion_group == p.collusion_group
 

@@ -1,6 +1,6 @@
 import pytest
 
-from relsim import aodv
+from relsim import adversary, aodv
 from relsim.baseline import baseline_update, baseline_vet, flags
 from relsim.defense import VetStatus, VettingConfig, record_data_packet, vet_path
 from relsim.packets import PacketKind
@@ -44,7 +44,7 @@ def test_warmup_sets_both_flags_between_honest_neighbors():
 
 def test_warmup_leaves_blackhole_flags_dark():
     """No data from the hole and no acknowledgements for data sent to it."""
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     assert flags(sim.nodes[1], 2) == (False, False)
 
@@ -76,7 +76,7 @@ def test_honest_single_intermediate_is_trusted():
 
 def test_solo_blackhole_reported_dark_by_honest_successor():
     """The hole's next-hop neighbor reports (False, False) about it."""
-    sim = line_sim(5, {2: blackhole(2)})
+    sim = line_sim(5, {2: blackhole()})
     warm_up(sim)
     assert flags(sim.nodes[3], 2) == (False, False)
     result = baseline_vet(sim, 0, (0, 1, 2, 3, 4))
@@ -84,14 +84,14 @@ def test_solo_blackhole_reported_dark_by_honest_successor():
 
 
 def test_solo_blackhole_first_position_refused_by_source_table():
-    sim = line_sim(4, {1: blackhole(1)})
+    sim = line_sim(4, {1: blackhole()})
     warm_up(sim)
     result = baseline_vet(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 
 def test_solo_blackhole_last_intermediate_caught_by_destination():
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     result = baseline_vet(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
@@ -102,8 +102,8 @@ def test_colluding_pair_defeats_the_interrogation():
     sim = line_sim(
         5,
         {
-            2: blackhole(2, collusion_group=0, collusion_partner=3),
-            3: blackhole(3, collusion_group=0, collusion_partner=2),
+            2: blackhole(collusion_group=0, collusion_partner=3),
+            3: blackhole(collusion_group=0, collusion_partner=2),
         },
     )
     warm_up(sim)
@@ -117,8 +117,8 @@ def test_collusion_differential_on_identical_state():
         sim = line_sim(
             5,
             {
-                2: blackhole(2, collusion_group=0, collusion_partner=3),
-                3: blackhole(3, collusion_group=0, collusion_partner=2),
+                2: blackhole(collusion_group=0, collusion_partner=3),
+                3: blackhole(collusion_group=0, collusion_partner=2),
             },
             seed=31,
         )
@@ -136,8 +136,8 @@ def test_deep_collusion_is_still_caught():
     sim = line_sim(
         6,
         {
-            3: blackhole(3, collusion_group=0, collusion_partner=4),
-            4: blackhole(4, collusion_group=0, collusion_partner=3),
+            3: blackhole(collusion_group=0, collusion_partner=4),
+            4: blackhole(collusion_group=0, collusion_partner=3),
         },
     )
     warm_up(sim)
@@ -145,8 +145,9 @@ def test_deep_collusion_is_still_caught():
     assert result.status is VetStatus.UNTRUSTED
 
 
-def test_silent_voucher_burns_timers_to_untrusted():
-    sim = line_sim(4, {2: blackhole(2, silent=True)},
+def test_silent_voucher_burns_timers_to_untrusted(monkeypatch):
+    monkeypatch.setattr(adversary, "blackhole_on_base_request", lambda node, pkt: None)
+    sim = line_sim(4, {2: blackhole()},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = baseline_vet(sim, 0, (0, 1, 2, 3))

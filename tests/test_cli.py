@@ -161,6 +161,21 @@ def test_cli_rejects_unknown_scheme_in_list(tmp_path, capsys):
     assert main(["compare", "--schemes", "proposed,wizardry", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "command", [["compare"], ["sweep", "--max-blackholes", "1"]], ids=["compare", "sweep"]
+)
+def test_cli_rejects_duplicate_scheme_in_list(tmp_path, capsys, command):
+    """A repeated scheme would run every config twice and count each run
+    twice in its summary group."""
+    out = tmp_path / "x.csv"
+    args = [*command, "--nodes", "12", "--area_side", "300", "--flows", "2",
+            "--duration", "2", "--seeds", "2", "--schemes", "proposed,baseline,proposed",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert "config error: scheme: duplicate scheme 'proposed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_failure_exit_code(tmp_path, capsys):
     args = ["run", "--nodes", "12", "--flows", "20", "--blackholes", "8",
             "--duration", "5", "--seed", "1"]

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsim import adversary
 from relsim.defense import (
     DriEntry,
     VetStatus,
@@ -131,7 +132,7 @@ def test_honest_line_walk_accumulates_two(honest_line):
 
 def test_solo_blackhole_zeroes_the_walk():
     """Hand trace: the honest node before the hole catches the fabrication."""
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     assert (sim.nodes[1].dri[2].sent, sim.nodes[1].dri[2].received) == (10, 0)
     result = vet_path(sim, 0, (0, 1, 2, 3))
@@ -139,9 +140,10 @@ def test_solo_blackhole_zeroes_the_walk():
     assert result.rel == 0.0
 
 
-def test_silent_neighbor_burns_counters_to_untrusted():
+def test_silent_neighbor_burns_counters_to_untrusted(monkeypatch):
     """Three feedback expiries per attempt; the second strike passes k_m=1."""
-    sim = line_sim(4, {2: blackhole(2, silent=True)}, vet_cfg=VettingConfig(k_r=3, k_m=1))
+    monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
+    sim = line_sim(4, {2: blackhole()}, vet_cfg=VettingConfig(k_r=3, k_m=1))
     warm_up(sim)
     sim.event_log = []
     result = vet_path(sim, 0, (0, 1, 2, 3))
@@ -248,9 +250,10 @@ def test_argmax_invariant_under_positive_scaling(scale):
     assert select_route(base) == select_route(scaled)
 
 
-def test_strike_counter_monotone_and_absorbing():
+def test_strike_counter_monotone_and_absorbing(monkeypatch):
     """c_m never decreases and untrusted is terminal for the walk."""
-    sim = line_sim(5, {2: blackhole(2, silent=True), 3: blackhole(3)},
+    monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
+    sim = line_sim(5, {2: blackhole(), 3: blackhole()},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3, 4))

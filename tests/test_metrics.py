@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from relsim.errors import UndefinedMetricError
 from relsim.metrics import (
     FlowStats,
-    RunCollector,
     ground_truth_route_mrr,
     mean_end_to_end_delay,
     packet_loss,
-    reliability_series,
     starved_flow_count,
     throughput_ratio,
 )
@@ -148,7 +146,7 @@ def test_honest_route_scores_unity_after_warmup():
 
 
 def test_route_through_blackhole_scores_zero():
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     assert ground_truth_route_mrr(sim, (0, 1, 2, 3)) == 0.0
 
@@ -156,47 +154,3 @@ def test_route_through_blackhole_scores_zero():
 def test_direct_neighbor_route_scores_unity():
     sim = line_sim(3)
     assert ground_truth_route_mrr(sim, (0, 1)) == 1.0
-
-
-# -- reliability series ------------------------------------------------------------
-
-
-def _collector_with_routes(routes):
-    collector = RunCollector()
-    for flow_id, (path, mrr, t_us) in enumerate(routes):
-        collector.register_flow(flow_id)
-        collector.on_route_selected(flow_id, path, mrr, t_us)
-    return collector
-
-
-def test_all_honest_steady_state_is_flat_hundred():
-    collector = _collector_with_routes(
-        [((0, 1, 2), 1.0, 0), ((3, 4, 5), 1.0, 0)]
-    )
-    series = reliability_series(collector, duration_s=5.0, interval_s=1.0)
-    assert [v for _, v in series] == [100.0] * 5
-
-
-def test_captured_route_contributes_zero():
-    collector = _collector_with_routes(
-        [((0, 1, 2), 1.0, 0), ((3, 4, 5), 0.0, 0)]
-    )
-    series = reliability_series(collector, duration_s=2.0, interval_s=1.0)
-    assert [v for _, v in series] == [50.0, 50.0]
-
-
-def test_samples_before_any_route_are_omitted():
-    collector = _collector_with_routes([((0, 1, 2), 1.0, 2_500_000)])
-    series = reliability_series(collector, duration_s=4.0, interval_s=1.0)
-    assert [t for t, _ in series] == [3.0, 4.0]
-
-
-def test_non_positive_interval_rejected():
-    with pytest.raises(UndefinedMetricError):
-        reliability_series(RunCollector(), 5.0, 0.0)
-
-
-def test_series_values_bounded_by_ratio_cap():
-    collector = _collector_with_routes([((0, 1, 2), 1.0, 0)])
-    series = reliability_series(collector, 3.0, 1.0)
-    assert all(0.0 <= v <= 100.0 for _, v in series)

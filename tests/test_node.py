@@ -35,7 +35,7 @@ def test_blackhole_table_overrides_only_what_a_hole_mishandles():
 
 @pytest.mark.parametrize("module, name, roles", [
     (aodv, "handle_rreq", {}),
-    (adversary, "blackhole_on_rreq", {1: blackhole(1)}),
+    (adversary, "blackhole_on_rreq", {1: blackhole()}),
 ])
 def test_handler_replaced_before_the_simulator_is_built_is_called(
     monkeypatch, module, name, roles

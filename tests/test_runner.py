@@ -139,7 +139,7 @@ def test_proposed_on_captured_fixture_reports_no_trusted_route():
 
     from conftest import blackhole, line_sim, warm_up
 
-    sim = line_sim(4, {2: blackhole(2)})
+    sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     candidates = []
     aodv.initiate_discovery(sim.nodes[0], 3, candidates.extend)
@@ -185,26 +185,19 @@ def test_impossible_placement_yields_failed_record():
 
 
 def test_reliability_series_plateaus_once_routes_are_vetted():
-    from relsim.metrics import reliability_series
-
-    cfg = _cfg(scheme="proposed", colluding_pairs=2, seed=9)
-    run = ScenarioRun(cfg)
+    """The routes vetting selects past two colluding pairs score high in
+    ground truth."""
+    run = ScenarioRun(_cfg(scheme="proposed", colluding_pairs=2, seed=9))
     run.execute()
-    series = reliability_series(run.sim.collector, cfg.duration, 1.0)
-    assert series, "routes should exist"
-    tail = [v for _, v in series[-5:]]
-    assert all(v >= 90.0 for v in tail)
+    assert run.sim.collector.mean_selected_mrr() >= 0.9
 
 
 def test_undefended_series_reflects_captured_routes():
-    from relsim.metrics import reliability_series
-
-    cfg = _cfg(scheme="undefended", blackholes=6, nodes=30, seed=5)
-    run = ScenarioRun(cfg)
+    """Undefended selection takes routes into the holes, which score low in
+    ground truth."""
+    run = ScenarioRun(_cfg(scheme="undefended", blackholes=6, nodes=30, seed=5))
     run.execute()
-    series = reliability_series(run.sim.collector, cfg.duration, 1.0)
-    assert series
-    assert series[-1][1] < 50.0
+    assert run.sim.collector.mean_selected_mrr() < 0.5
 
 
 def _warmup_run(**kwargs) -> ScenarioRun:
@@ -276,11 +269,11 @@ def test_run_creates_no_cyclic_garbage(scheme, loss, adversaries):
     assert any(f.route is not None for f in run.flows)
 
 
-COLLUDERS = {2: blackhole(2, collusion_group=0, collusion_partner=3),
-             3: blackhole(3, collusion_group=0, collusion_partner=2)}
+COLLUDERS = {2: blackhole(collusion_group=0, collusion_partner=3),
+             3: blackhole(collusion_group=0, collusion_partner=2)}
 
 
-@pytest.mark.parametrize("roles", [{}, {2: blackhole(2)}, COLLUDERS],
+@pytest.mark.parametrize("roles", [{}, {2: blackhole()}, COLLUDERS],
                          ids=["honest", "solo", "colluding"])
 @pytest.mark.parametrize("vet", [defense.vet_path, baseline_vet])
 def test_synchronous_vetting_creates_no_cyclic_garbage(vet, roles):

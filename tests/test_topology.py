@@ -16,13 +16,13 @@ from relsim.topology import (
 
 def test_boundary_distance_is_adjacent():
     topo = topology_from_positions([(0.0, 0.0), (0.0, 100.0)], 100.0)
-    assert topo.adjacent(0, 1)
-    assert topo.adjacent(1, 0)
+    assert 1 in topo.neighbors[0]
+    assert 0 in topo.neighbors[1]
 
 
 def test_distance_beyond_range_is_not_adjacent():
     topo = topology_from_positions([(0.0, 0.0), (0.0, 101.0)], 100.0)
-    assert not topo.adjacent(0, 1)
+    assert 1 not in topo.neighbors[0]
     assert not topo.connected
 
 
@@ -46,7 +46,7 @@ def test_seeded_layout_matches_distance_oracle():
             du = topo.positions[u]
             dv = topo.positions[v]
             expected = math.sqrt((du[0] - dv[0]) ** 2 + (du[1] - dv[1]) ** 2) <= 200.0
-            assert topo.adjacent(u, v) == expected
+            assert (v in topo.neighbors[u]) == expected
 
 
 def test_positions_fall_inside_area():
@@ -145,7 +145,7 @@ def test_points_one_range_apart_by_rounding_stay_adjacent():
     the two points sit in unit cells 0 and 2."""
     positions = [(0.9999999999999999, 0.0), (2.0, 0.0)]
     assert math.dist(*positions) == 1.0
-    assert topology_from_positions(positions, 1.0).adjacent(0, 1)
+    assert 1 in topology_from_positions(positions, 1.0).neighbors[0]
 
 
 @pytest.mark.parametrize("nodes, side", [(2000, 6324.6), (400, 2828.0), (50, 1000.0), (30, 800.0)])
