@@ -12,7 +12,10 @@ link jitter and loss are always drawn from the *sender's* stream.
 The per-hop path is flat: ``broadcast`` floods a route request, all a
 run ever floods, with one bucket for all its copies, and ``_send`` is the
 one unicast path, with its jitter draw and enqueue inline and the only
-transmission accounting (sent DATA, vetting messages).
+transmission accounting: it bumps the sender's DRI ``sent`` count for a
+DATA copy itself, before the loss draw, and counts vetting messages.  A
+DATA hop is one ``Node._on_data`` call, which counts the copy received,
+and one ``_send`` call, for the next hop or for a probe's ACK.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
@@ -81,9 +84,10 @@ _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 _DATA, _ACK = PacketKind.DATA, PacketKind.ACK
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class LinkParams:
-    """Per-hop delivery model: fixed base delay, uniform jitter, iid loss."""
+    """Per-hop delivery model: fixed base delay, uniform jitter, iid loss.
+    Frozen, as ``Simulator`` derives its jitter draw from it once."""
 
     delay_us: int = 2_000
     jitter_us: int = 1_000
@@ -101,12 +105,16 @@ class Simulator:
         seed: int,
         vetting_config=None,
     ):
-        from .defense import VettingConfig
+        from .defense import DriEntry, VettingConfig
         from .metrics import RunCollector
         from .node import Node, event_handlers
 
         self.topology = topology
         self.link = link
+        # ``randint(0, jitter_us)`` as a rejection loop over ``bits`` random bits
+        self._jitter_bound = link.jitter_us + 1
+        self._jitter_bits = self._jitter_bound.bit_length()
+        self._dri_entry = DriEntry  # ``defense`` imports this module
         self.seed = seed
         self.now_us = 0
         self.collector = RunCollector()
@@ -213,6 +221,8 @@ class Simulator:
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
+        A DATA copy bumps the sender's ``dri[dst].sent`` before the loss
+        draw, so the count reflects what was transmitted, lost or not.
 
         An ACK that survives both draws is still not queued if its receiver,
         the prober, already holds the ``acked`` flag for the sender: the
@@ -226,8 +236,11 @@ class Simulator:
         """
         kind = packet.kind
         if kind is _DATA:
-            # the sender's count reflects what it transmitted, lost or not
-            self.nodes[src].note_data_sent(dst)
+            dri = self.nodes[src].dri
+            entry = dri.get(dst)
+            if entry is None:
+                entry = dri[dst] = self._dri_entry()
+            entry.sent += 1
         elif kind in VETTING_KINDS:
             self.collector.on_vet_message(packet)
         link = self.link
@@ -237,10 +250,9 @@ class Simulator:
             self.collector.on_link_drop(packet)
             return
         time_us = self.now_us + link.delay_us
-        jitter = link.jitter_us
-        if jitter > 0:
-            bound = jitter + 1
-            bits = bound.bit_length()
+        bound = self._jitter_bound
+        if bound > 1:
+            bits = self._jitter_bits
             getrandbits = rng.getrandbits
             draw = getrandbits(bits)
             while draw >= bound:

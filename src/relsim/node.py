@@ -51,9 +51,6 @@ class Node:
         self._packet_seq += 1
         return self._packet_seq
 
-    def note_data_sent(self, dst: int) -> None:
-        defense.record_data_packet(self.dri, dst, "sent")
-
     def send(self, kind: PacketKind, to: int, payload, pos: int = 0) -> None:
         """Originate a unicast to ``to``, which is ``payload.path[pos]`` for a
         source-routed kind; a hop that does not exist, as on a forged path,
@@ -84,12 +81,16 @@ class Node:
         flow_id, _, path = payload = pkt.payload
         pos = pkt.pos
         sender = path[pos - 1]
-        defense.record_data_packet(self.dri, sender, "received")
+        entry = self.dri.get(sender)
+        if entry is None:
+            entry = self.dri[sender] = defense.DriEntry()
+        entry.received += 1
         if pos == len(path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
-            # prober gains transfer evidence for its through flag
+            # prober gains transfer evidence for its through flag.  The
+            # sender just transmitted to us, so the ACK's link exists.
             if flow_id < 0:
-                self.send(_ACK, sender, None)
+                self.sim._send(self.id, sender, Packet(_ACK, self.id, self.next_seq()))
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return

@@ -124,18 +124,22 @@ class ScenarioRun:
         ACK whose prober already holds the flag it would set, and
         ``Simulator.broadcast`` queues no second copy of a route request for
         a node.  An energy count charges those unqueued copies too.
+
+        Each directed edge's probe payload is built once, stamped with the
+        first round's time, and shared by every round: nothing reads a
+        probe's ``created_us``, as its flow id, -1, has no flow ledger.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
         profiles = self.sim.profiles
-        self._probe_pairs = [
-            (sender, receiver)
+        start = WARMUP_START_MS * MICROS_PER_MS
+        self._probes = [
+            (sender, receiver, DataPayload(-1, start, (sender, receiver)))
             for u, v in self.topology.edges()
             for sender, receiver in ((u, v), (v, u))
             if not profiles[sender].is_blackhole  # black holes originate no traffic
         ]
-        start = WARMUP_START_MS * MICROS_PER_MS
         spacing = PROBE_SPACING_MS * MICROS_PER_MS
         for j in range(cfg.warmup_packets):
             # a round belongs to no single node
@@ -165,12 +169,8 @@ class ScenarioRun:
     def _probe_round(self) -> None:
         sim = self.sim
         nodes = sim.nodes
-        now_us = sim.now_us
-        for pair in self._probe_pairs:
-            # the pair is the probe's path, shared by every round
-            sender, receiver = pair
-            pkt = Packet(_DATA, sender, nodes[sender].next_seq(),
-                         DataPayload(-1, now_us, pair), 1)
+        for sender, receiver, payload in self._probes:
+            pkt = Packet(_DATA, sender, nodes[sender].next_seq(), payload, 1)
             sim.transmit(sender, receiver, pkt)
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:

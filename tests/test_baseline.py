@@ -150,8 +150,14 @@ def test_silent_voucher_burns_timers_to_untrusted(monkeypatch):
     sim = line_sim(4, {2: blackhole()},
                    vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
     warm_up(sim)
+    sim.event_log = []
     result = baseline_vet(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
+    # the hole was asked, and no answer of its own ever travelled
+    deliveries = [e[2:5] for e in sim.event_log if e[1] == "deliver"]
+    assert (2, int(PacketKind.BASE_REQ), 0) in deliveries
+    assert not any(kind == PacketKind.BASE_REP and origin == 2
+                   for _, kind, origin in deliveries)
 
 
 def test_message_overhead_exceeds_count_scheme_per_hop(honest_line):

@@ -53,18 +53,27 @@ def test_simulated_symmetric_link_counts_match_event_log():
 
 
 def test_counts_never_decrease_during_run():
+    """Node 1's sent counts, read at every jitter draw of its stream (each
+    unicast it makes, after the copy was counted), step up by one per
+    probe it sends and never fall."""
     sim = line_sim(3)
+    dri = sim.nodes[1].dri
     snapshots = []
+    real = sim.rngs[1].getrandbits
 
-    real = sim.nodes[1].note_data_sent
+    def spy(bits):
+        state = (dri[0].sent if 0 in dri else 0, dri[2].sent if 2 in dri else 0)
+        if not snapshots or snapshots[-1] != state:
+            snapshots.append(state)
+        return real(bits)
 
-    def spy(dst):
-        real(dst)
-        snapshots.append(sim.nodes[1].dri[dst].sent)
-
-    sim.nodes[1].note_data_sent = spy
+    sim.rngs[1].getrandbits = spy
     warm_up(sim, packets=6)
-    assert snapshots == sorted(snapshots)
+    # one new state per probe node 1 sent, each way
+    assert len(snapshots) == 12
+    assert snapshots[-1] == (6, 6)
+    for before, after in zip([(0, 0)] + snapshots, snapshots):
+        assert sorted(b - a for a, b in zip(before, after)) == [0, 1]
 
 
 # -- reliability ratio -------------------------------------------------------

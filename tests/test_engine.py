@@ -368,6 +368,15 @@ def test_data_unicast_counts_every_copy_as_sent_lost_or_not():
     assert lost > 0
 
 
+def test_lost_data_copy_is_still_counted_sent():
+    """The sent count is bumped before the loss draw, so a sender's mirror
+    count includes copies the link lost."""
+    sim = line_sim(2, link=LinkParams(loss=1.0))
+    sim.transmit(0, 1, _probe(sim, 0, 1))
+    assert sim.nodes[0].dri[1].sent == 1
+    assert queued(sim) == []
+
+
 def test_vetting_unicast_counts_one_vet_message_per_copy_lost_or_not():
     lost = 0
     for seed in range(16):

@@ -9,8 +9,11 @@ from relsim import aodv, baseline, defense, runner
 from relsim.baseline import baseline_vet
 from relsim.defense import VetStatus
 from relsim.errors import SimulationError
-from relsim.engine import MICROS_PER_S, Simulator
-from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
+from relsim.engine import MICROS_PER_MS, MICROS_PER_S, Simulator
+from relsim.metrics import FlowLedger
+from relsim.node import Node
+from relsim.packets import DataPayload
+from relsim.runner import FIRST_FLOW_START_S, WARMUP_START_MS, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim, queued, warm_up
@@ -226,6 +229,32 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
         assert ours.dri == theirs.dri
         assert ours._packet_seq == theirs._packet_seq
     assert [r.getstate() for r in run.sim.rngs] == [r.getstate() for r in oracle.rngs]
+
+
+def test_warmup_rounds_share_one_payload_per_directed_edge(monkeypatch):
+    """Every probe on a directed edge carries the one payload built for it,
+    and probes touch no flow ledger, lost, absorbed or delivered."""
+    received = {}
+    real = Node._on_data
+
+    def spy(node, pkt):
+        if pkt.payload.flow_id < 0:
+            received.setdefault(pkt.payload.path, []).append(pkt.payload)
+        real(node, pkt)
+
+    monkeypatch.setattr(Node, "_on_data", spy)
+    run = _warmup_run(link_loss=0.05, warmup_packets=3)
+    run.sim.run()
+    honest = [(s, r) for s, r, _ in run._probes if not run.sim.profiles[r].is_blackhole]
+    assert sorted(received) == sorted(honest)
+    assert max(map(len, received.values())) == 3
+    start = WARMUP_START_MS * MICROS_PER_MS
+    for path, payloads in received.items():
+        assert payloads[0] == DataPayload(-1, start, path)
+        assert all(p is payloads[0] for p in payloads)
+    assert sorted(run.sim.collector.flows) == [f.flow_id for f in run.flows]
+    for flow_id, ledger in run.sim.collector.flows.items():
+        assert ledger == FlowLedger(flow_id)
 
 
 # -- a run leaves no cyclic garbage: its loop runs with the GC off ---------
