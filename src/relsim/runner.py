@@ -127,15 +127,18 @@ class ScenarioRun:
 
         Each directed edge's probe payload is built once, stamped with the
         first round's time, and shared by every round: nothing reads a
-        probe's ``created_us``, as its flow id, -1, has no flow ledger.
+        probe's ``created_us``, as its flow id, -1, has no flow ledger.  The
+        last round drops the list, so the payloads live no longer than the
+        probes that carry them.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
         profiles = self.sim.profiles
         start = WARMUP_START_MS * MICROS_PER_MS
+        # a payload is all a round needs of a probe: its path names the edge
         self._probes = [
-            (sender, receiver, DataPayload(-1, start, (sender, receiver)))
+            DataPayload(-1, start, (sender, receiver))
             for u, v in self.topology.edges()
             for sender, receiver in ((u, v), (v, u))
             if not profiles[sender].is_blackhole  # black holes originate no traffic
@@ -158,7 +161,7 @@ class ScenarioRun:
     def _on_app_event(self, payload: tuple) -> None:
         tag = payload[0]
         if tag == "warmup":
-            self._probe_round()
+            self._probe_round(payload[1])
         elif tag == "flow_start":
             flow = self.flows[payload[1]]
             self._generate_packet(flow, 0)
@@ -166,12 +169,15 @@ class ScenarioRun:
         elif tag == "flow_send":
             self._generate_packet(self.flows[payload[1]], payload[2])
 
-    def _probe_round(self) -> None:
+    def _probe_round(self, j: int) -> None:
         sim = self.sim
         nodes = sim.nodes
-        for sender, receiver, payload in self._probes:
+        for payload in self._probes:
+            sender, receiver = payload.path
             pkt = Packet(_DATA, sender, nodes[sender].next_seq(), payload, 1)
             sim.transmit(sender, receiver, pkt)
+        if j == self.cfg.warmup_packets - 1:
+            del self._probes
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
         self.sim.collector.on_generated(flow.flow_id)
