@@ -3,8 +3,10 @@
 Route requests flood with duplicate suppression and accumulate the node
 sequence they traverse, so every reply hands the source a complete
 candidate path.  Replies travel the recorded path backwards, installing
-forward routes at the relays.  Candidate ranking before any vetting is
-highest destination sequence number, then fewest hops, then lowest
+forward routes at the relays.  The reply itself is the candidate: a
+discovery keeps the first ``RrepPayload`` along each distinct path and,
+when its window closes, hands them to its caller ranked by highest
+destination sequence number, then fewest advertised hops, then lowest
 next-hop id; this is exactly the ordering a forged reply is built to win.
 """
 
@@ -61,30 +63,21 @@ def rank_key(entry: RouteEntry):
     return (-entry.dest_seq_no, len(entry.path), entry.path[1])
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """One route reply as seen by the discovering source."""
-
-    path: tuple[int, ...]
-    dest_seq: int
-    adv_hops: int
-
-
-def candidate_rank_key(c: Candidate):
-    return (-c.dest_seq, c.adv_hops, c.path[1], c.path)
+def candidate_rank_key(reply: RrepPayload):
+    return (-reply.dest_seq, reply.hops, reply.path[1], reply.path)
 
 
 @dataclass(slots=True)
 class DiscoveryState:
-    on_done: Callable[[list[Candidate]], None]
+    on_done: Callable[[list[RrepPayload]], None]
     # the first reply along each distinct path, in arrival order
-    candidates: dict[tuple[int, ...], Candidate] = field(default_factory=dict)
+    replies: dict[tuple[int, ...], RrepPayload] = field(default_factory=dict)
 
 
 def initiate_discovery(
     node: Node,
     destination: int,
-    on_done: Callable[[list[Candidate]], None],
+    on_done: Callable[[list[RrepPayload]], None],
 ) -> None:
     """Flood a fresh route request and collect replies for a fixed window."""
     if destination == node.id:
@@ -146,20 +139,15 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
         state = node.discoveries.get(payload.request_id)
         if state is None:
             return  # reply for an unknown or finished discovery
-        if payload.path not in state.candidates:
-            state.candidates[payload.path] = Candidate(
-                path=payload.path, dest_seq=payload.dest_seq, adv_hops=payload.hops
-            )
+        state.replies.setdefault(payload.path, payload)
         return
     node.relay(pkt, -1)
 
 
 def handle_discovery_timer(node: Node, payload: tuple) -> None:
     _, request_id = payload
-    state = node.discoveries.pop(request_id, None)
-    if state is None:
-        return
-    state.on_done(sorted(state.candidates.values(), key=candidate_rank_key))
+    state = node.discoveries.pop(request_id)
+    state.on_done(sorted(state.replies.values(), key=candidate_rank_key))
 
 
 # -- destination liveness ---------------------------------------------------

@@ -31,18 +31,16 @@ from .engine import MICROS_PER_MS
 from .packets import BaseRepPayload, BaseReqPayload, Packet, PacketKind
 
 if TYPE_CHECKING:
+    from collections import defaultdict
+
     from .node import Node
 
 PIECES_PER_HOP = 3
 
 
-def baseline_update(table: dict[int, DriEntry], neighbor: int) -> None:
+def baseline_update(table: defaultdict[int, DriEntry], neighbor: int) -> None:
     """Note that data sent to ``neighbor`` was acknowledged."""
-    entry = table.get(neighbor)
-    if entry is None:
-        entry = DriEntry()
-        table[neighbor] = entry
-    entry.acked = True
+    table[neighbor].acked = True
 
 
 def flags(node: Node, neighbor: int) -> tuple[bool, bool]:
@@ -50,10 +48,6 @@ def flags(node: Node, neighbor: int) -> tuple[bool, bool]:
     from it, and data sent to it was acknowledged."""
     entry = node.dri.get(neighbor, EMPTY_ENTRY)
     return entry.received > 0, entry.acked
-
-
-def _both_true(value) -> bool:
-    return isinstance(value, tuple) and len(value) == 2 and value[0] and value[1]
 
 
 @dataclass(slots=True)
@@ -177,13 +171,13 @@ def handle_base_rep(node: Node, pkt: Packet) -> None:
 def _judge_piece(node: Node, state: BaselineState, value) -> None:
     onward = _onward(state)
     if state.piece == 1:
-        ok = _both_true(value)
+        ok = all(value)
     elif state.piece == 2:
         ok = onward is None or value == onward
     else:
         # flags about the onward hop; answers about the destination itself
         # are accepted unchecked (the voucher's own route self-evidence)
-        ok = onward is None or onward == state.path[-1] or _both_true(value)
+        ok = onward is None or onward == state.path[-1] or all(value)
     if not ok:
         _finish(node, state, VetStatus.UNTRUSTED)
         return

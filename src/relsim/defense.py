@@ -115,34 +115,32 @@ def mean_route_reliability(rel: float, vetted_hops: int) -> float:
     return rel / vetted_hops
 
 
-def result_mrr(path: tuple[int, ...], result: VettingResult) -> float:
+def result_mrr(result: VettingResult) -> float:
     """Selection score of one vetted candidate."""
     if result.status is VetStatus.TRUSTED:
-        if len(path) == 2:  # destination is a direct neighbor: nothing to vet
+        if len(result.path) == 2:  # destination is a direct neighbor: nothing to vet
             return 1.0
         return mean_route_reliability(result.rel, result.vetted_hops)
     return 0.0
 
 
-def select_route(
-    candidates: list[tuple[tuple[int, ...], VettingResult]],
-) -> tuple[int, ...] | None:
-    """Pick the maximum-reliability candidate, or None if nothing is safe.
+def select_route(results: list[VettingResult]) -> tuple[int, ...] | None:
+    """Pick the maximum-reliability vetted path, or None if nothing is safe.
 
     Untrusted candidates are excluded outright; the rest compete on mean
     route reliability, then table hop count, then first-hop id.  A best
     score of zero means every surviving candidate was reliability-zeroed,
     which is not a route worth using.
     """
-    if not candidates:
+    if not results:
         raise NoRouteError("no candidate routes to select from")
     best_key = None
     best_path = None
-    for path, result in candidates:
+    for result in results:
         if result.status is VetStatus.UNTRUSTED:
             continue
-        mrr = result_mrr(path, result)
-        key = (-mrr, len(path) - 1, path[1], path)
+        path = result.path
+        key = (-result_mrr(result), len(path) - 1, path[1], path)
         if best_key is None or key < best_key:
             best_key = key
             best_path = path

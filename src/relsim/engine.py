@@ -105,7 +105,7 @@ class Simulator:
         seed: int,
         vetting_config=None,
     ):
-        from .defense import DriEntry, VettingConfig
+        from .defense import VettingConfig
         from .metrics import RunCollector
         from .node import Node, event_handlers
 
@@ -114,7 +114,6 @@ class Simulator:
         # ``randint(0, jitter_us)`` as a rejection loop over ``bits`` random bits
         self._jitter_bound = link.jitter_us + 1
         self._jitter_bits = self._jitter_bound.bit_length()
-        self._dri_entry = DriEntry  # ``defense`` imports this module
         self.seed = seed
         self.now_us = 0
         self.collector = RunCollector()
@@ -222,13 +221,15 @@ class Simulator:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
         A DATA copy bumps the sender's ``dri[dst].sent`` before the loss
-        draw, so the count reflects what was transmitted, lost or not.
+        draw, so the count reflects what was transmitted, lost or not; the
+        table is a ``defaultdict``, so the first copy makes the entry.
 
         An ACK that survives both draws is still not queued if its receiver,
         the prober, already holds the ``acked`` flag for the sender: the
         flag is never cleared, so the ACK would change nothing.  The check
         reads the prober's flag as it is now, not whether an earlier ACK was
-        queued, since jitter can deliver a later ACK first.
+        queued, since jitter can deliver a later ACK first, and reads it with
+        ``get``, which makes no entry.
 
         The jitter draw is ``randint(0, jitter_us)`` written out: the
         rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
@@ -236,11 +237,7 @@ class Simulator:
         """
         kind = packet.kind
         if kind is _DATA:
-            dri = self.nodes[src].dri
-            entry = dri.get(dst)
-            if entry is None:
-                entry = dri[dst] = self._dri_entry()
-            entry.sent += 1
+            self.nodes[src].dri[dst].sent += 1
         elif kind in VETTING_KINDS:
             self.collector.on_vet_message(packet)
         link = self.link

@@ -2,7 +2,10 @@
 
 Throughput ratio is byte-denominated, loss is packet-denominated, delay
 averages the per-flow mean delay of delivered packets, and route quality
-is the mean reliability score of the routes actually selected.  Every
+is the mean reliability score of the routes actually selected.  A flow's
+ledger keeps only that score, ``None`` until a route is chosen; the route
+itself is the flow driver's (``runner``).  Scoring a route reads the
+evidence tables with ``get``, so it never adds an entry to them.  Every
 packet has one size and both throughputs divide by the run's duration,
 so the throughput ratio equals 100 minus the loss, up to rounding.  A flow
 that delivered nothing is excluded from the delay average and reported
@@ -88,8 +91,7 @@ class FlowLedger:
     undeliverable: int = 0
     never_sent: int = 0
     delay_sum_us: int = 0
-    route_path: tuple[int, ...] | None = None
-    route_mrr: float = 0.0
+    route_mrr: float | None = None  # ground-truth score of the chosen route
 
 
 class RunCollector:
@@ -141,10 +143,8 @@ class RunCollector:
             ledger.delivered += 1
             ledger.delay_sum_us += now_us - pkt.payload.created_us
 
-    def on_route_selected(self, flow_id: int, path: tuple[int, ...], mrr: float) -> None:
-        ledger = self.flows[flow_id]
-        ledger.route_path = path
-        ledger.route_mrr = mrr
+    def on_route_selected(self, flow_id: int, mrr: float) -> None:
+        self.flows[flow_id].route_mrr = mrr
 
     # -- aggregation ----------------------------------------------------
 
@@ -166,7 +166,7 @@ class RunCollector:
         return stats
 
     def mean_selected_mrr(self) -> float:
-        routed = [led.route_mrr for led in self.flows.values() if led.route_path]
+        routed = [led.route_mrr for led in self.flows.values() if led.route_mrr is not None]
         if not routed:
             return math.nan
         return sum(routed) / len(routed)

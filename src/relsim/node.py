@@ -2,7 +2,11 @@
 
 A node owns its routing table, its per-neighbor evidence table (the
 packet counts and the acknowledgement flag both schemes vet with), and
-whatever vetting or discovery conversations it is currently part of.  It
+whatever vetting or discovery conversations it is currently part of.
+The evidence table is a ``defaultdict(DriEntry)``: recording traffic
+writes ``dri[neighbor]``, which makes the entry on first use, while every
+read (a vetting reply, a flag, a route score) uses
+``dri.get(neighbor, EMPTY_ENTRY)``, so only traffic creates entries.  It
 hands every packet and timer to the handler its role's table names, so a
 black hole's behavior is fixed when the node is built, not decided at
 receipt: data-plane packets are absorbed, route requests are answered
@@ -13,6 +17,7 @@ lying path alive long enough to be interrogated.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from . import adversary, aodv, baseline, defense
@@ -36,7 +41,7 @@ class Node:
         self.rng = sim.rngs[node_id]
         self.seq_no = 0  # AODV destination sequence number
         self._packet_seq = 0
-        self.dri: dict[int, defense.DriEntry] = {}
+        self.dri: defaultdict[int, defense.DriEntry] = defaultdict(defense.DriEntry)
         self.routes = aodv.RoutingTable()
         self.seen_rreqs: set[tuple[int, int]] = set()
         self.request_counter = 0
@@ -81,10 +86,7 @@ class Node:
         flow_id, _, path = payload = pkt.payload
         pos = pkt.pos
         sender = path[pos - 1]
-        entry = self.dri.get(sender)
-        if entry is None:
-            entry = self.dri[sender] = defense.DriEntry()
-        entry.received += 1
+        self.dri[sender].received += 1
         if pos == len(path) - 1:
             # delivered; probes (negative flow ids) are acknowledged so the
             # prober gains transfer evidence for its through flag.  The

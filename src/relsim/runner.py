@@ -217,26 +217,29 @@ class ScenarioRun:
     def _discover(self, flow: _FlowDriver) -> None:
         aodv.initiate_discovery(
             self.sim.nodes[flow.source], flow.destination,
-            lambda cands, f=flow: self._choose_route(f, [c.path for c in cands]),
+            lambda replies, f=flow: self._choose_route(f, [r.path for r in replies]),
         )
 
     def _choose_route(self, flow: _FlowDriver, paths: list[tuple[int, ...]]) -> None:
-        """Vet ``paths``, ranked best first, one at a time with the scheme's
-        vetter.  Undefended trusts every path and baseline stops at its first
-        trusted path; proposed vets them all, then takes the ``select_route``
-        pick.  A flow left without a route stays starved.
+        """Take a route from ``paths``, ranked best first.  Undefended takes
+        the first path unvetted.  The defended schemes vet the paths one at
+        a time: baseline stops at its first trusted path; proposed vets them
+        all, then takes the ``select_route`` pick.  A flow left without a
+        route stays starved.
 
         Each vetting reports to a ``partial`` of ``_collect_vetting`` that
         carries the walk's state, so no reference cycle is made: the event
         loop runs with the cyclic garbage collector off."""
         scheme = self.cfg.scheme
+        if scheme == "undefended":
+            if paths:
+                self._activate(flow, paths[0])
+            return
         # looked up at call time so that wrappers installed on the modules apply
         if scheme == "proposed":
             vetter = defense.begin_vetting
-        elif scheme == "baseline":
-            vetter = baseline.begin_baseline_vetting
         else:
-            vetter = _trust
+            vetter = baseline.begin_baseline_vetting
         self._vet_next(flow, vetter, iter(paths), [])
 
     def _vet_next(self, flow: _FlowDriver, vetter, pending, results: list) -> None:
@@ -254,7 +257,7 @@ class ScenarioRun:
         if self.cfg.scheme != "proposed" and result.status is defense.VetStatus.TRUSTED:
             self._activate(flow, result.path)
             return
-        results.append((result.path, result))
+        results.append(result)
         self._vet_next(flow, vetter, pending, results)
 
     def _activate(self, flow: _FlowDriver, path: tuple[int, ...]) -> None:
@@ -265,7 +268,7 @@ class ScenarioRun:
             (e.dest_seq_no for e in node.routes.entries(flow.destination)), default=0
         )
         node.routes.upsert(aodv.RouteEntry(path, dest_seq))
-        self.sim.collector.on_route_selected(flow.flow_id, path, mrr)
+        self.sim.collector.on_route_selected(flow.flow_id, mrr)
         for created in flow.buffer:
             self._send_data(flow, created)
         flow.buffer.clear()
@@ -305,12 +308,6 @@ def _defined(formula, stats: list[metrics.FlowStats]) -> float:
         return formula(stats)
     except UndefinedMetricError:
         return math.nan
-
-
-def _trust(node, path: tuple[int, ...], on_done) -> None:
-    """The undefended scheme's vetter: every path is trusted unasked, and
-    nothing is reported to the collector."""
-    on_done(defense.VettingResult(defense.VetStatus.TRUSTED, 0.0, 0, path))
 
 
 def check_invariants(sim: Simulator) -> None:

@@ -128,7 +128,8 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines; blank lines and # comments ignored.  A
+    key may appear once: a second line for it is an error, not an override."""
     values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -145,6 +146,8 @@ def parse_config_file(path: str | Path) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _coerce(key, raw)
     return values
 

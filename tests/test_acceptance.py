@@ -184,7 +184,7 @@ def test_criterion_5_detection_soundness_property():
         vetted = []
         for candidate in candidates:
             result = vet_path(sim, source, candidate.path)
-            vetted.append((candidate.path, result))
+            vetted.append(result)
             if hole in candidate.path[1:-1]:
                 if result.status is VetStatus.TRUSTED and result.rel > 0:
                     violations += 1

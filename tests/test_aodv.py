@@ -84,8 +84,10 @@ def test_two_replies_equal_seq_prefer_fewer_hops():
 
 
 def test_forged_seq_outranks_shorter_honest_route():
-    forged = aodv.Candidate(path=(0, 9, 3), dest_seq=105, adv_hops=2)
-    honest = aodv.Candidate(path=(0, 1, 3), dest_seq=5, adv_hops=2)
+    from relsim.packets import RrepPayload
+
+    forged = RrepPayload(request_id=1, dest_seq=105, path=(0, 9, 3), hops=2)
+    honest = RrepPayload(request_id=1, dest_seq=5, path=(0, 1, 3), hops=2)
     assert aodv.candidate_rank_key(forged) < aodv.candidate_rank_key(honest)
 
 
@@ -100,6 +102,26 @@ def test_rrep_for_unknown_discovery_is_dropped():
     )
     aodv.handle_rrep(node, stray)
     assert node.discoveries == {}
+
+
+def test_discovery_keeps_the_first_reply_along_each_path():
+    """A later reply along a path already replied on is dropped, even with a
+    fresher sequence number, and the window hands on the kept replies
+    themselves, ranked by ``candidate_rank_key``, not in arrival order."""
+    from relsim.packets import Packet, PacketKind, RrepPayload
+
+    sim = line_sim(4)
+    node = sim.nodes[0]
+    collected = []
+    aodv.initiate_discovery(node, 3, collected.extend)
+    first = RrepPayload(request_id=1, dest_seq=5, path=(0, 1, 2, 3), hops=3)
+    fresher = RrepPayload(request_id=1, dest_seq=9, path=(0, 1, 2, 3), hops=3)
+    other = RrepPayload(request_id=1, dest_seq=7, path=(0, 1, 3), hops=2)
+    for seq_no, reply in enumerate((first, fresher, other), start=1):
+        aodv.handle_rrep(node, Packet(PacketKind.RREP, 3, seq_no, reply))
+    sim.run()  # the destination's own reply, along (0, 1, 2, 3), comes later still
+    assert [id(reply) for reply in collected] == [id(other), id(first)]
+    assert collected == sorted(collected, key=aodv.candidate_rank_key)
 
 
 def test_cached_intermediate_reply_offers_candidate():

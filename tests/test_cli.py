@@ -219,6 +219,16 @@ def test_cli_unreadable_config_file_is_a_config_error(name, content, tmp_path, c
     assert f"config error: {path}: cannot read" in capsys.readouterr().err
 
 
+def test_cli_config_file_with_a_repeated_key_is_a_config_error(tmp_path, capsys, monkeypatch):
+    """A second ``seed`` line would silently override the first: the file
+    is rejected before any run."""
+    monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 3\n# the same key again\nseed = 5\n")
+    assert main(["run", "--config", str(path)]) == 1
+    assert "config error: line 3: duplicate key 'seed'" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_an_impossible_grid_before_any_run(tmp_path, capsys, monkeypatch):
     """Ten nodes cannot host 20 black holes: the sweep stops at once."""
     monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))

@@ -136,7 +136,7 @@ def test_honest_line_walk_accumulates_two(honest_line):
     assert result.status is VetStatus.TRUSTED
     assert result.rel == 2.0
     assert result.vetted_hops == 2
-    assert result_mrr((0, 1, 2, 3), result) == 1.0
+    assert result_mrr(result) == 1.0
 
 
 def test_solo_blackhole_zeroes_the_walk():
@@ -173,7 +173,7 @@ def test_direct_neighbor_skips_the_walk(honest_line):
     result = vet_path(honest_line, 0, (0, 1))
     assert result.status is VetStatus.TRUSTED
     assert result.vetted_hops == 0
-    assert result_mrr((0, 1), result) == 1.0
+    assert result_mrr(result) == 1.0
 
 
 def test_rel_additivity_is_bit_exact(honest_line):
@@ -203,15 +203,15 @@ def test_mrr_zero_hops_is_undefined():
 
 
 def _trusted(path, rel, hops):
-    return (path, VettingResult(VetStatus.TRUSTED, rel, hops, path))
+    return VettingResult(VetStatus.TRUSTED, rel, hops, path)
 
 
 def _zeroed(path, hops):
-    return (path, VettingResult(VetStatus.REL_ZEROED, 0.0, hops, path))
+    return VettingResult(VetStatus.REL_ZEROED, 0.0, hops, path)
 
 
 def _untrusted(path):
-    return (path, VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path))
+    return VettingResult(VetStatus.UNTRUSTED, 0.0, 0, path)
 
 
 def test_max_mrr_wins_even_when_longer():
@@ -254,7 +254,7 @@ def test_argmax_invariant_under_positive_scaling(scale):
         _trusted((0, 4, 9), 0.8, 2),
     ]
     scaled = [
-        (p, VettingResult(r.status, r.rel * scale, r.vetted_hops, p)) for p, r in base
+        VettingResult(r.status, r.rel * scale, r.vetted_hops, r.path) for r in base
     ]
     assert select_route(base) == select_route(scaled)
 

@@ -4,13 +4,15 @@ the handlers are read off their modules."""
 import pytest
 
 from relsim import adversary, aodv
-from relsim.engine import Simulator
+from relsim.baseline import flags
+from relsim.engine import EventKind, Simulator
+from relsim.metrics import ground_truth_route_mrr
 from relsim.node import event_handlers
-from relsim.packets import PacketKind
+from relsim.packets import DriReqPayload, Packet, PacketKind
 from relsim.runner import run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim
+from conftest import blackhole, line_sim, warm_up
 
 SOURCE_ROUTED = {
     PacketKind.DATA, PacketKind.RREP, PacketKind.PING, PacketKind.PONG, PacketKind.REL,
@@ -80,3 +82,22 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     ).validate())
     assert not record.failed, record.failure_reason
     assert PacketKind.DATA in seen
+
+
+def test_evidence_reads_create_no_entry():
+    """Only traffic makes a ``dri`` entry: a flag lookup, a DRI reply and a
+    route score about a node never exchanged data with leave the table as
+    it was.  On the line 0-1-2-3, node 0 and node 3 are not neighbours."""
+    sim = line_sim(4)
+    warm_up(sim)
+    assert flags(sim.nodes[0], 3) == (False, False)
+    assert 3 not in sim.nodes[0].dri
+    # node 0 asks node 3 for its counts about node 0; the reply is dropped,
+    # as the two are not adjacent
+    ask = Packet(PacketKind.DRI_REQ, 0, sim.nodes[0].next_seq(), DriReqPayload(1, 1))
+    sim.schedule_at(sim.now_us, EventKind.DELIVER, 3, ask)
+    sim.run()
+    assert 0 not in sim.nodes[3].dri
+    # the hop 0 -> 2 does not exist, so node 2 holds nothing about node 0
+    assert ground_truth_route_mrr(sim, (0, 2, 3)) == 1.0
+    assert 0 not in sim.nodes[2].dri

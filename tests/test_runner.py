@@ -124,7 +124,9 @@ def test_route_choice_follows_the_scheme(monkeypatch, scheme, script, vetted, ch
     run._choose_route(flow, paths)
     assert asked == paths[:vetted]
     assert flow.route == paths[chosen]
-    assert run.sim.collector.flows[flow.flow_id].route_path == paths[chosen]
+    assert run.sim.collector.flows[flow.flow_id].route_mrr is not None
+    if scheme == "undefended":
+        assert run.sim.collector.untrusted_paths == 0
 
 
 def test_defended_run_reroutes_around_attack():
@@ -148,7 +150,7 @@ def test_proposed_on_captured_fixture_reports_no_trusted_route():
     aodv.initiate_discovery(sim.nodes[0], 3, candidates.extend)
     sim.run()
     assert candidates
-    vetted = [(c.path, vet_path(sim, 0, c.path)) for c in candidates]
+    vetted = [vet_path(sim, 0, c.path) for c in candidates]
     assert select_route(vetted) is None
 
 
