@@ -69,7 +69,7 @@ def fabricated_counts(node: Node, subject_profile: AdversaryProfile | None) -> t
         and profile.collusion_group is not None
         and subject_profile.collusion_group == profile.collusion_group
     ):
-        story = collusion_story(node.sim.seed, profile.collusion_group)
+        story = collusion_story(node.sim.cfg.seed, profile.collusion_group)
         return story, story
     value = node.rng.randint(FABRICATED_LOW, FABRICATED_HIGH)
     return value, value

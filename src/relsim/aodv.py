@@ -165,11 +165,11 @@ def ping_destination(
     node.ping_counter += 1
     ping_id = node.ping_counter
     # generous: over twice a round trip of slowest hops, plus 50 ms
-    link = node.sim.link
-    timeout_us = 4 * len(entry.path) * (link.delay_us + link.jitter_us) + 50 * MICROS_PER_MS
+    sim = node.sim
+    timeout_us = 4 * len(entry.path) * (sim.delay_us + sim.jitter_us) + 50 * MICROS_PER_MS
     node.ping_waits[ping_id] = (entry.path, on_result)
     node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path), 1)
-    node.sim.schedule_timer(node.id, timeout_us, ("ping", ping_id))
+    sim.schedule_timer(node.id, timeout_us, ("ping", ping_id))
 
 
 def handle_ping(node: Node, pkt: Packet) -> None:

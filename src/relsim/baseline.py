@@ -26,6 +26,7 @@ from .defense import (
     expire,
     open_vetting,
     run_vetting,
+    vetting_deadline_us,
 )
 from .engine import MICROS_PER_MS
 from .packets import BaseRepPayload, BaseReqPayload, Packet, PacketKind
@@ -87,7 +88,7 @@ def begin_baseline_vetting(
     # face value
     state = BaselineState(vet_id, path, on_done, inner if inner <= 2 else inner - 1)
     node.base_vets[vet_id] = state
-    deadline_us = node.sim.vetting_config.deadline_us(state.last * PIECES_PER_HOP)
+    deadline_us = vetting_deadline_us(node.sim.cfg, state.last * PIECES_PER_HOP)
     node.sim.schedule_timer(node.id, deadline_us, ("base_deadline", vet_id))
     _send_piece(node, state)
 
@@ -111,7 +112,7 @@ def _send_piece(node: Node, state: BaselineState) -> None:
     node.send(PacketKind.BASE_REQ, state.path[1], payload, 1)
     node.sim.schedule_timer(
         node.id,
-        node.sim.vetting_config.t1_ms * MICROS_PER_MS,
+        node.sim.cfg.t1_ms * MICROS_PER_MS,
         ("base_tf", state.vet_id, state.idx, state.piece, state.attempt, state.timeouts),
     )
 
@@ -201,7 +202,7 @@ def handle_base_timer(node: Node, payload: tuple) -> None:
         idx, piece, attempt, timeouts
     ):
         return  # answered or superseded in the meantime
-    if expire(state, node.sim.vetting_config):
+    if expire(state, node.sim.cfg):
         _finish(node, state, VetStatus.UNTRUSTED)
     else:
         _send_piece(node, state)

@@ -246,19 +246,19 @@ def _grid(
 ) -> tuple[list[str], list[int], list[int]]:
     """The schemes, black hole counts and seeds a sweep or compare runs."""
     schemes = _parse_schemes(args.schemes)
-    if args.command == "sweep":
-        if args.max_blackholes < 0:
-            raise ConfigError("--max-blackholes must be >= 0")
-        blackhole_values = list(range(args.max_blackholes + 1))
-    else:
-        blackhole_values = [cfg.blackholes]
+    sweep = args.command == "sweep"
+    if sweep and args.max_blackholes < 0:
+        raise ConfigError("--max-blackholes must be >= 0")
+    largest = args.max_blackholes if sweep else cfg.blackholes
     if args.seeds < 1:
         raise ConfigError("--seeds must be >= 1")
     if cfg.seed + args.seeds > SEED_LIMIT:
         raise ConfigError("seed: --seed + --seeds - 1 must be below 2**64")
     # only blackholes varies along the grid and its bound is monotone, so
-    # the largest value stands for every point
-    replace(cfg, blackholes=blackhole_values[-1]).validate()
+    # the largest value stands for every point; it is checked before the
+    # grid is built, as a huge --max-blackholes could not be built at all
+    replace(cfg, blackholes=largest).validate()
+    blackhole_values = list(range(largest + 1)) if sweep else [largest]
     return schemes, blackhole_values, [cfg.seed + i for i in range(args.seeds)]
 
 

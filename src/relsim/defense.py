@@ -8,6 +8,11 @@ holder, cross-checks them against its own mirror counts, and on a match
 adds the neighbour's send/receive ratio to the running total.  A mismatch
 zeroes the accumulator and sends it straight home; unanswered requests
 burn retry and strike counters until the path is declared untrusted.
+
+The timer ``t1_ms``, the limits ``k_r`` and ``k_m``, the tolerance
+``delta_match`` and the clamp ``ratio_cap`` are read from the run's
+``ScenarioConfig``, ``node.sim.cfg``, as the vetting runs; the flag-table
+scheme reads the same fields.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .packets import (
 
 if TYPE_CHECKING:
     from .node import Node
+    from .scenario import ScenarioConfig
 
 
 @dataclass(slots=True)
@@ -43,19 +49,11 @@ class DriEntry:
 EMPTY_ENTRY = DriEntry()
 
 
-@dataclass(frozen=True, slots=True)
-class VettingConfig:
-    t1_ms: int = 50
-    k_r: int = 3
-    k_m: int = 3
-    delta_match: int = 2
-    ratio_cap: float = 1.0
-
-    def deadline_us(self, hops: int) -> int:
-        """Generous bound on a whole vetting of ``hops`` interrogated hops,
-        in case a reply or a return leg is lost: each hop may burn k_r
-        silent periods in each of k_m + 2 attempts."""
-        return hops * ((self.k_m + 2) * self.k_r * self.t1_ms + 200) * MICROS_PER_MS
+def vetting_deadline_us(cfg: ScenarioConfig, hops: int) -> int:
+    """Generous bound on a whole vetting of ``hops`` interrogated hops,
+    in case a reply or a return leg is lost: each hop may burn k_r
+    silent periods in each of k_m + 2 attempts."""
+    return hops * ((cfg.k_m + 2) * cfg.k_r * cfg.t1_ms + 200) * MICROS_PER_MS
 
 
 @dataclass(slots=True)
@@ -80,7 +78,7 @@ def record_data_packet(table: dict[int, DriEntry], neighbor: int, direction: str
         raise ValueError(f"unknown direction {direction!r}")
 
 
-def reliability_ratio(entry: DriEntry, cfg: VettingConfig) -> float:
+def reliability_ratio(entry: DriEntry, cfg: ScenarioConfig) -> float:
     """Sent-over-received quotient with total guards for empty denominators.
 
     No traffic at all is treated as neutral evidence (1.0); a neighbor
@@ -169,7 +167,7 @@ def conclude(node: Node, result: VettingResult,
     on_done(result)
 
 
-def expire(state, cfg: VettingConfig) -> bool:
+def expire(state, cfg: ScenarioConfig) -> bool:
     """One silent ``t1`` period on a request whose retry state is the
     ``attempt``/``timeouts``/``strikes`` triple of ``state``.
 
@@ -225,7 +223,7 @@ def begin_vetting(
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return
     node.vet_waiters[vet_id] = (path, on_done)
-    deadline_us = node.sim.vetting_config.deadline_us(len(path))
+    deadline_us = vetting_deadline_us(node.sim.cfg, len(path))
     node.sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
     _advance(node, RelPayload(vet_id, path), 0)
 
@@ -247,7 +245,7 @@ def _send_dri_request(node: Node, probe: HopProbe) -> None:
               DriReqPayload(walk.vet_id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
-        node.sim.vetting_config.t1_ms * MICROS_PER_MS,
+        node.sim.cfg.t1_ms * MICROS_PER_MS,
         ("rel_tf", walk.vet_id, probe.attempt, probe.timeouts),
     )
 
@@ -267,7 +265,7 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
     if probe is None or payload.attempt != probe.attempt:
         return  # stale or duplicate reply
     del node.rel_pending[payload.vet_id]
-    cfg = node.sim.vetting_config
+    cfg = node.sim.cfg
     walk = probe.walk
     nhn = walk.path[probe.pos + 1]
     local = node.dri.get(nhn, EMPTY_ENTRY)
@@ -292,7 +290,7 @@ def handle_feedback_timer(node: Node, payload: tuple) -> None:
     probe = node.rel_pending.get(vet_id)
     if probe is None or probe.attempt != attempt or probe.timeouts != timeouts:
         return  # answered or superseded in the meantime
-    if not expire(probe, node.sim.vetting_config):
+    if not expire(probe, node.sim.cfg):
         _send_dri_request(node, probe)
         return
     del node.rel_pending[vet_id]
@@ -341,5 +339,5 @@ def _finalize(node: Node, vet_id: int, status: VetStatus, rel: float = 0.0,
 
 def vet_path(sim, source: int, path) -> VettingResult:
     """Synchronous facade: run the walk on the live simulator and block on it,
-    with the simulator's ``vetting_config``."""
+    with the vetting fields of the simulator's ``cfg``."""
     return run_vetting(begin_vetting, sim, source, path)

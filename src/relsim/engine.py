@@ -43,15 +43,17 @@ from __future__ import annotations
 
 import gc
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
 from heapq import heappop, heappush
 from random import Random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import SchedulingError, UndeliverableError
 from .packets import VETTING_KINDS, Packet, PacketKind
 from .topology import Topology
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
 
 MICROS_PER_MS = 1_000
 MICROS_PER_S = 1_000_000
@@ -84,40 +86,30 @@ _DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
 _DATA, _ACK = PacketKind.DATA, PacketKind.ACK
 
 
-@dataclass(frozen=True, slots=True)
-class LinkParams:
-    """Per-hop delivery model: fixed base delay, uniform jitter, iid loss.
-    Frozen, as ``Simulator`` derives its jitter draw from it once."""
-
-    delay_us: int = 2_000
-    jitter_us: int = 1_000
-    loss: float = 0.0
-
-
 class Simulator:
-    """Owns the clock, the event queue, and one Node per topology vertex."""
+    """Owns the clock, the event queue, and one Node per topology vertex.
 
-    def __init__(
-        self,
-        topology: Topology,
-        profiles,
-        link: LinkParams,
-        seed: int,
-        vetting_config=None,
-    ):
-        from .defense import VettingConfig
+    ``cfg`` is the run's one configuration: its seed derives every RNG
+    stream, its link fields fix the per-hop delivery model (fixed delay,
+    uniform jitter, iid loss) and its vetting fields drive both vetting
+    schemes, which read ``sim.cfg`` as they run.  The link times are
+    converted to whole microseconds here, once, rounded to the nearest.
+    """
+
+    def __init__(self, topology: Topology, profiles, cfg: ScenarioConfig):
         from .metrics import RunCollector
         from .node import Node, event_handlers
 
         self.topology = topology
-        self.link = link
+        self.cfg = cfg
+        self.delay_us = round(cfg.link_delay_ms * MICROS_PER_MS)
+        self.jitter_us = round(cfg.link_jitter_ms * MICROS_PER_MS)
+        self.loss = cfg.link_loss
         # ``randint(0, jitter_us)`` as a rejection loop over ``bits`` random bits
-        self._jitter_bound = link.jitter_us + 1
+        self._jitter_bound = self.jitter_us + 1
         self._jitter_bits = self._jitter_bound.bit_length()
-        self.seed = seed
         self.now_us = 0
         self.collector = RunCollector()
-        self.vetting_config = VettingConfig() if vetting_config is None else vetting_config
         self.profiles = profiles
         # set to a list to record every dispatched event (tests, fingerprints)
         self.event_log: list[tuple] | None = None
@@ -129,7 +121,7 @@ class Simulator:
         # route request (origin, request_id) -> nodes a copy has been queued for
         self._rreq_reached: dict[tuple[int, int], set[int]] = {}
         self._app_handler: Callable[[object], None] | None = None
-        self.rngs = [derive_stream(seed, i) for i in range(topology.node_count)]
+        self.rngs = [derive_stream(cfg.seed, i) for i in range(topology.node_count)]
         # built per simulator, so that handlers replaced on their modules apply
         tables = {role: event_handlers(role) for role in (False, True)}
         self.nodes = [
@@ -205,7 +197,7 @@ class Simulator:
         reached = self._rreq_reached.get(key)
         if reached is None:
             reached = self._rreq_reached[key] = {packet.origin}
-        loss = self.link.loss
+        loss = self.loss
         random = self.rngs[src].random
         bucket = None
         for dst in self.topology.neighbors[src]:
@@ -214,7 +206,7 @@ class Simulator:
             elif dst not in reached:
                 reached.add(dst)
                 if bucket is None:
-                    bucket = self._bucket(self.now_us + self.link.delay_us)
+                    bucket = self._bucket(self.now_us + self.delay_us)
                 bucket.append((_DELIVER, dst, packet))
 
     def _send(self, src: int, dst: int, packet: Packet) -> None:
@@ -240,13 +232,12 @@ class Simulator:
             self.nodes[src].dri[dst].sent += 1
         elif kind in VETTING_KINDS:
             self.collector.on_vet_message(packet)
-        link = self.link
         rng = self.rngs[src]
-        loss = link.loss
+        loss = self.loss
         if loss > 0.0 and rng.random() < loss:
             self.collector.on_link_drop(packet)
             return
-        time_us = self.now_us + link.delay_us
+        time_us = self.now_us + self.delay_us
         bound = self._jitter_bound
         if bound > 1:
             bits = self._jitter_bits

@@ -180,7 +180,7 @@ def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
     predecessor's counts); otherwise each intermediate contributes its
     true send/receive ratio toward the mean.
     """
-    cfg = sim.vetting_config
+    cfg = sim.cfg
     inner = path[1:-1]
     if not inner:
         return 1.0

@@ -17,8 +17,8 @@ from functools import partial
 
 from . import aodv, baseline, defense, metrics
 from .adversary import assign_adversaries
-from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, LinkParams,
-                     Simulator, derive_stream)
+from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, Simulator,
+                     derive_stream)
 from .errors import SimulationError, UndefinedMetricError
 from .packets import DataPayload, Packet, PacketKind
 from .scenario import ScenarioConfig
@@ -95,16 +95,7 @@ class ScenarioRun:
         profiles = assign_adversaries(
             rng, self.topology, endpoints, cfg.blackholes, cfg.colluding_pairs
         )
-        link = LinkParams(
-            delay_us=int(cfg.link_delay_ms * MICROS_PER_MS),
-            jitter_us=int(cfg.link_jitter_ms * MICROS_PER_MS),
-            loss=cfg.link_loss,
-        )
-        vet_cfg = defense.VettingConfig(
-            t1_ms=cfg.t1_ms, k_r=cfg.k_r, k_m=cfg.k_m,
-            delta_match=cfg.delta_match, ratio_cap=cfg.ratio_cap,
-        )
-        self.sim = Simulator(self.topology, profiles, link, cfg.seed, vetting_config=vet_cfg)
+        self.sim = Simulator(self.topology, profiles, cfg)
         self.sim.set_app_handler(self._on_app_event)
         for flow in self.flows:
             self.sim.collector.register_flow(flow.flow_id)

@@ -14,8 +14,12 @@ SCHEMES = ("undefended", "baseline", "proposed")
 SEED_LIMIT = 1 << 64
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
+    """The one configuration of a run.  ``Simulator`` converts the link
+    times to whole microseconds once and the vetting code reads the vetting
+    fields as it runs, so the record is frozen."""
+
     nodes: int = 50
     area_side: float = 1000.0
     radio_range: float = 250.0
@@ -86,12 +90,12 @@ class ScenarioConfig:
             raise ConfigError("ratio_cap: must be at least 1")
         if self.warmup_packets < 0:
             raise ConfigError("warmup_packets: must be non-negative")
-        # a run truncates the delay to whole microseconds
+        # a run rounds the delay to the nearest microsecond
         if self.link_delay_ms * MICROS_PER_MS < 1:
             raise ConfigError("link_delay_ms: must be at least 1 microsecond")
         if self.link_jitter_ms < 0:
             raise ConfigError("link_jitter_ms: must be non-negative")
-        # the jitter is truncated too: 0.4 us would run a jitter-free link
+        # the jitter is rounded too: 0.4 us would run a jitter-free link
         if 0 < self.link_jitter_ms * MICROS_PER_MS < 1:
             raise ConfigError("link_jitter_ms: must be 0 or at least 1 microsecond")
         if not 0.0 <= self.link_loss <= 1.0:

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from relsim.adversary import AdversaryProfile, honest_profiles
-from relsim.defense import VettingConfig
-from relsim.engine import EventKind, LinkParams, Simulator
+from relsim.engine import EventKind, Simulator
 from relsim.packets import DataPayload, Packet, PacketKind
+from relsim.scenario import ScenarioConfig
 from relsim.topology import topology_from_positions
 
 PROBE_SPACING_US = 5_000
@@ -21,22 +21,16 @@ def line_sim(
     n: int,
     roles: dict[int, AdversaryProfile] | None = None,
     seed: int = 7,
-    link: LinkParams | None = None,
-    vet_cfg: VettingConfig | None = None,
+    **overrides,
 ) -> Simulator:
-    """Chain topology 0-1-...-(n-1) with 100 m spacing at exactly range."""
+    """Chain topology 0-1-...-(n-1) with 100 m spacing at exactly range,
+    run under ``ScenarioConfig(seed=seed, **overrides)``."""
     positions = [(i * 100.0, 0.0) for i in range(n)]
     topo = topology_from_positions(positions, 100.0)
     profiles = honest_profiles(n)
     for idx, profile in (roles or {}).items():
         profiles[idx] = profile
-    return Simulator(
-        topo,
-        profiles,
-        link or LinkParams(),
-        seed,
-        vetting_config=vet_cfg,
-    )
+    return Simulator(topo, profiles, ScenarioConfig(seed=seed, **overrides))
 
 
 def queued(sim: Simulator) -> list[tuple[int, int, int, object]]:

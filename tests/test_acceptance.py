@@ -9,8 +9,8 @@ import time
 from relsim import aodv
 from relsim.baseline import baseline_vet
 from relsim.cli import main, summarize, sweep_records
-from relsim.defense import VetStatus, VettingConfig, select_route, vet_path
-from relsim.engine import LinkParams, Simulator
+from relsim.defense import VetStatus, select_route, vet_path
+from relsim.engine import Simulator
 from relsim.metrics import (
     FlowStats,
     mean_end_to_end_delay,
@@ -60,7 +60,7 @@ def test_criterion_1_formula_unit_suite():
     # ratio and accumulation primitives at their stated points
     from relsim.defense import DriEntry, accumulate_rel, mean_route_reliability, reliability_ratio
 
-    cfg = VettingConfig()
+    cfg = ScenarioConfig()
     checks += [
         reliability_ratio(DriEntry(sent=10, received=10), cfg) == 1.0,
         reliability_ratio(DriEntry(sent=0, received=25), cfg) == 0.0,
@@ -154,7 +154,6 @@ def test_criterion_4_attack_potency_on_fixture():
 
 def test_criterion_5_detection_soundness_property():
     rng = random.Random(2024)
-    cfg = VettingConfig()
     trials = 0
     violations = 0
     attempts = 0
@@ -173,8 +172,7 @@ def test_criterion_5_detection_soundness_property():
         dest = rng.choice([u for u in endpoints if u != source])
         profiles = honest_profiles(n)
         profiles[hole] = blackhole()
-        sim = Simulator(topo, profiles, LinkParams(), seed=attempts,
-                        vetting_config=cfg)
+        sim = Simulator(topo, profiles, ScenarioConfig(seed=attempts))
         warm_up(sim, packets=4)
         candidates = []
         aodv.initiate_discovery(sim.nodes[source], dest, candidates.extend)
@@ -237,7 +235,7 @@ def test_criterion_7_bfs_oracle_equivalence():
             continue
         source = rng.randrange(n)
         dest = rng.choice([u for u in range(n) if u != source])
-        sim = Simulator(topo, honest_profiles(n), LinkParams(), seed=checked + 1)
+        sim = Simulator(topo, honest_profiles(n), ScenarioConfig(seed=checked + 1))
         candidates = []
         aodv.initiate_discovery(sim.nodes[source], dest, candidates.extend)
         sim.run()

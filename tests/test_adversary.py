@@ -4,9 +4,10 @@ import pytest
 
 from relsim import adversary, aodv
 from relsim.adversary import assign_adversaries, collusion_story, honest_profiles
-from relsim.defense import VetStatus, VettingConfig, cross_check, DriEntry, vet_path
+from relsim.defense import VetStatus, cross_check, DriEntry, vet_path
 from relsim.errors import TopologyError
 from relsim.packets import DataPayload, Packet, PacketKind
+from relsim.scenario import ScenarioConfig
 from relsim.topology import build_connected_topology, topology_from_positions
 
 from conftest import blackhole, line_sim, warm_up
@@ -24,11 +25,11 @@ def test_forged_reply_wins_ranking_over_longer_honest_route():
     # diamond: 0-1-4 honest chain (3 hops 0-1-2-4) plus 0-3, 3 is the hole
     positions = [(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (0.0, 100.0), (300.0, 0.0)]
     topo = topology_from_positions(positions, 100.0)
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
 
     profiles = honest_profiles(5)
     profiles[3] = blackhole()
-    sim = Simulator(topo, profiles, LinkParams(), seed=6)
+    sim = Simulator(topo, profiles, ScenarioConfig(seed=6))
     candidates = _discover(sim, 0, 4)
     paths = {c.path for c in candidates}
     assert (0, 1, 2, 4) in paths  # honest
@@ -45,12 +46,12 @@ def test_forged_reply_wins_ranking_over_longer_honest_route():
 def test_two_blackholes_both_enter_candidate_set():
     positions = [(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (0.0, 100.0), (100.0, 100.0)]
     topo = topology_from_positions(positions, 120.0)
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
 
     profiles = honest_profiles(5)
     profiles[3] = blackhole()
     profiles[4] = blackhole()
-    sim = Simulator(topo, profiles, LinkParams(), seed=6)
+    sim = Simulator(topo, profiles, ScenarioConfig(seed=6))
     candidates = _discover(sim, 0, 2)
     forged = [c for c in candidates if 3 in c.path or 4 in c.path]
     assert len(forged) >= 2
@@ -94,7 +95,7 @@ def test_fabricated_counts_fail_cross_check_against_truth():
     warm_up(sim)
     truth = sim.nodes[1].dri[2]
     assert (truth.sent, truth.received) == (10, 0)
-    story = collusion_story(sim.seed, 0)
+    story = collusion_story(sim.cfg.seed, 0)
     assert 20 <= story <= 60
     # any fabricated equal pair in [20, 60] is mirror-inconsistent here
     for claimed in range(20, 61):
@@ -120,20 +121,19 @@ def test_colluding_pair_vouches_consistently_but_is_caught_upstream():
 def test_colluders_forge_a_tail_through_their_partner():
     positions = [(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (300.0, 0.0), (400.0, 0.0)]
     topo = topology_from_positions(positions, 100.0)
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
 
     profiles = honest_profiles(5)
     profiles[2] = blackhole(collusion_group=0, collusion_partner=3)
     profiles[3] = blackhole(collusion_group=0, collusion_partner=2)
-    sim = Simulator(topo, profiles, LinkParams(), seed=9)
+    sim = Simulator(topo, profiles, ScenarioConfig(seed=9))
     candidates = _discover(sim, 0, 4)
     assert any(c.path == (0, 1, 2, 3, 4) for c in candidates)
 
 
 def test_silent_mode_reaches_timeout_branch(monkeypatch):
     monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
-    sim = line_sim(4, {2: blackhole()},
-                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
+    sim = line_sim(4, {2: blackhole()}, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED

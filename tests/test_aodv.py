@@ -2,6 +2,7 @@ import pytest
 
 from relsim import aodv
 from relsim.errors import NoRouteError
+from relsim.scenario import ScenarioConfig
 from relsim.topology import bfs_hop_counts, topology_from_positions
 
 from conftest import blackhole, line_sim, warm_up
@@ -38,9 +39,9 @@ def test_disconnected_destination_yields_no_route():
         [(0.0, 0.0), (100.0, 0.0), (5000.0, 0.0), (5100.0, 0.0)], 100.0
     )
     from relsim.adversary import honest_profiles
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
 
-    sim = Simulator(topo, honest_profiles(4), LinkParams(), seed=2)
+    sim = Simulator(topo, honest_profiles(4), ScenarioConfig(seed=2))
     candidates = _discover(sim, 0, 2)
     assert candidates == []
 
@@ -58,9 +59,9 @@ def test_duplicate_rreqs_are_suppressed():
     positions = [(0.0, 0.0), (50.0, 0.0), (0.0, 50.0), (50.0, 50.0), (25.0, 25.0)]
     topo = topology_from_positions(positions, 80.0)  # complete graph
     from relsim.adversary import honest_profiles
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
 
-    sim = Simulator(topo, honest_profiles(5), LinkParams(), seed=4)
+    sim = Simulator(topo, honest_profiles(5), ScenarioConfig(seed=4))
     sim.event_log = []
     _discover(sim, 0, 4)
     from relsim.packets import PacketKind
@@ -149,9 +150,7 @@ def test_ping_alive_on_honest_route():
 def test_ping_on_a_slow_link_waits_for_the_pong():
     """The timeout scales with the link: 40 ms hops make a 240 ms round
     trip on this line, well past a bound sized for the default 3 ms hop."""
-    from relsim.engine import LinkParams
-
-    sim = line_sim(4, link=LinkParams(delay_us=40_000, jitter_us=1_000))
+    sim = line_sim(4, link_delay_ms=40, link_jitter_ms=1)
     sim.nodes[0].routes.upsert(aodv.RouteEntry((0, 1, 2, 3), 100))
     results = []
     aodv.ping_destination(sim.nodes[0], 3, lambda alive, path: results.append(alive))
@@ -208,12 +207,12 @@ def test_reverse_path_soundness_on_random_topology():
     import random
 
     from relsim.adversary import honest_profiles
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
     from relsim.topology import build_connected_topology
 
     rng = random.Random(8)
     topo = build_connected_topology(15, 500.0, 220.0, rng)
-    sim = Simulator(topo, honest_profiles(15), LinkParams(), seed=8)
+    sim = Simulator(topo, honest_profiles(15), ScenarioConfig(seed=8))
     candidates = _discover(sim, 0, 14)
     assert candidates
     for candidate in candidates:
@@ -227,7 +226,7 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
     import random
 
     from relsim.adversary import honest_profiles
-    from relsim.engine import LinkParams, Simulator
+    from relsim.engine import Simulator
     from relsim.topology import build_connected_topology
 
     deliveries = []
@@ -240,7 +239,7 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
     handle = aodv.handle_rreq
     monkeypatch.setattr(aodv, "handle_rreq", handle_rreq)
     topo = build_connected_topology(60, 1100.0, 250.0, random.Random(3))
-    sim = Simulator(topo, honest_profiles(60), LinkParams(loss=0.1), seed=3)
+    sim = Simulator(topo, honest_profiles(60), ScenarioConfig(seed=3, link_loss=0.1))
     for source in range(6):
         aodv.initiate_discovery(sim.nodes[source], 59 - source, lambda cands: None)
     sim.run()

@@ -2,7 +2,7 @@ import pytest
 
 from relsim import adversary, aodv
 from relsim.baseline import baseline_update, baseline_vet, flags
-from relsim.defense import VetStatus, VettingConfig, record_data_packet, vet_path
+from relsim.defense import VetStatus, record_data_packet, vet_path
 from relsim.packets import PacketKind
 from relsim.runner import ScenarioRun
 from relsim.scenario import ScenarioConfig
@@ -147,8 +147,7 @@ def test_deep_collusion_is_still_caught():
 
 def test_silent_voucher_burns_timers_to_untrusted(monkeypatch):
     monkeypatch.setattr(adversary, "blackhole_on_base_request", lambda node, pkt: None)
-    sim = line_sim(4, {2: blackhole()},
-                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
+    sim = line_sim(4, {2: blackhole()}, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
     sim.event_log = []
     result = baseline_vet(sim, 0, (0, 1, 2, 3))

@@ -230,14 +230,16 @@ def test_cli_config_file_with_a_repeated_key_is_a_config_error(tmp_path, capsys,
 
 
 def test_cli_sweep_rejects_an_impossible_grid_before_any_run(tmp_path, capsys, monkeypatch):
-    """Ten nodes cannot host 20 black holes: the sweep stops at once."""
+    """Ten nodes cannot host 20 black holes: the sweep stops at once.  Nor
+    can they host 2**62, a grid too large to build before it is checked."""
     monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
     out = tmp_path / "x.csv"
-    args = ["sweep", "--nodes", "10", "--max-blackholes", "20", "--seeds", "1",
-            "--out", str(out)]
-    assert main(args) == 1
-    assert "config error: blackholes" in capsys.readouterr().err
-    assert not out.exists()
+    for max_blackholes in (20, 2**62):
+        args = ["sweep", "--nodes", "10", "--max-blackholes", str(max_blackholes),
+                "--seeds", "1", "--out", str(out)]
+        assert main(args) == 1
+        assert "config error: blackholes" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -6,7 +6,6 @@ from relsim import adversary
 from relsim.defense import (
     DriEntry,
     VetStatus,
-    VettingConfig,
     VettingResult,
     accumulate_rel,
     cross_check,
@@ -18,10 +17,11 @@ from relsim.defense import (
     vet_path,
 )
 from relsim.errors import NoRouteError
+from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim, warm_up
 
-CFG = VettingConfig()
+CFG = ScenarioConfig()
 
 
 # -- count bookkeeping -------------------------------------------------------
@@ -97,7 +97,7 @@ def test_ratio_no_evidence_is_neutral():
 
 def test_ratio_cap_applies_to_lopsided_counts():
     assert reliability_ratio(DriEntry(sent=30, received=10), CFG) == 1.0
-    wide = VettingConfig(ratio_cap=5.0)
+    wide = ScenarioConfig(ratio_cap=5.0)
     assert reliability_ratio(DriEntry(sent=30, received=10), wide) == 3.0
 
 
@@ -152,7 +152,7 @@ def test_solo_blackhole_zeroes_the_walk():
 def test_silent_neighbor_burns_counters_to_untrusted(monkeypatch):
     """Three feedback expiries per attempt; the second strike passes k_m=1."""
     monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
-    sim = line_sim(4, {2: blackhole()}, vet_cfg=VettingConfig(k_r=3, k_m=1))
+    sim = line_sim(4, {2: blackhole()}, k_r=3, k_m=1)
     warm_up(sim)
     sim.event_log = []
     result = vet_path(sim, 0, (0, 1, 2, 3))
@@ -163,7 +163,7 @@ def test_silent_neighbor_burns_counters_to_untrusted(monkeypatch):
 
 
 def test_unreachable_first_hop_ends_untrusted():
-    sim = line_sim(4, vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
+    sim = line_sim(4, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
     result = vet_path(sim, 0, (0, 2, 3))  # 0 and 2 are not adjacent
     assert result.status is VetStatus.UNTRUSTED
@@ -263,7 +263,7 @@ def test_strike_counter_monotone_and_absorbing(monkeypatch):
     """c_m never decreases and untrusted is terminal for the walk."""
     monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
     sim = line_sim(5, {2: blackhole(), 3: blackhole()},
-                   vet_cfg=VettingConfig(k_r=2, k_m=1, t1_ms=10))
+                   k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
     result = vet_path(sim, 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED

@@ -12,13 +12,13 @@ from relsim.engine import (
     MAX_NODES,
     SCENARIO_STREAM,
     EventKind,
-    LinkParams,
     Simulator,
     derive_stream,
 )
 from relsim.errors import SchedulingError, UndeliverableError
 from relsim.metrics import RunCollector
 from relsim.packets import DataPayload, DriReqPayload, Packet, PacketKind, RreqPayload
+from relsim.scenario import ScenarioConfig
 from relsim.topology import topology_from_positions
 
 from conftest import line_sim, queued
@@ -129,13 +129,13 @@ def test_scheduling_in_the_past_is_fatal():
 
 
 def test_fixed_delay_without_jitter_or_loss():
-    sim = line_sim(2, link=LinkParams(delay_us=2_000, jitter_us=0, loss=0.0))
+    sim = line_sim(2, link_delay_ms=2, link_jitter_ms=0, link_loss=0.0)
     sim.transmit(0, 1, _probe(sim, 0, 1))
     assert queued(sim)[0][0] == 2_000
 
 
 def test_certain_loss_schedules_nothing():
-    sim = line_sim(2, link=LinkParams(loss=1.0))
+    sim = line_sim(2, link_loss=1.0)
     sim.transmit(0, 1, _probe(sim, 0, 1))
     assert sim.idle()
 
@@ -145,7 +145,7 @@ def test_broadcast_fans_out_to_every_neighbor():
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
-    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
+    sim = Simulator(topo, honest_profiles(4), ScenarioConfig(seed=1, link_loss=0.0))
     sim.broadcast(0, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,))))
     assert [event[2] for event in queued(sim)] == [1, 2, 3]
 
@@ -165,7 +165,7 @@ def test_transmit_or_drop_counts_undeliverable_flow_packets():
 
 def test_lossless_unicast_conservation():
     """With loss 0 and no adversaries every transmission delivers once."""
-    sim = line_sim(2, link=LinkParams(jitter_us=0))
+    sim = line_sim(2, link_jitter_ms=0)
     for _ in range(50):
         sim.transmit(0, 1, _probe(sim, 0, 1))
     sim.run()
@@ -224,15 +224,14 @@ def test_transmit_jitter_draws_what_randint_draws(jitter, loss):
     ``delay + randint(0, jitter)`` drawn from the sender's stream; the
     stream ends where a twin making those calls ends."""
     seed = 1_000 + jitter
-    link = LinkParams(delay_us=2_000, jitter_us=jitter, loss=loss)
-    sim = line_sim(2, seed=seed, link=link)
+    sim = line_sim(2, seed=seed, link_delay_ms=2, link_jitter_ms=jitter / 1000, link_loss=loss)
     packets = [_probe(sim, 0, 1) for _ in range(3_000)]
     for pkt in packets:
         sim.transmit(0, 1, pkt)
     arrival = {id(payload): t for t, _, _, payload in queued(sim)}
     twin = derive_stream(seed, 0)
     expected = [
-        None if loss > 0.0 and twin.random() < loss else link.delay_us + twin.randint(0, jitter)
+        None if loss > 0.0 and twin.random() < loss else sim.delay_us + twin.randint(0, jitter)
         for _ in packets
     ]
     assert [arrival.get(id(pkt)) for pkt in packets] == expected
@@ -255,7 +254,7 @@ def _star_rreq_broadcast(seed: int, seen: tuple[int, ...]) -> Simulator:
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
-    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
+    sim = Simulator(topo, honest_profiles(4), ScenarioConfig(seed=seed, link_loss=0.5))
     sim.collector = _DropLog()
     sim._rreq_reached[(0, 1)] = {0, *seen}
     sim.broadcast(0, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,))))
@@ -290,7 +289,7 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
 def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
     """Node 1 sends 32 ACKs to its prober, node 0, at loss 0.5; the
     prober's ``acked`` flag for node 1 is set beforehand or not."""
-    sim = line_sim(2, seed=seed, link=LinkParams(loss=0.5))
+    sim = line_sim(2, seed=seed, link_loss=0.5)
     sim.collector = _DropLog()
     if prober_holds_flag:
         sim.nodes[0].dri[1] = DriEntry(acked=True)
@@ -317,7 +316,7 @@ def test_ack_is_queued_while_its_prober_lacks_the_flag():
     """The rule reads the prober's flag when the ACK is sent: every ACK sent
     before the first arrival is queued, however many are in flight, since
     jitter may deliver a later one first; none is queued after it."""
-    sim = line_sim(2, link=LinkParams(delay_us=2_000, jitter_us=10_000))
+    sim = line_sim(2, link_delay_ms=2, link_jitter_ms=10)
     for _ in range(3):
         sim.nodes[1].send(PacketKind.ACK, 0, None)
     assert len(queued(sim)) == 3
@@ -333,7 +332,7 @@ def _lossless_star_rreq() -> tuple[Simulator, Packet]:
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
-    sim = Simulator(topo, honest_profiles(4), LinkParams(loss=0.0), seed=1)
+    sim = Simulator(topo, honest_profiles(4), ScenarioConfig(seed=1, link_loss=0.0))
     return sim, Packet(PacketKind.RREQ, 0, 1, RreqPayload(1, 3, 0, (0,)))
 
 
@@ -342,7 +341,7 @@ def test_broadcast_logs_one_deliver_per_copy():
     sim.event_log = []
     sim.broadcast(0, rreq)
     sim.run()
-    arrival = sim.link.delay_us
+    arrival = sim.delay_us
     assert sim.event_log[:3] == [
         (arrival, "deliver", leaf, int(PacketKind.RREQ), 0, 1) for leaf in (1, 2, 3)
     ]
@@ -354,7 +353,7 @@ def _lossy_star(seed: int) -> Simulator:
     topo = topology_from_positions(
         [(0.0, 0.0), (50.0, 0.0), (-50.0, 0.0), (0.0, 50.0)], 60.0
     )
-    return Simulator(topo, honest_profiles(4), LinkParams(loss=0.5), seed=seed)
+    return Simulator(topo, honest_profiles(4), ScenarioConfig(seed=seed, link_loss=0.5))
 
 
 def test_data_unicast_counts_every_copy_as_sent_lost_or_not():
@@ -371,7 +370,7 @@ def test_data_unicast_counts_every_copy_as_sent_lost_or_not():
 def test_lost_data_copy_is_still_counted_sent():
     """The sent count is bumped before the loss draw, so a sender's mirror
     count includes copies the link lost."""
-    sim = line_sim(2, link=LinkParams(loss=1.0))
+    sim = line_sim(2, link_loss=1.0)
     sim.transmit(0, 1, _probe(sim, 0, 1))
     assert sim.nodes[0].dri[1].sent == 1
     assert queued(sim) == []

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -47,6 +48,35 @@ def test_same_config_twice_replays_the_event_trace():
 
     cfg = _cfg(blackholes=2, colluding_pairs=1, seed=13, duration=10.0)
     assert trace(cfg) == trace(cfg)
+
+
+def test_link_times_round_to_the_nearest_microsecond():
+    """1.023 ms is 1022.99... us in floating point: it runs 1,023 us, not
+    1,022, and 1.001 ms runs 1,001 us, not 1,000."""
+    run = ScenarioRun(_cfg(link_delay_ms=1.001, link_jitter_ms=1.023))
+    assert (run.sim.delay_us, run.sim.jitter_us) == (1_001, 1_023)
+
+
+# each link and vetting field of the config, with a value that differs from
+# the base run's; a field the run ignored would leave both outputs alone
+LINK_AND_VETTING = dict(link_delay_ms=3, link_jitter_ms=2, link_loss=0.06, t1_ms=40,
+                        k_r=2, k_m=2, delta_match=1, ratio_cap=2)
+
+
+def test_every_link_and_vetting_field_reaches_the_run():
+    """Changing any one of them changes the event trace or the record."""
+    def outputs(cfg):
+        run = ScenarioRun(cfg.validate())
+        run.sim.event_log = []
+        record = run.execute()
+        return repr(run.sim.event_log), record
+
+    cfg = ScenarioConfig(nodes=20, area_side=500.0, flows=3, duration=5.0, colluding_pairs=1,
+                         link_loss=0.05, seed=3)
+    base = outputs(cfg)
+    unwired = [key for key, value in LINK_AND_VETTING.items()
+               if outputs(replace(cfg, **{key: value})) == base]
+    assert unwired == []
 
 
 def test_vet_msgs_column_mirrors_collector():
@@ -224,7 +254,7 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
     run = _warmup_run(link_loss=loss)
     run.sim.run(until_us=int(FIRST_FLOW_START_S * MICROS_PER_S))
     assert run.sim.idle()
-    oracle = Simulator(run.topology, run.sim.profiles, run.sim.link, run.cfg.seed)
+    oracle = Simulator(run.topology, run.sim.profiles, run.cfg)
     warm_up(oracle, run.cfg.warmup_packets)
     assert any(node.dri for node in run.sim.nodes)
     for ours, theirs in zip(run.sim.nodes, oracle.nodes, strict=True):

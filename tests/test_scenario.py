@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -81,7 +81,7 @@ def test_finite_floats_whose_run_values_overflow_rejected(key, overrides):
 
 
 def test_link_delay_below_one_microsecond_rejected():
-    """A run truncates the delay and the jitter to whole microseconds, so
+    """A run rounds the delay and the jitter to the nearest microsecond, so
     0.4 us would simulate a 0 us link or a jitter-free one; zero jitter
     stays a legal setting."""
     assert ScenarioConfig(link_delay_ms=0.001).validate().link_delay_ms == 0.001
@@ -95,6 +95,15 @@ def test_link_delay_below_one_microsecond_rejected():
             ConfigError, match="^link_jitter_ms: must be 0 or at least 1 microsecond$"
         ):
             ScenarioConfig(link_jitter_ms=value).validate()
+
+
+def test_config_is_frozen():
+    """A run reads its config as it goes, so no field may change under it;
+    ``replace`` makes a changed copy."""
+    cfg = ScenarioConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.k_r = 5
+    assert (replace(cfg, k_r=5).k_r, cfg.k_r) == (5, 3)
 
 
 def test_unknown_key_rejected(tmp_path):
