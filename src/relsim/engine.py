@@ -14,8 +14,12 @@ run ever floods, with one bucket for all its copies, and ``_send`` is the
 one unicast path, with its jitter draw and enqueue inline and the only
 transmission accounting: it bumps the sender's DRI ``sent`` count for a
 DATA copy itself, before the loss draw, and counts vetting messages.  A
-DATA hop is one ``Node._on_data`` call, which counts the copy received,
-and one ``_send`` call, for the next hop or for a probe's ACK.
+DATA hop is one ``Node._on_data`` call, which counts the copy received
+and then either relays the same packet, its ``pos`` moved on, through
+``transmit_or_drop`` (a forged path may name a hop that does not exist)
+or sends a probe's ACK straight to ``_send``.  Warm-up probes go
+straight to ``_send`` as well, since each probe's edge is a topology
+edge.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
@@ -28,7 +32,9 @@ log records only the queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
-tuple per dispatched event; production runs leave it ``None``.
+tuple per dispatched event; production runs leave it ``None``.  A
+delivery's tuple copies the header fields it logs, never the packet, as
+a DATA relay moves the packet's ``pos`` after dispatch.
 
 ``run`` also turns CPython's cyclic garbage collector off for its loop and
 back on only if it was on.  Warm-up queues tens of thousands of events

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
     from .engine import Simulator
 
 # a module global is read about ten times faster than an enum member
-_DATA, _ACK = PacketKind.DATA, PacketKind.ACK
+_ACK = PacketKind.ACK
 
 
 class Node:
@@ -60,8 +60,8 @@ class Node:
         """Originate a unicast to ``to``, which is ``payload.path[pos]`` for a
         source-routed kind; a hop that does not exist, as on a forged path,
         drops the packet."""
-        pkt = Packet(kind, self.id, self.next_seq(), payload, pos)
-        self.sim.transmit_or_drop(self.id, to, pkt)
+        self._packet_seq = seq = self._packet_seq + 1
+        self.sim.transmit_or_drop(self.id, to, Packet(kind, self.id, seq, payload, pos))
 
     def relay(self, pkt: Packet, step: int) -> None:
         """Move a source-routed control packet one hop, ``step`` = +1 toward
@@ -92,13 +92,15 @@ class Node:
             # prober gains transfer evidence for its through flag.  The
             # sender just transmitted to us, so the ACK's link exists.
             if flow_id < 0:
-                self.sim._send(self.id, sender, Packet(_ACK, self.id, self.next_seq()))
+                self._packet_seq = seq = self._packet_seq + 1
+                self.sim._send(self.id, sender, Packet(_ACK, self.id, seq))
             else:
                 self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
-        pos += 1
-        fwd = Packet(_DATA, pkt.origin, pkt.seq_no, payload, pos)
-        self.sim.transmit_or_drop(self.id, path[pos], fwd)
+        # relayed in place: a unicast copy is queued once, and this one has
+        # been dequeued, so no other reference reads its ``pos``
+        pkt.pos = pos = pos + 1
+        self.sim.transmit_or_drop(self.id, path[pos], pkt)
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:

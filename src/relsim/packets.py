@@ -10,14 +10,18 @@ from that node).  ``pos`` stays 0 and unread for the other kinds; a
 flooded route request is sent by ``path[-1]``.
 
 Payloads are immutable and hold only the state of one conversation, so
-a relay step is the same header operation for every kind: a fresh
-``Packet`` with ``pos`` moved by one, carrying the payload object
-unchanged.  The exceptions are RREQ, whose path grows at each relay,
-and REL, whose accumulator changes at each holder.  A payload holds
-nothing the header says, such as the originator (``pkt.origin``).
-Control-plane kinds are relayed even by misbehaving nodes; the
-data-plane kinds listed in ``DATA_PLANE`` are the ones a black hole
-silently absorbs.
+a relay step is the same header operation for every kind: ``pos`` moved
+by one, carrying the payload object unchanged.  A control relay builds a
+fresh ``Packet`` with the relay's own ``seq_no``; a DATA relay moves the
+header it received (``pkt.pos += 1``) and sends that same object on.  A
+unicast copy is queued at most once and is relayed only after it has
+been dequeued, and the event log copies the fields it reads at dispatch,
+so nothing still reads the old ``pos``.  The payload exceptions are
+RREQ, whose path grows at each relay, and REL, whose accumulator changes
+at each holder.  A payload holds nothing the header says, such as the
+originator (``pkt.origin``).  Control-plane kinds are relayed even by
+misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE`` are the
+ones a black hole silently absorbs.
 
 Payloads are frozen slotted dataclasses, except ``DataPayload``: one is
 built per flow packet (and per directed edge for warm-up probes, whose

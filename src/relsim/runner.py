@@ -161,12 +161,13 @@ class ScenarioRun:
             self._generate_packet(self.flows[payload[1]], payload[2])
 
     def _probe_round(self, j: int) -> None:
-        sim = self.sim
-        nodes = sim.nodes
+        nodes = self.sim.nodes
+        send = self.sim._send  # every probe's edge is a topology edge
         for payload in self._probes:
             sender, receiver = payload.path
-            pkt = Packet(_DATA, sender, nodes[sender].next_seq(), payload, 1)
-            sim.transmit(sender, receiver, pkt)
+            node = nodes[sender]
+            node._packet_seq = seq = node._packet_seq + 1
+            send(sender, receiver, Packet(_DATA, sender, seq, payload, 1))
         if j == self.cfg.warmup_packets - 1:
             del self._probes
 

@@ -7,7 +7,7 @@ from relsim import adversary, aodv
 from relsim.baseline import flags
 from relsim.engine import EventKind, Simulator
 from relsim.metrics import ground_truth_route_mrr
-from relsim.node import event_handlers
+from relsim.node import Node, event_handlers
 from relsim.packets import DriReqPayload, Packet, PacketKind
 from relsim.runner import run_scenario
 from relsim.scenario import ScenarioConfig
@@ -57,31 +57,69 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     a receiver never has to check that it is the addressee, and every DATA
     copy is sent by ``path[pos - 1]``, so its receiver knows the sender.
     Every hop of one DATA packet carries the payload object its source
-    built."""
+    built.  Each unicast copy, warm-up probes included, passes through
+    ``Simulator._send``, so that is where this is checked, and the run
+    must have shown it probes and relayed DATA hops."""
     seen = []
     data_payloads = {}
+    probes = relays = 0
+    send = Simulator._send
 
-    def checked(send):
-        def wrapper(sim, src, dst, pkt):
-            if pkt.kind in SOURCE_ROUTED:
-                seen.append(pkt.kind)
-                path = pkt.payload.path
-                assert dst == path[pkt.pos], (pkt, src, dst)
-                if pkt.kind is PacketKind.DATA:
-                    assert src == path[pkt.pos - 1], (pkt, src, dst)
-                    first = data_payloads.setdefault((pkt.origin, pkt.seq_no), pkt.payload)
-                    assert pkt.payload is first, (pkt, first)
-            return send(sim, src, dst, pkt)
-        return wrapper
+    def checked(sim, src, dst, pkt):
+        nonlocal probes, relays
+        if pkt.kind in SOURCE_ROUTED:
+            seen.append(pkt.kind)
+            path = pkt.payload.path
+            assert dst == path[pkt.pos], (pkt, src, dst)
+            if pkt.kind is PacketKind.DATA:
+                assert src == path[pkt.pos - 1], (pkt, src, dst)
+                first = data_payloads.setdefault((pkt.origin, pkt.seq_no), pkt.payload)
+                assert pkt.payload is first, (pkt, first)
+                if pkt.payload.flow_id < 0:
+                    probes += 1
+                elif pkt.pos >= 2:
+                    relays += 1
+        return send(sim, src, dst, pkt)
 
-    monkeypatch.setattr(Simulator, "transmit", checked(Simulator.transmit))
-    monkeypatch.setattr(Simulator, "transmit_or_drop", checked(Simulator.transmit_or_drop))
+    monkeypatch.setattr(Simulator, "_send", checked)
     record = run_scenario(ScenarioConfig(
         nodes=30, area_side=775.0, flows=8, blackholes=2, colluding_pairs=2,
         duration=10.0, seed=3, scheme=scheme, link_loss=loss,
     ).validate())
     assert not record.failed, record.failure_reason
     assert PacketKind.DATA in seen
+    assert probes > 0 and relays > 0, (probes, relays)
+
+
+@pytest.mark.parametrize("scheme", ["undefended", "baseline", "proposed"])
+def test_data_relayed_in_place_is_delivered_to_path_at_pos(monkeypatch, scheme):
+    """A DATA relay moves the ``pos`` of the packet it received and sends
+    that object on.  With slow, lossy links keeping many copies in flight,
+    every DATA delivery still reaches ``path[pos]``, and the delivered
+    object is in no bucket of the queue, so nothing queued sees its ``pos``
+    move."""
+    deliveries = relayed = 0
+    on_packet = Node.on_packet
+
+    def checked(node, pkt):
+        nonlocal deliveries, relayed
+        if pkt.kind is PacketKind.DATA:
+            deliveries += 1
+            relayed += pkt.pos >= 2
+            assert node.id == pkt.payload.path[pkt.pos], (pkt, node.id)
+            assert not any(
+                queued is pkt
+                for bucket in node.sim._buckets.values() for _, _, queued in bucket
+            ), pkt
+        on_packet(node, pkt)
+
+    monkeypatch.setattr(Node, "on_packet", checked)
+    record = run_scenario(ScenarioConfig(
+        nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10.0, seed=10,
+        link_delay_ms=20, link_loss=0.05, scheme=scheme,
+    ).validate())
+    assert not record.failed, record.failure_reason
+    assert relayed > 0, (deliveries, relayed)
 
 
 def test_evidence_reads_create_no_entry():
