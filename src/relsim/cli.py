@@ -14,11 +14,12 @@ import argparse
 import math
 import statistics
 import sys
+import traceback
 from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .runner import RunRecord, run_scenario
+from .runner import RunRecord, failed_record, run_scenario
 from .scenario import SCHEMES, SEED_LIMIT, ScenarioConfig, parse_config
 
 CSV_HEADER = (
@@ -161,13 +162,22 @@ def sweep_records(
     seeds: list[int],
     schemes: list[str],
 ) -> list[RunRecord]:
-    """Cross product of runs, executed and returned in deterministic order."""
+    """Cross product of runs, executed and returned in deterministic order.
+
+    A run that fails, ``run_scenario``'s ``SimulationError`` or any other
+    exception a run raises, becomes a failed record with a warning, so one
+    crashing run costs its own row, not the rows already finished; an
+    exception other than ``SimulationError`` also prints its traceback."""
     records = []
     for scheme in schemes:
         for blackholes in blackhole_values:
             for seed in seeds:
                 cfg = replace(base, scheme=scheme, blackholes=blackholes, seed=seed).validate()
-                record = run_scenario(cfg)
+                try:
+                    record = run_scenario(cfg)
+                except Exception as exc:
+                    traceback.print_exc()
+                    record = failed_record(cfg, f"internal error: {type(exc).__name__}: {exc}")
                 if record.failed:
                     print(
                         f"warning: run failed (scheme={scheme} blackholes={blackholes} "

@@ -39,11 +39,17 @@ if TYPE_CHECKING:
 @dataclass(slots=True)
 class DriEntry:
     """Evidence about one neighbor: counts of data packets exchanged with
-    it, and whether data sent to it was ever acknowledged."""
+    it, and whether data sent to it was ever acknowledged.
+
+    ``peer_acked`` is link-layer bookkeeping, not evidence, and no vetting
+    reads it: it mirrors the neighbor's own ``acked`` flag about this node,
+    so that ``Simulator.ack`` can skip an ACK the neighbor already holds by
+    reading this node's table.  ``node._on_ack`` sets the two together."""
 
     sent: int = 0
     received: int = 0
     acked: bool = False
+    peer_acked: bool = False
 
 
 EMPTY_ENTRY = DriEntry()

@@ -10,25 +10,25 @@ Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
 link jitter and loss are always drawn from the *sender's* stream.
 
 The per-hop path is flat: ``broadcast`` floods a route request, all a
-run ever floods, with one bucket for all its copies, and ``_send`` is the
-one unicast path, with its jitter draw and enqueue inline and the only
-transmission accounting: it bumps the sender's DRI ``sent`` count for a
-DATA copy itself, before the loss draw, and counts vetting messages.  A
-DATA hop is one ``Node._on_data`` call, which counts the copy received
-and then either relays the same packet, its ``pos`` moved on, through
+run ever floods, with one bucket for all its copies; ``ack`` sends a
+probe's ACK; and ``_send`` is the one path of every other unicast, with
+its jitter draw and enqueue inline and the only transmission accounting:
+it bumps the sender's DRI ``sent`` count for a DATA copy itself, before
+the loss draw, and counts vetting messages.  A DATA hop is one
+``Node._on_data`` call, which counts the copy received and then either
+relays the same packet, its ``pos`` moved on, through
 ``transmit_or_drop`` (a forged path may name a hop that does not exist)
-or sends a probe's ACK straight to ``_send``.  Warm-up probes go
-straight to ``_send`` as well, since each probe's edge is a topology
-edge.
+or acknowledges a probe through ``ack``.  Warm-up probes go straight to
+``_send``, since each probe's edge is a topology edge.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
-a node that no copy of that request has been queued for yet, and an ACK
-is not queued when its prober already holds the acknowledgement flag for
-the sender.  An unqueued copy still takes every draw a queued one takes,
-and the radio still sent it, so a count of transmissions or of energy
-must be taken in ``broadcast`` and ``_send``, not at dispatch; the event
-log records only the queued copies.
+a node that no copy of that request has been queued for yet, and ``ack``
+neither builds nor queues an ACK whose prober already holds the
+acknowledgement flag for the sender.  An unqueued copy still takes every
+draw a queued one takes, and the radio still sent it, so a count of
+transmissions or of energy must be taken in ``broadcast``, ``_send`` and
+``ack``, not at dispatch; the event log records only the queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
@@ -218,16 +218,10 @@ class Simulator:
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
-        A DATA copy bumps the sender's ``dri[dst].sent`` before the loss
-        draw, so the count reflects what was transmitted, lost or not; the
-        table is a ``defaultdict``, so the first copy makes the entry.
-
-        An ACK that survives both draws is still not queued if its receiver,
-        the prober, already holds the ``acked`` flag for the sender: the
-        flag is never cleared, so the ACK would change nothing.  The check
-        reads the prober's flag as it is now, not whether an earlier ACK was
-        queued, since jitter can deliver a later ACK first, and reads it with
-        ``get``, which makes no entry.
+        This is the path of every unicast but a probe's ACK, which ``ack``
+        sends.  A DATA copy bumps the sender's ``dri[dst].sent`` before the
+        loss draw, so the count reflects what was transmitted, lost or not;
+        the table is a ``defaultdict``, so the first copy makes the entry.
 
         The jitter draw is ``randint(0, jitter_us)`` written out: the
         rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
@@ -252,16 +246,51 @@ class Simulator:
             while draw >= bound:
                 draw = getrandbits(bits)
             time_us += draw
-        if kind is _ACK:
-            entry = self.nodes[dst].dri.get(src)
-            if entry is not None and entry.acked:
-                return
         # ``_bucket`` inlined, as this runs once per unicast
         bucket = self._buckets.get(time_us)
         if bucket is None:
             bucket = self._buckets[time_us] = deque()
             heappush(self._times, time_us)
         bucket.append((_DELIVER, dst, packet))
+
+    def ack(self, src: int, dst: int, seq: int) -> None:
+        """Acknowledge a probe that ``src`` received from the prober
+        ``dst``, with ``seq`` as the ACK's sequence number.  The ACK takes
+        ``_send``'s loss draw and then its jitter draw from ``src``'s
+        stream, in lines copied from ``_send`` (``tests/test_engine.py``
+        pins the two together), and a lost ACK reaches the collector's
+        ``on_link_drop`` as a built packet.
+
+        An ACK that survives both draws is built and queued only if
+        ``src``'s own ``dri[dst].peer_acked`` is false.  That flag mirrors
+        the prober's ``acked`` flag for ``src``, as ``node._on_ack`` sets
+        both, and neither is ever cleared, so a later ACK would change
+        nothing.  The rule reads the flag as it is now, not whether an
+        earlier ACK was queued, since jitter can deliver a later ACK first,
+        and reads it with ``get``, which makes no entry.
+        """
+        rng = self.rngs[src]
+        loss = self.loss
+        if loss > 0.0 and rng.random() < loss:
+            self.collector.on_link_drop(Packet(_ACK, src, seq))
+            return
+        time_us = self.now_us + self.delay_us
+        bound = self._jitter_bound
+        if bound > 1:
+            bits = self._jitter_bits
+            getrandbits = rng.getrandbits
+            draw = getrandbits(bits)
+            while draw >= bound:
+                draw = getrandbits(bits)
+            time_us += draw
+        entry = self.nodes[src].dri.get(dst)
+        if entry is not None and entry.peer_acked:
+            return
+        bucket = self._buckets.get(time_us)
+        if bucket is None:
+            bucket = self._buckets[time_us] = deque()
+            heappush(self._times, time_us)
+        bucket.append((_DELIVER, dst, Packet(_ACK, src, seq)))
 
     # -- main loop ----------------------------------------------------
 

@@ -294,6 +294,11 @@ def _record(cfg: ScenarioConfig, **results) -> RunRecord:
     return RunRecord(cfg.scenario_id, cfg.scheme, blackholes, cfg.seed, **results)
 
 
+def failed_record(cfg: ScenarioConfig, reason: str) -> RunRecord:
+    """The record of a run of ``cfg`` that failed for ``reason``."""
+    return _record(cfg, failed=True, failure_reason=reason)
+
+
 def _defined(formula, stats: list[metrics.FlowStats]) -> float:
     """``formula(stats)``, or nan where the metric is undefined."""
     try:
@@ -335,6 +340,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunRecord:
     try:
         return ScenarioRun(cfg).execute()
     except SimulationError as exc:
-        return _record(cfg, failed=True, failure_reason=str(exc))
+        return failed_record(cfg, str(exc))
     finally:
         gc.collect()

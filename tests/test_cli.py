@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from relsim import aodv
 from relsim.cli import (
     CSV_HEADER,
     main,
@@ -18,7 +19,7 @@ from relsim.cli import (
 )
 from relsim.metrics import RunCollector
 from relsim.runner import RunRecord
-from relsim.scenario import ScenarioConfig
+from relsim.scenario import SCHEMES, ScenarioConfig
 
 
 def _record(scheme="proposed", blackholes=0, seed=1, **kwargs):
@@ -204,6 +205,36 @@ def test_sweep_isolates_failed_runs_and_exits_2(tmp_path, capsys, monkeypatch):
     assert warned == nan_rows == {
         ("undefended", str(holes), str(seed)) for holes in (1, 2) for seed in (1, 2)
     }
+
+
+def test_sweep_isolates_a_crashing_run_and_exits_2(tmp_path, capsys, monkeypatch):
+    """A run that raises something other than ``SimulationError`` becomes
+    one failed nan row with an ``internal error`` warning; every other row
+    is still written, and the sweep exits 2."""
+    handle_rreq = aodv.handle_rreq
+
+    def crashing(node, pkt):
+        if (node.sim.cfg.scheme, node.sim.cfg.seed) == ("proposed", 8):
+            raise KeyError("lost table")
+        handle_rreq(node, pkt)
+
+    monkeypatch.setattr(aodv, "handle_rreq", crashing)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--max-blackholes", "0", "--nodes", "20", "--duration", "5",
+            "--seed", "7", "--seeds", "2", "--out", str(out)]
+    assert main(args) == 2
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: run failed")]
+    assert warnings == [
+        "warning: run failed (scheme=proposed blackholes=0 seed=8): "
+        "internal error: KeyError: 'lost table'"
+    ]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]
+            if not line.startswith("summary")]
+    assert sorted(tuple(row[1:4]) for row in rows) == [
+        (scheme, "0", str(seed)) for scheme in sorted(SCHEMES) for seed in (7, 8)
+    ]
+    assert [tuple(row[1:4]) for row in rows if row[4] == "nan"] == [("proposed", "0", "8")]
 
 
 @pytest.mark.parametrize("name, content", [

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relsim import engine
 from relsim.adversary import honest_profiles
-from relsim.defense import DriEntry
+from relsim.defense import EMPTY_ENTRY, DriEntry
 from relsim.engine import (
     COLLUSION_STREAM,
     MAX_NODES,
@@ -17,8 +18,10 @@ from relsim.engine import (
 )
 from relsim.errors import SchedulingError, UndeliverableError
 from relsim.metrics import RunCollector
+from relsim.node import Node
 from relsim.packets import DataPayload, DriReqPayload, Packet, PacketKind, RreqPayload
-from relsim.scenario import ScenarioConfig
+from relsim.runner import ScenarioRun
+from relsim.scenario import SCHEMES, ScenarioConfig
 from relsim.topology import topology_from_positions
 
 from conftest import line_sim, queued
@@ -288,13 +291,15 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
 
 def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
     """Node 1 sends 32 ACKs to its prober, node 0, at loss 0.5; the
-    prober's ``acked`` flag for node 1 is set beforehand or not."""
+    prober's ``acked`` flag for node 1, and node 1's ``peer_acked`` mirror
+    of it, are set beforehand or not."""
     sim = line_sim(2, seed=seed, link_loss=0.5)
     sim.collector = _DropLog()
     if prober_holds_flag:
         sim.nodes[0].dri[1] = DriEntry(acked=True)
-    for _ in range(32):
-        sim.nodes[1].send(PacketKind.ACK, 0, None)
+        sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
+    for seq in range(1, 33):
+        sim.ack(1, 0, seq)
     return sim
 
 
@@ -313,17 +318,97 @@ def test_unqueued_ack_still_takes_its_loss_and_jitter_draws():
 
 
 def test_ack_is_queued_while_its_prober_lacks_the_flag():
-    """The rule reads the prober's flag when the ACK is sent: every ACK sent
-    before the first arrival is queued, however many are in flight, since
-    jitter may deliver a later one first; none is queued after it."""
+    """The rule reads the flag when the ACK is sent: every ACK sent before
+    the first arrival is queued, however many are in flight, since jitter
+    may deliver a later one first; none is queued after it."""
     sim = line_sim(2, link_delay_ms=2, link_jitter_ms=10)
-    for _ in range(3):
-        sim.nodes[1].send(PacketKind.ACK, 0, None)
+    for seq in range(1, 4):
+        sim.ack(1, 0, seq)
     assert len(queued(sim)) == 3
     sim.run()
     assert sim.nodes[0].dri[1].acked
-    sim.nodes[1].send(PacketKind.ACK, 0, None)
+    sim.ack(1, 0, 4)
     assert sim.idle()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ack_takes_the_draws_of_an_uncounted_send(seed):
+    """``ack``'s loss and jitter lines are a copy of ``_send``'s: 32 ACKs
+    and 32 uncounted unicasts from one sender leave its stream in one
+    state, lose the same copies and queue the rest at the same times."""
+
+    def sent(send_one) -> Simulator:
+        sim = line_sim(2, seed=seed, link_loss=0.5, link_jitter_ms=10)
+        sim.collector = _DropLog()
+        for seq in range(1, 33):
+            send_one(sim, seq)
+        return sim
+
+    acks = sent(lambda sim, seq: sim.ack(1, 0, seq))
+    pings = sent(lambda sim, seq: sim._send(1, 0, Packet(PacketKind.PING, 1, seq)))
+    assert acks.rngs[1].getstate() == pings.rngs[1].getstate()
+    assert len(acks.collector.drops) == len(pings.collector.drops)
+    assert [p.seq_no for p in acks.collector.drops] == [p.seq_no for p in pings.collector.drops]
+    assert [(t, p.seq_no) for t, _, _, p in queued(acks)] == [
+        (t, p.seq_no) for t, _, _, p in queued(pings)
+    ]
+    assert 0 < len(acks.collector.drops) < 32
+    assert len({t for t, _, _, _ in queued(acks)}) > 1
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, scheme):
+    """Every directed edge (a, b) has ``a``'s ``peer_acked`` about ``b``
+    equal to ``b``'s ``acked`` about ``a``, at every ACK delivery and when
+    the run ends, and ``ack`` builds a packet only for an ACK it queues or
+    loses: the ACK packets built are the ACK deliveries plus the ACK link
+    drops."""
+    counts = {"built": 0, "acks": 0, "delivered": 0, "dropped": 0}
+    build, ack = engine.Packet, Simulator.ack
+    on_packet, on_link_drop = Node.on_packet, RunCollector.on_link_drop
+
+    def counted_build(kind, *args):
+        counts["built"] += kind is PacketKind.ACK
+        return build(kind, *args)
+
+    def counted_ack(sim, *args):
+        counts["acks"] += 1
+        ack(sim, *args)
+
+    def mirrored(nodes):
+        for a, node in enumerate(nodes):
+            for b in node.neighbors:
+                assert (
+                    node.dri.get(b, EMPTY_ENTRY).peer_acked
+                    == nodes[b].dri.get(a, EMPTY_ENTRY).acked
+                ), (a, b)
+
+    def checked_delivery(node, pkt):
+        if pkt.kind is PacketKind.ACK:
+            counts["delivered"] += 1
+            mirrored(node.sim.nodes)
+            on_packet(node, pkt)
+            mirrored(node.sim.nodes)
+        else:
+            on_packet(node, pkt)
+
+    def counted_drop(collector, pkt):
+        counts["dropped"] += pkt.kind is PacketKind.ACK
+        on_link_drop(collector, pkt)
+
+    monkeypatch.setattr(engine, "Packet", counted_build)
+    monkeypatch.setattr(Simulator, "ack", counted_ack)
+    monkeypatch.setattr(Node, "on_packet", checked_delivery)
+    monkeypatch.setattr(RunCollector, "on_link_drop", counted_drop)
+    run = ScenarioRun(ScenarioConfig(
+        nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10.0, seed=10,
+        link_delay_ms=20, link_loss=0.05, warmup_packets=250, scheme=scheme,
+    ).validate())
+    record = run.execute()
+    assert not record.failed, record.failure_reason
+    mirrored(run.sim.nodes)
+    assert counts["built"] == counts["delivered"] + counts["dropped"], counts
+    assert 0 < counts["dropped"] < counts["built"] < counts["acks"], counts
 
 
 def _lossless_star_rreq() -> tuple[Simulator, Packet]:
