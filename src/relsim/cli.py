@@ -14,7 +14,6 @@ import argparse
 import math
 import statistics
 import sys
-import traceback
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -176,6 +175,8 @@ def sweep_records(
                 try:
                     record = run_scenario(cfg)
                 except Exception as exc:
+                    import traceback  # only a crash needs it; startup is measured
+
                     traceback.print_exc()
                     record = failed_record(cfg, f"internal error: {type(exc).__name__}: {exc}")
                 if record.failed:
