@@ -25,7 +25,6 @@ from .defense import (
     conclude,
     expire,
     open_vetting,
-    run_vetting,
     vetting_deadline_us,
 )
 from .engine import MICROS_PER_MS
@@ -221,7 +220,3 @@ def _finish(node: Node, state: BaselineState, status: VetStatus) -> None:
     # idx counts from 1 and has stepped past every cleared hop
     conclude(node, VettingResult(status, 0.0, state.idx - 1, state.path), state.on_done)
 
-
-def baseline_vet(sim, source: int, path) -> VettingResult:
-    """Synchronous facade mirroring the count-based scheme's ``vet_path``."""
-    return run_vetting(begin_baseline_vetting, sim, source, path)

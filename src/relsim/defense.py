@@ -191,16 +191,6 @@ def expire(state, cfg: ScenarioConfig) -> bool:
     return False
 
 
-def run_vetting(begin, sim, source: int, path) -> VettingResult:
-    """Start ``begin`` on the live simulator, drain the queue and return the
-    result; timers the vetting left behind (its deadline) fire, and find
-    the conversation already closed."""
-    done: list[VettingResult] = []
-    begin(sim.nodes[source], tuple(path), done.append)
-    sim.run()
-    return done[0]
-
-
 # ---------------------------------------------------------------------------
 # Distributed walk: holder-side state machine driven by the event loop.
 # ---------------------------------------------------------------------------
@@ -342,8 +332,3 @@ def _finalize(node: Node, vet_id: int, status: VetStatus, rel: float = 0.0,
     path, on_done = waiter
     conclude(node, VettingResult(status, rel, checked, path), on_done)
 
-
-def vet_path(sim, source: int, path) -> VettingResult:
-    """Synchronous facade: run the walk on the live simulator and block on it,
-    with the vetting fields of the simulator's ``cfg``."""
-    return run_vetting(begin_vetting, sim, source, path)

@@ -15,13 +15,13 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import aodv, baseline, defense, metrics
+from . import aodv, defense, metrics
 from .adversary import assign_adversaries
 from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, Simulator,
                      derive_stream)
 from .errors import SimulationError, UndefinedMetricError
 from .packets import DataPayload, Packet, PacketKind
-from .scenario import ScenarioConfig
+from .scenario import SCHEME_TABLE, ScenarioConfig
 from .topology import build_connected_topology
 
 WARMUP_START_MS = 50
@@ -70,6 +70,7 @@ class ScenarioRun:
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        self.scheme = SCHEME_TABLE[cfg.scheme]
         rng = derive_stream(cfg.seed, SCENARIO_STREAM)
         self.topology = build_connected_topology(
             cfg.nodes, cfg.area_side, cfg.radio_range, rng
@@ -213,40 +214,32 @@ class ScenarioRun:
         )
 
     def _choose_route(self, flow: _FlowDriver, paths: list[tuple[int, ...]]) -> None:
-        """Take a route from ``paths``, ranked best first.  Undefended takes
-        the first path unvetted.  The defended schemes vet the paths one at
-        a time: baseline stops at its first trusted path; proposed vets them
-        all, then takes the ``select_route`` pick.  A flow left without a
-        route stays starved.
+        """Take a route from ``paths``, ranked best first, as ``self.scheme``
+        says: without a vetter, the first path unvetted; with one, vet the
+        paths one at a time.  A flow left without a route stays starved.
 
         Each vetting reports to a ``partial`` of ``_collect_vetting`` that
         carries the walk's state, so no reference cycle is made: the event
         loop runs with the cyclic garbage collector off."""
-        scheme = self.cfg.scheme
-        if scheme == "undefended":
+        if self.scheme.vetter is None:
             if paths:
                 self._activate(flow, paths[0])
             return
-        # looked up at call time so that wrappers installed on the modules apply
-        if scheme == "proposed":
-            vetter = defense.begin_vetting
-        else:
-            vetter = baseline.begin_baseline_vetting
-        self._vet_next(flow, vetter, iter(paths), [])
+        self._vet_next(flow, self.scheme.vetter(), iter(paths), [])
 
     def _vet_next(self, flow: _FlowDriver, vetter, pending, results: list) -> None:
         path = next(pending, None)
         if path is not None:
             vetter(self.sim.nodes[flow.source], path,
                    partial(self._collect_vetting, flow, vetter, pending, results))
-        elif results and self.cfg.scheme == "proposed":
+        elif results and self.scheme.vet_all:
             chosen = defense.select_route(results)
             if chosen is not None:
                 self._activate(flow, chosen)
 
     def _collect_vetting(self, flow: _FlowDriver, vetter, pending, results: list,
                          result: defense.VettingResult) -> None:
-        if self.cfg.scheme != "proposed" and result.status is defense.VetStatus.TRUSTED:
+        if not self.scheme.vet_all and result.status is defense.VetStatus.TRUSTED:
             self._activate(flow, result.path)
             return
         results.append(result)

@@ -2,14 +2,36 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from sys import float_info
+from typing import Callable
 
+from . import baseline, defense
 from .engine import MAX_NODES, MICROS_PER_MS, MICROS_PER_S
 from .errors import ConfigError
 
-SCHEMES = ("undefended", "baseline", "proposed")
+
+@dataclass(frozen=True, slots=True)
+class Scheme:
+    """How a scheme takes a flow's route from paths ranked best first.
+    ``vetter`` returns the function that vets one path, read off its module
+    at each route choice so that wrappers installed on the module apply;
+    None takes the first path unvetted.  With ``vet_all`` the scheme vets
+    every path and takes ``defense.select_route``'s pick; without, it stops
+    at its first trusted path."""
+
+    vetter: Callable[[], Callable] | None
+    vet_all: bool
+
+
+#: The one place a scheme is defined.
+SCHEME_TABLE = {
+    "undefended": Scheme(None, vet_all=False),
+    "baseline": Scheme(lambda: baseline.begin_baseline_vetting, vet_all=False),
+    "proposed": Scheme(lambda: defense.begin_vetting, vet_all=True),
+}
+SCHEMES = tuple(SCHEME_TABLE)
 #: Seeds are 64-bit: the RNG streams mask wider values, which would alias.
 SEED_LIMIT = 1 << 64
 
@@ -46,8 +68,12 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name}: must be an integer")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name}: must be finite")
+            if f.type == "float":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"{f.name}: must be a number")
+                # false for nan and inf, and for an int past the float range
+                if not abs(value) <= float_info.max:
+                    raise ConfigError(f"{f.name}: must be finite")
         if self.nodes < 2:
             raise ConfigError("nodes: need at least 2 nodes")
         # node i draws from RNG stream i, below the collusion and set-up streams
@@ -107,7 +133,7 @@ class ScenarioConfig:
             ("link_delay_ms", self.link_delay_ms * MICROS_PER_MS, "in microseconds"),
             ("link_jitter_ms", self.link_jitter_ms * MICROS_PER_MS, "in microseconds"),
         ):
-            if not math.isfinite(derived):
+            if not derived <= float_info.max:  # each product is non-negative
                 raise ConfigError(f"{key}: must be finite {what}")
         return self
 

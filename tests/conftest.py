@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from relsim.adversary import AdversaryProfile, honest_profiles
+from relsim.defense import VettingResult
 from relsim.engine import EventKind, Simulator
 from relsim.packets import DataPayload, Packet, PacketKind
-from relsim.scenario import ScenarioConfig
+from relsim.scenario import SCHEME_TABLE, ScenarioConfig
 from relsim.topology import topology_from_positions
 
 PROBE_SPACING_US = 5_000
@@ -70,6 +71,16 @@ def warm_up(sim: Simulator, packets: int = 10) -> None:
                 )
     sim.run()
     sim.set_app_handler(previous)
+
+
+def vet(sim: Simulator, scheme: str, source: int, path) -> VettingResult:
+    """Vet ``path`` from ``source`` with ``scheme``'s vetter on the live
+    simulator, drain the queue and return the result; timers the vetting
+    left behind (its deadline) fire, and find the conversation closed."""
+    done: list[VettingResult] = []
+    SCHEME_TABLE[scheme].vetter()(sim.nodes[source], tuple(path), done.append)
+    sim.run()
+    return done[0]
 
 
 @pytest.fixture

@@ -7,9 +7,8 @@ import random
 import time
 
 from relsim import aodv
-from relsim.baseline import baseline_vet
 from relsim.cli import main, summarize, sweep_records
-from relsim.defense import VetStatus, select_route, vet_path
+from relsim.defense import VetStatus, select_route
 from relsim.engine import Simulator
 from relsim.metrics import (
     FlowStats,
@@ -23,7 +22,7 @@ from relsim.runner import run_scenario
 from relsim.scenario import ScenarioConfig
 from relsim.topology import bfs_hop_counts, build_connected_topology
 
-from conftest import blackhole, line_sim, warm_up
+from conftest import blackhole, line_sim, vet, warm_up
 
 TOL = 1e-9
 
@@ -181,7 +180,7 @@ def test_criterion_5_detection_soundness_property():
             continue
         vetted = []
         for candidate in candidates:
-            result = vet_path(sim, source, candidate.path)
+            result = vet(sim, "proposed", source, candidate.path)
             vetted.append(result)
             if hole in candidate.path[1:-1]:
                 if result.status is VetStatus.TRUSTED and result.rel > 0:
@@ -206,11 +205,11 @@ def test_criterion_6_collusion_differential():
 
     sim_base = line_sim(5, roles, seed=31)
     warm_up(sim_base)
-    flag_verdict = baseline_vet(sim_base, 0, fixture_path)
+    flag_verdict = vet(sim_base, "baseline", 0, fixture_path)
 
     sim_rel = line_sim(5, roles, seed=31)
     warm_up(sim_rel)
-    rel_verdict = vet_path(sim_rel, 0, fixture_path)
+    rel_verdict = vet(sim_rel, "proposed", 0, fixture_path)
 
     ok = flag_verdict.status is VetStatus.TRUSTED and (
         rel_verdict.rel == 0.0 or rel_verdict.status is VetStatus.UNTRUSTED
@@ -265,13 +264,13 @@ def test_criterion_9_overhead_comparison():
     sim_flag = line_sim(4, seed=7)
     warm_up(sim_flag)
     before = sim_flag.collector.vet_messages
-    baseline_vet(sim_flag, 0, (0, 1, 2, 3))
+    vet(sim_flag, "baseline", 0, (0, 1, 2, 3))
     flag_msgs = sim_flag.collector.vet_messages - before
 
     sim_rel = line_sim(4, seed=7)
     warm_up(sim_rel)
     before = sim_rel.collector.vet_messages
-    vet_path(sim_rel, 0, (0, 1, 2, 3))
+    vet(sim_rel, "proposed", 0, (0, 1, 2, 3))
     rel_msgs = sim_rel.collector.vet_messages - before
 
     hops = 2  # both schemes vetted the same two intermediate hops

@@ -4,13 +4,13 @@ import pytest
 
 from relsim import adversary, aodv
 from relsim.adversary import assign_adversaries, collusion_story, honest_profiles
-from relsim.defense import VetStatus, cross_check, DriEntry, vet_path
+from relsim.defense import VetStatus, cross_check, DriEntry
 from relsim.errors import TopologyError
 from relsim.packets import DataPayload, Packet, PacketKind
 from relsim.scenario import ScenarioConfig
 from relsim.topology import build_connected_topology, topology_from_positions
 
-from conftest import blackhole, line_sim, warm_up
+from conftest import blackhole, line_sim, vet, warm_up
 
 
 def _discover(sim, source, target):
@@ -84,7 +84,7 @@ def test_data_absorption_is_total():
 def test_blackhole_still_answers_control_queries():
     sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3))
     # a reply arrived (otherwise timeouts would mark it untrusted);
     # the fabricated counts fail the mirror check instead
     assert result.status is VetStatus.REL_ZEROED
@@ -111,7 +111,7 @@ def test_colluding_pair_vouches_consistently_but_is_caught_upstream():
         },
     )
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 1, 2, 3, 4))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.REL_ZEROED
     assert result.rel == 0.0
     # the walk never progressed past the first colluder
@@ -135,7 +135,7 @@ def test_silent_mode_reaches_timeout_branch(monkeypatch):
     monkeypatch.setattr(adversary, "blackhole_on_dri_request", lambda node, pkt: None)
     sim = line_sim(4, {2: blackhole()}, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 

@@ -1,13 +1,13 @@
 import pytest
 
 from relsim import adversary, aodv
-from relsim.baseline import baseline_update, baseline_vet, flags
-from relsim.defense import VetStatus, record_data_packet, vet_path
+from relsim.baseline import baseline_update, flags
+from relsim.defense import VetStatus, record_data_packet
 from relsim.packets import PacketKind
 from relsim.runner import ScenarioRun
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, warm_up
+from conftest import blackhole, line_sim, vet, warm_up
 
 
 # -- flags read off the count table --------------------------------------------
@@ -53,13 +53,13 @@ def test_warmup_leaves_blackhole_flags_dark():
 
 
 def test_honest_warmed_path_is_trusted(honest_line):
-    result = baseline_vet(honest_line, 0, (0, 1, 2, 3))
+    result = vet(honest_line, "baseline", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.TRUSTED
 
 
-@pytest.mark.parametrize("facade", [vet_path, baseline_vet])
-def test_facades_drain_the_queue_and_production_runs_keep_no_log(facade, honest_line):
-    result = facade(honest_line, 0, (0, 1, 2, 3))
+@pytest.mark.parametrize("scheme", ["proposed", "baseline"])
+def test_vetters_drain_the_queue_and_production_runs_keep_no_log(scheme, honest_line):
+    result = vet(honest_line, scheme, 0, (0, 1, 2, 3))
     assert result.status is VetStatus.TRUSTED
     assert honest_line.idle()  # the vetting deadline fired too
     run = ScenarioRun(ScenarioConfig(nodes=20, area_side=630.0, flows=2, duration=2.0).validate())
@@ -70,7 +70,7 @@ def test_facades_drain_the_queue_and_production_runs_keep_no_log(facade, honest_
 def test_honest_single_intermediate_is_trusted():
     sim = line_sim(3)
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2))
+    result = vet(sim, "baseline", 0, (0, 1, 2))
     assert result.status is VetStatus.TRUSTED
 
 
@@ -79,21 +79,21 @@ def test_solo_blackhole_reported_dark_by_honest_successor():
     sim = line_sim(5, {2: blackhole()})
     warm_up(sim)
     assert flags(sim.nodes[3], 2) == (False, False)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3, 4))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED
 
 
 def test_solo_blackhole_first_position_refused_by_source_table():
     sim = line_sim(4, {1: blackhole()})
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 
 def test_solo_blackhole_last_intermediate_caught_by_destination():
     sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
 
 
@@ -107,7 +107,7 @@ def test_colluding_pair_defeats_the_interrogation():
         },
     )
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3, 4))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.TRUSTED  # false negative by design
 
 
@@ -125,8 +125,8 @@ def test_collusion_differential_on_identical_state():
         warm_up(sim)
         return sim
 
-    assert baseline_vet(build(), 0, (0, 1, 2, 3, 4)).status is VetStatus.TRUSTED
-    rel_result = vet_path(build(), 0, (0, 1, 2, 3, 4))
+    assert vet(build(), "baseline", 0, (0, 1, 2, 3, 4)).status is VetStatus.TRUSTED
+    rel_result = vet(build(), "proposed", 0, (0, 1, 2, 3, 4))
     assert rel_result.rel == 0.0 or rel_result.status is VetStatus.UNTRUSTED
 
 
@@ -141,7 +141,7 @@ def test_deep_collusion_is_still_caught():
         },
     )
     warm_up(sim)
-    result = baseline_vet(sim, 0, (0, 1, 2, 3, 4, 5))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3, 4, 5))
     assert result.status is VetStatus.UNTRUSTED
 
 
@@ -150,7 +150,7 @@ def test_silent_voucher_burns_timers_to_untrusted(monkeypatch):
     sim = line_sim(4, {2: blackhole()}, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
     sim.event_log = []
-    result = baseline_vet(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "baseline", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
     # the hole was asked, and no answer of its own ever travelled
     deliveries = [e[2:5] for e in sim.event_log if e[1] == "deliver"]
@@ -163,7 +163,7 @@ def test_message_overhead_exceeds_count_scheme_per_hop(honest_line):
     """Three relayed question/answer round trips per interrogated hop versus
     one adjacent request/reply plus the traveling accumulator."""
     before = honest_line.collector.vet_messages
-    baseline_vet(honest_line, 0, (0, 1, 2, 3))
+    vet(honest_line, "baseline", 0, (0, 1, 2, 3))
     baseline_msgs = honest_line.collector.vet_messages - before
 
     from conftest import line_sim as fresh_line
@@ -171,7 +171,7 @@ def test_message_overhead_exceeds_count_scheme_per_hop(honest_line):
     other = fresh_line(4)
     warm_up(other)
     before = other.collector.vet_messages
-    vet_path(other, 0, (0, 1, 2, 3))
+    vet(other, "proposed", 0, (0, 1, 2, 3))
     rel_msgs = other.collector.vet_messages - before
 
     hops = 2
@@ -184,7 +184,7 @@ def test_direct_neighbor_path_trusted_without_messages():
     sim = line_sim(3)
     warm_up(sim)
     before = sim.collector.vet_messages
-    result = baseline_vet(sim, 0, (0, 1))
+    result = vet(sim, "baseline", 0, (0, 1))
     assert result.status is VetStatus.TRUSTED
     assert sim.collector.vet_messages == before
 
@@ -217,7 +217,7 @@ def test_interrogation_plan_on_honest_lines(n, vetted, triples):
         return send(src, dst, pkt)
 
     sim.transmit_or_drop = watch
-    result = baseline_vet(sim, 0, tuple(range(n)))
+    result = vet(sim, "baseline", 0, tuple(range(n)))
     assert result.status is VetStatus.TRUSTED
     assert result.vetted_hops == vetted
     assert asked == triples

@@ -14,12 +14,11 @@ from relsim.defense import (
     reliability_ratio,
     result_mrr,
     select_route,
-    vet_path,
 )
 from relsim.errors import NoRouteError
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, warm_up
+from conftest import blackhole, line_sim, vet, warm_up
 
 CFG = ScenarioConfig()
 
@@ -132,7 +131,7 @@ def test_tolerance_boundary():
 
 def test_honest_line_walk_accumulates_two(honest_line):
     """Hand trace: two matched hops at ratio 1.0 each."""
-    result = vet_path(honest_line, 0, (0, 1, 2, 3))
+    result = vet(honest_line, "proposed", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.TRUSTED
     assert result.rel == 2.0
     assert result.vetted_hops == 2
@@ -144,7 +143,7 @@ def test_solo_blackhole_zeroes_the_walk():
     sim = line_sim(4, {2: blackhole()})
     warm_up(sim)
     assert (sim.nodes[1].dri[2].sent, sim.nodes[1].dri[2].received) == (10, 0)
-    result = vet_path(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.REL_ZEROED
     assert result.rel == 0.0
 
@@ -155,7 +154,7 @@ def test_silent_neighbor_burns_counters_to_untrusted(monkeypatch):
     sim = line_sim(4, {2: blackhole()}, k_r=3, k_m=1)
     warm_up(sim)
     sim.event_log = []
-    result = vet_path(sim, 0, (0, 1, 2, 3))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3))
     assert result.status is VetStatus.UNTRUSTED
     timers = [e for e in sim.event_log if e[1] == "timer" and e[3] == "rel_tf"]
     # hop 0->1 answers; hop 1->2 burns 3 expiries in each of 2 attempts
@@ -165,12 +164,12 @@ def test_silent_neighbor_burns_counters_to_untrusted(monkeypatch):
 def test_unreachable_first_hop_ends_untrusted():
     sim = line_sim(4, k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 2, 3))  # 0 and 2 are not adjacent
+    result = vet(sim, "proposed", 0, (0, 2, 3))  # 0 and 2 are not adjacent
     assert result.status is VetStatus.UNTRUSTED
 
 
 def test_direct_neighbor_skips_the_walk(honest_line):
-    result = vet_path(honest_line, 0, (0, 1))
+    result = vet(honest_line, "proposed", 0, (0, 1))
     assert result.status is VetStatus.TRUSTED
     assert result.vetted_hops == 0
     assert result_mrr(result) == 1.0
@@ -178,7 +177,7 @@ def test_direct_neighbor_skips_the_walk(honest_line):
 
 def test_rel_additivity_is_bit_exact(honest_line):
     """Final rel equals the per-hop ratios summed in traversal order."""
-    result = vet_path(honest_line, 0, (0, 1, 2, 3))
+    result = vet(honest_line, "proposed", 0, (0, 1, 2, 3))
     expected = 0.0
     for reporter, asker in ((1, 0), (2, 1)):
         entry = honest_line.nodes[reporter].dri[asker]
@@ -265,7 +264,7 @@ def test_strike_counter_monotone_and_absorbing(monkeypatch):
     sim = line_sim(5, {2: blackhole(), 3: blackhole()},
                    k_r=2, k_m=1, t1_ms=10)
     warm_up(sim)
-    result = vet_path(sim, 0, (0, 1, 2, 3, 4))
+    result = vet(sim, "proposed", 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED
     # walk is over; no pending probes remain anywhere
     assert all(not node.rel_pending for node in sim.nodes)

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from relsim import aodv, baseline, defense, runner
-from relsim.baseline import baseline_vet
 from relsim.defense import VetStatus
 from relsim.errors import SimulationError
 from relsim.engine import MICROS_PER_MS, MICROS_PER_S, Simulator
@@ -17,7 +16,7 @@ from relsim.packets import DataPayload
 from relsim.runner import FIRST_FLOW_START_S, WARMUP_START_MS, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, queued, warm_up
+from conftest import blackhole, line_sim, queued, vet, warm_up
 
 
 def _cfg(**kwargs):
@@ -170,7 +169,7 @@ def test_proposed_on_captured_fixture_reports_no_trusted_route():
     """Line fixture with the hole astride the only path: every candidate is
     poisoned, so selection must refuse rather than feed the hole."""
     from relsim import aodv
-    from relsim.defense import select_route, vet_path
+    from relsim.defense import select_route
 
     from conftest import blackhole, line_sim, warm_up
 
@@ -180,7 +179,7 @@ def test_proposed_on_captured_fixture_reports_no_trusted_route():
     aodv.initiate_discovery(sim.nodes[0], 3, candidates.extend)
     sim.run()
     assert candidates
-    vetted = [vet_path(sim, 0, c.path) for c in candidates]
+    vetted = [vet(sim, "proposed", 0, c.path) for c in candidates]
     assert select_route(vetted) is None
 
 
@@ -338,11 +337,11 @@ COLLUDERS = {2: blackhole(collusion_group=0, collusion_partner=3),
 
 @pytest.mark.parametrize("roles", [{}, {2: blackhole()}, COLLUDERS],
                          ids=["honest", "solo", "colluding"])
-@pytest.mark.parametrize("vet", [defense.vet_path, baseline_vet])
-def test_synchronous_vetting_creates_no_cyclic_garbage(vet, roles):
+@pytest.mark.parametrize("scheme", ["proposed", "baseline"])
+def test_synchronous_vetting_creates_no_cyclic_garbage(scheme, roles):
     sim = line_sim(5, roles)
     warm_up(sim)
-    _, garbage = _cyclic_garbage(lambda: vet(sim, 0, (0, 1, 2, 3, 4)))
+    _, garbage = _cyclic_garbage(lambda: vet(sim, scheme, 0, (0, 1, 2, 3, 4)))
     assert garbage == 0
 
 

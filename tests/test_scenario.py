@@ -60,6 +60,8 @@ def test_non_finite_floats_rejected(key):
             parse_config(overrides={key: raw})
         with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
             ScenarioConfig(**{key: float(raw)}).validate()
+    with pytest.raises(ConfigError, match=f"^{key}: must be finite$"):
+        ScenarioConfig(**{key: 10**400}).validate()  # an int past the float range
 
 
 @pytest.mark.parametrize(
@@ -71,9 +73,19 @@ def test_non_integer_values_for_integer_fields_rejected(key):
             ScenarioConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(ScenarioConfig) if f.type == "float"]
+)
+def test_non_number_values_for_float_fields_rejected(key):
+    for value in ("1", None, True):
+        with pytest.raises(ConfigError, match=f"^{key}: must be a number$"):
+            ScenarioConfig(**{key: value}).validate()
+
+
 @pytest.mark.parametrize("key, overrides", [
     ("duration", {"duration": 1e303, "packet_rate": 1e-300}),
     ("packet_rate", {"duration": 1e300, "packet_rate": 1e10}),
+    ("duration", {"duration": 10**308}),  # an int product past the float range
 ])
 def test_finite_floats_whose_run_values_overflow_rejected(key, overrides):
     with pytest.raises(ConfigError, match=f"^{key}: must be finite "):
@@ -120,6 +132,12 @@ def test_error_names_the_offending_field():
         parse_config(overrides={"scheme": "magic"})
     with pytest.raises(ConfigError, match="link_loss"):
         parse_config(overrides={"link_loss": 1.5})
+
+
+@pytest.mark.parametrize("value", [["proposed"], {}, None])
+def test_non_string_scheme_rejected(value):
+    with pytest.raises(ConfigError, match="^scheme: must be one of "):
+        ScenarioConfig(scheme=value).validate()
 
 
 def test_file_format_comments_and_spacing(tmp_path):
