@@ -109,7 +109,7 @@ def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
     sent, received = fabricated_counts(node, node.sim.profiles[pkt.origin])
     node.send(PacketKind.DRI_REP, pkt.origin,
-              DriRepPayload(payload.vet_id, payload.attempt, sent, received))
+              DriRepPayload(payload.probe_id, payload.attempt, sent, received))
 
 
 def blackhole_on_base_request(node: Node, pkt: Packet) -> None:

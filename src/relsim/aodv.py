@@ -74,6 +74,12 @@ class DiscoveryState:
     replies: dict[tuple[int, ...], RrepPayload] = field(default_factory=dict)
 
 
+@dataclass(frozen=True, slots=True)
+class PingWait:  # a ping at its originator, waiting for the PONG along ``path``
+    path: tuple[int, ...]
+    on_result: Callable[[bool, tuple[int, ...]], None]
+
+
 def initiate_discovery(
     node: Node,
     destination: int,
@@ -82,11 +88,10 @@ def initiate_discovery(
     """Flood a fresh route request and collect replies for a fixed window."""
     if destination == node.id:
         raise NoRouteError("discovery to self is a no-op")
-    node.request_counter += 1
-    request_id = node.request_counter
+    request_id = node.sim.next_id()
     known = node.routes.best(destination)
     requested_seq = known.dest_seq_no if known is not None else 0
-    node.discoveries[request_id] = DiscoveryState(on_done)
+    node.open[request_id] = DiscoveryState(on_done)
     rreq = Packet(PacketKind.RREQ, node.id, node.next_seq(),
                   RreqPayload(request_id, destination, requested_seq, (node.id,)))
     node.sim.broadcast(node.id, rreq)
@@ -136,7 +141,7 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
     if not node.profile.is_blackhole:
         node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
     if pos == 0:
-        state = node.discoveries.get(payload.request_id)
+        state = node.open.get(payload.request_id)
         if state is None:
             return  # reply for an unknown or finished discovery
         state.replies.setdefault(payload.path, payload)
@@ -146,7 +151,7 @@ def handle_rrep(node: Node, pkt: Packet) -> None:
 
 def handle_discovery_timer(node: Node, payload: tuple) -> None:
     _, request_id = payload
-    state = node.discoveries.pop(request_id)
+    state = node.open.pop(request_id)
     state.on_done(sorted(state.replies.values(), key=candidate_rank_key))
 
 
@@ -162,12 +167,11 @@ def ping_destination(
     entry = node.routes.best(destination)
     if entry is None:
         raise NoRouteError(f"node {node.id} has no stored route to {destination}")
-    node.ping_counter += 1
-    ping_id = node.ping_counter
+    ping_id = node.sim.next_id()
     # generous: over twice a round trip of slowest hops, plus 50 ms
     sim = node.sim
     timeout_us = 4 * len(entry.path) * (sim.delay_us + sim.jitter_us) + 50 * MICROS_PER_MS
-    node.ping_waits[ping_id] = (entry.path, on_result)
+    node.open[ping_id] = PingWait(entry.path, on_result)
     node.send(PacketKind.PING, entry.path[1], PingPayload(ping_id, entry.path), 1)
     sim.schedule_timer(node.id, timeout_us, ("ping", ping_id))
 
@@ -183,17 +187,15 @@ def handle_ping(node: Node, pkt: Packet) -> None:
 
 def handle_pong(node: Node, pkt: Packet) -> None:
     if pkt.pos == 0:
-        waiter = node.ping_waits.pop(pkt.payload.ping_id, None)
+        waiter = node.open.pop(pkt.payload.ping_id, None)
         if waiter is not None:
-            path, on_result = waiter
-            on_result(True, path)
+            waiter.on_result(True, waiter.path)
         return
     node.relay(pkt, -1)
 
 
 def handle_ping_timer(node: Node, payload: tuple) -> None:
     _, ping_id = payload
-    waiter = node.ping_waits.pop(ping_id, None)
+    waiter = node.open.pop(ping_id, None)
     if waiter is not None:
-        path, on_result = waiter
-        on_result(False, path)
+        waiter.on_result(False, waiter.path)

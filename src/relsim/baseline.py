@@ -54,7 +54,10 @@ def flags(node: Node, neighbor: int) -> tuple[bool, bool]:
 class BaselineState:
     """One vetting in progress at its source.  Hop ``idx`` (from 1) asks the
     voucher ``path[idx + 1]`` about the subject ``path[idx]`` and about the
-    onward hop ``path[idx + 2]``, through the request path ``path[:idx + 2]``."""
+    onward hop ``path[idx + 2]``, through the request path ``path[:idx + 2]``.
+
+    ``attempt`` numbers the questions asked, going up with each new piece,
+    hop or strike, so the number a reply or timer carries tells if it is stale."""
 
     vet_id: int
     path: tuple[int, ...]
@@ -86,7 +89,7 @@ def begin_baseline_vetting(
     # evidence already arrived as an onward-hop answer, and is taken at
     # face value
     state = BaselineState(vet_id, path, on_done, inner if inner <= 2 else inner - 1)
-    node.base_vets[vet_id] = state
+    node.open[vet_id] = state
     deadline_us = vetting_deadline_us(node.sim.cfg, state.last * PIECES_PER_HOP)
     node.sim.schedule_timer(node.id, deadline_us, ("base_deadline", vet_id))
     _send_piece(node, state)
@@ -112,7 +115,7 @@ def _send_piece(node: Node, state: BaselineState) -> None:
     node.sim.schedule_timer(
         node.id,
         node.sim.cfg.t1_ms * MICROS_PER_MS,
-        ("base_tf", state.vet_id, state.idx, state.piece, state.attempt, state.timeouts),
+        ("base_tf", state.vet_id, state.attempt, state.timeouts),
     )
 
 
@@ -129,7 +132,7 @@ def answer(node: Node, payload: BaseReqPayload, value) -> None:
     """The voucher's reply, honest or not, retraces the request's path."""
     back = len(payload.path) - 2
     node.send(PacketKind.BASE_REP, payload.path[back], BaseRepPayload(
-        payload.vet_id, payload.piece, value, payload.path, payload.attempt,
+        payload.vet_id, value, payload.path, payload.attempt,
     ), back)
 
 
@@ -157,14 +160,9 @@ def handle_base_rep(node: Node, pkt: Packet) -> None:
     if pkt.pos > 0:
         node.relay(pkt, -1)
         return
-    state = node.base_vets.get(payload.vet_id)
-    if (
-        state is None
-        or payload.attempt != state.attempt
-        or payload.piece != state.piece
-        or payload.path[-2] != state.path[state.idx]
-    ):
-        return
+    state = node.open.get(payload.vet_id)
+    if state is None or payload.attempt != state.attempt:
+        return  # stale or duplicate reply
     _judge_piece(node, state, payload.value)
 
 
@@ -189,17 +187,15 @@ def _judge_piece(node: Node, state: BaselineState, value) -> None:
             _finish(node, state, VetStatus.TRUSTED)
             return
         state.piece = 1
-    state.attempt = 1
+    state.attempt += 1
     state.timeouts = 0
     _send_piece(node, state)
 
 
 def handle_base_timer(node: Node, payload: tuple) -> None:
-    _, vet_id, idx, piece, attempt, timeouts = payload
-    state = node.base_vets.get(vet_id)
-    if state is None or (state.idx, state.piece, state.attempt, state.timeouts) != (
-        idx, piece, attempt, timeouts
-    ):
+    _, vet_id, attempt, timeouts = payload
+    state = node.open.get(vet_id)
+    if state is None or state.attempt != attempt or state.timeouts != timeouts:
         return  # answered or superseded in the meantime
     if expire(state, node.sim.cfg):
         _finish(node, state, VetStatus.UNTRUSTED)
@@ -209,14 +205,13 @@ def handle_base_timer(node: Node, payload: tuple) -> None:
 
 def handle_base_deadline(node: Node, payload: tuple) -> None:
     _, vet_id = payload
-    state = node.base_vets.get(vet_id)
+    state = node.open.get(vet_id)
     if state is not None:
         _finish(node, state, VetStatus.UNTRUSTED)
 
 
 def _finish(node: Node, state: BaselineState, status: VetStatus) -> None:
-    if node.base_vets.pop(state.vet_id, None) is None:
-        return
+    del node.open[state.vet_id]
     # idx counts from 1 and has stepped past every cleared hop
     conclude(node, VettingResult(status, 0.0, state.idx - 1, state.path), state.on_done)
 

@@ -3,9 +3,9 @@
 Results land in one CSV with a fixed header and 6-decimal formatting;
 sweep output additionally carries per-(scheme, blackholes) mean and 95%
 confidence half-width rows so plots can be drawn without recomputation.
-Exit codes: 0 on success, 1 for configuration errors (including an
-unreadable config file, an unwritable ``--out`` and a sweep grid with an
-impossible point), 2 for run failures.
+Exit codes: 0 on success, 1 for configuration errors (including a usage
+error, an unreadable config file, an unwritable ``--out`` and a sweep
+grid with an impossible point), 2 for run failures.
 """
 
 from __future__ import annotations
@@ -194,13 +194,17 @@ def sweep_records(
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is a configuration error: exit 1, not argparse's 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key = value scenario file")
     for f in fields(ScenarioConfig):
-        if f.name == "scheme":
-            parser.add_argument("--scheme", choices=SCHEMES)
-        else:
-            parser.add_argument(f"--{f.name}", type=str, metavar="V")
+        parser.add_argument(f"--{f.name}", type=str, metavar="V")
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
@@ -213,7 +217,7 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relsim",
         description="Simulate black-hole attacks on on-demand routing and "
         "compare defenses.",
@@ -295,13 +299,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if grid is None:
         record = run_scenario(cfg)
+        if args.out:
+            write_csv([record], args.out)
         if record.failed:
             print(f"run failed: {record.failure_reason}", file=sys.stderr)
             return 2
         for line in (CSV_HEADER, record_row(record)):
             print(line)
-        if args.out:
-            write_csv([record], args.out)
         return 0
 
     schemes, blackhole_values, seeds = grid

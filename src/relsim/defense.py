@@ -163,7 +163,7 @@ def open_vetting(node: Node, path: tuple[int, ...]) -> int:
     ``node`` and hand out a fresh vetting id."""
     if len(path) < 2 or path[0] != node.id:
         raise NoRouteError("vetting needs a source..destination path starting here")
-    return node.sim.next_vet_id()
+    return node.sim.next_id()
 
 
 def conclude(node: Node, result: VettingResult,
@@ -196,9 +196,16 @@ def expire(state, cfg: ScenarioConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
+class VetWait:  # a vetting at its source, waiting for the verdict or the deadline
+    path: tuple[int, ...]
+    on_done: Callable[[VettingResult], None]
+
+
 @dataclass(slots=True)
 class HopProbe:
-    """One in-flight next-hop interrogation at the walk's current holder."""
+    """One in-flight next-hop interrogation at the walk's current holder,
+    open under its own id, as the source is also the first holder."""
 
     walk: RelPayload  # as it reached the holder
     pos: int  # the holder's index in ``walk.path``
@@ -218,7 +225,7 @@ def begin_vetting(
         # direct neighbor: the walk is skipped entirely
         conclude(node, VettingResult(VetStatus.TRUSTED, 0.0, 0, path), on_done)
         return
-    node.vet_waiters[vet_id] = (path, on_done)
+    node.open[vet_id] = VetWait(path, on_done)
     deadline_us = vetting_deadline_us(node.sim.cfg, len(path))
     node.sim.schedule_timer(node.id, deadline_us, ("vet_deadline", vet_id))
     _advance(node, RelPayload(vet_id, path), 0)
@@ -230,19 +237,18 @@ def _advance(node: Node, walk: RelPayload, pos: int) -> None:
         # next hop is the destination: send the accumulator home as-is
         _send_home(node, walk, pos, VetStatus.TRUSTED)
         return
-    probe = HopProbe(walk, pos, walk.strikes)
-    node.rel_pending[walk.vet_id] = probe
-    _send_dri_request(node, probe)
+    probe_id = node.sim.next_id()
+    probe = node.open[probe_id] = HopProbe(walk, pos, walk.strikes)
+    _send_dri_request(node, probe_id, probe)
 
 
-def _send_dri_request(node: Node, probe: HopProbe) -> None:
-    walk = probe.walk
-    node.send(PacketKind.DRI_REQ, walk.path[probe.pos + 1],
-              DriReqPayload(walk.vet_id, probe.attempt))
+def _send_dri_request(node: Node, probe_id: int, probe: HopProbe) -> None:
+    node.send(PacketKind.DRI_REQ, probe.walk.path[probe.pos + 1],
+              DriReqPayload(probe_id, probe.attempt))
     node.sim.schedule_timer(
         node.id,
         node.sim.cfg.t1_ms * MICROS_PER_MS,
-        ("rel_tf", walk.vet_id, probe.attempt, probe.timeouts),
+        ("rel_tf", probe_id, probe.attempt, probe.timeouts),
     )
 
 
@@ -251,16 +257,16 @@ def handle_dri_req(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
     entry = node.dri.get(pkt.origin, EMPTY_ENTRY)
     node.send(PacketKind.DRI_REP, pkt.origin, DriRepPayload(
-        payload.vet_id, payload.attempt, entry.sent, entry.received,
+        payload.probe_id, payload.attempt, entry.sent, entry.received,
     ))
 
 
 def handle_dri_rep(node: Node, pkt: Packet) -> None:
     payload: DriRepPayload = pkt.payload
-    probe = node.rel_pending.get(payload.vet_id)
+    probe = node.open.get(payload.probe_id)
     if probe is None or payload.attempt != probe.attempt:
         return  # stale or duplicate reply
-    del node.rel_pending[payload.vet_id]
+    del node.open[payload.probe_id]
     cfg = node.sim.cfg
     walk = probe.walk
     nhn = walk.path[probe.pos + 1]
@@ -282,14 +288,14 @@ def handle_dri_rep(node: Node, pkt: Packet) -> None:
 
 
 def handle_feedback_timer(node: Node, payload: tuple) -> None:
-    _, vet_id, attempt, timeouts = payload
-    probe = node.rel_pending.get(vet_id)
+    _, probe_id, attempt, timeouts = payload
+    probe = node.open.get(probe_id)
     if probe is None or probe.attempt != attempt or probe.timeouts != timeouts:
         return  # answered or superseded in the meantime
     if not expire(probe, node.sim.cfg):
-        _send_dri_request(node, probe)
+        _send_dri_request(node, probe_id, probe)
         return
-    del node.rel_pending[vet_id]
+    del node.open[probe_id]
     walk = probe.walk
     _send_home(node, RelPayload(
         walk.vet_id, walk.path, 0.0, probe.strikes, walk.checked_hops, walk.status,
@@ -326,9 +332,8 @@ def handle_vet_deadline(node: Node, payload: tuple) -> None:
 
 def _finalize(node: Node, vet_id: int, status: VetStatus, rel: float = 0.0,
               checked: int = 0) -> None:
-    waiter = node.vet_waiters.pop(vet_id, None)
+    waiter = node.open.pop(vet_id, None)
     if waiter is None:
         return  # the deadline or the walk already resolved it
-    path, on_done = waiter
-    conclude(node, VettingResult(status, rel, checked, path), on_done)
+    conclude(node, VettingResult(status, rel, checked, waiter.path), waiter.on_done)
 

@@ -51,6 +51,7 @@ import gc
 from collections import deque
 from enum import IntEnum
 from heapq import heappop, heappush
+from itertools import count
 from random import Random
 from typing import TYPE_CHECKING, Callable
 
@@ -123,7 +124,8 @@ class Simulator:
         # drained may be empty, until its time leaves the heap
         self._times: list[int] = []
         self._buckets: dict[int, deque[tuple[int, int, object]]] = {}
-        self._vet_counter = 0
+        # ``next_id()`` hands out conversation ids (see ``node``), one counter per run
+        self.next_id = count(1).__next__
         # route request (origin, request_id) -> nodes a copy has been queued for
         self._rreq_reached: dict[tuple[int, int], set[int]] = {}
         self._app_handler: Callable[[object], None] | None = None
@@ -158,10 +160,6 @@ class Simulator:
 
     def set_app_handler(self, handler: Callable[[object], None]) -> None:
         self._app_handler = handler
-
-    def next_vet_id(self) -> int:
-        self._vet_counter += 1
-        return self._vet_counter
 
     # -- link layer ---------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 A node owns its routing table, its per-neighbor evidence table (the
 packet counts and the acknowledgement flag both schemes vet with), and
-whatever vetting or discovery conversations it is currently part of.
+one table, ``open``, of the conversations it waits on (a discovery or
+ping it sent, a vetting it sources, a hop probe it holds), keyed by ids
+unique across the run that the conversation's packets and timers carry.
 The evidence table is a ``defaultdict(DriEntry)``: recording traffic
 writes ``dri[neighbor]``, which makes the entry on first use, while every
 read (a vetting reply, a flag, a route score) uses
@@ -30,8 +32,7 @@ if TYPE_CHECKING:
 class Node:
     __slots__ = (
         "sim", "id", "profile", "neighbors", "handlers", "rng", "seq_no", "_packet_seq",
-        "dri", "routes", "seen_rreqs", "request_counter", "ping_counter", "discoveries",
-        "ping_waits", "rel_pending", "vet_waiters", "base_vets",
+        "dri", "routes", "seen_rreqs", "open",
     )
 
     def __init__(self, sim: Simulator, node_id: int, profile, neighbors: tuple[int, ...],
@@ -47,13 +48,8 @@ class Node:
         self.dri: defaultdict[int, defense.DriEntry] = defaultdict(defense.DriEntry)
         self.routes = aodv.RoutingTable()
         self.seen_rreqs: set[tuple[int, int]] = set()
-        self.request_counter = 0
-        self.ping_counter = 0
-        self.discoveries: dict[int, aodv.DiscoveryState] = {}
-        self.ping_waits: dict[int, tuple] = {}
-        self.rel_pending: dict[int, defense.HopProbe] = {}
-        self.vet_waiters: dict[int, tuple] = {}
-        self.base_vets: dict[int, baseline.BaselineState] = {}
+        # every conversation this node waits on, by its ``sim.next_id()``
+        self.open: dict[int, object] = {}
 
     def next_seq(self) -> int:
         self._packet_seq += 1

@@ -9,9 +9,11 @@ packet is sent by ``path[pos - 1]`` (a DATA hop counts it as received
 from that node).  ``pos`` stays 0 and unread for the other kinds; a
 flooded route request is sent by ``path[-1]``.
 
-Payloads are immutable and hold only the state of one conversation, so
-a relay step is the same header operation for every kind: ``pos`` moved
-by one, carrying the payload object unchanged.  A control relay builds a
+Payloads are immutable and hold only the state of one conversation,
+with the id it is open under at the node waiting on it (``request_id``,
+``ping_id``, ``vet_id``, ``probe_id``; see ``node``), so a relay step is
+the same header operation for every kind: ``pos`` moved by one, carrying
+the payload object unchanged.  A control relay builds a
 fresh ``Packet`` with the relay's own ``seq_no``; a DATA relay moves the
 header it received (``pkt.pos += 1``) and sends that same object on.  A
 unicast copy is queued at most once and is relayed only after it has
@@ -111,13 +113,13 @@ class PingPayload:
 class DriReqPayload:
     """Asks the receiver for its counts about the sender, ``pkt.origin``."""
 
-    vet_id: int
+    probe_id: int
     attempt: int
 
 
 @dataclass(frozen=True, slots=True)
 class DriRepPayload:
-    vet_id: int
+    probe_id: int
     attempt: int
     sent: int
     received: int
@@ -162,7 +164,6 @@ class BaseReqPayload:
 @dataclass(frozen=True, slots=True)
 class BaseRepPayload:
     vet_id: int
-    piece: int
     value: object  # piece 1/3: (from_flag, through_flag); piece 2: node id or None
     path: tuple[int, ...]  # the request's path, retraced
-    attempt: int
+    attempt: int  # the request's, which alone names the question answered

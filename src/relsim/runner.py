@@ -28,8 +28,6 @@ WARMUP_START_MS = 50
 PROBE_SPACING_MS = 5
 FIRST_FLOW_START_S = 1.0
 FLOW_STAGGER_S = 0.1
-# per-node conversation maps that must all be empty once a run has ended
-OPEN_CONVERSATIONS = ("rel_pending", "vet_waiters", "base_vets", "discoveries", "ping_waits")
 # a module global is read about ten times faster than an enum member
 _DATA, _APP = PacketKind.DATA, EventKind.APP
 
@@ -302,7 +300,8 @@ def _defined(formula, stats: list[metrics.FlowStats]) -> float:
 
 def check_invariants(sim: Simulator) -> None:
     """Raise ``SimulationError`` unless every flow ledger balances and, the
-    queue having drained, no node still holds an open conversation."""
+    queue having drained, every node's ``open`` table is empty; the error
+    names the node and each id still open with its kind."""
     for ledger in sim.collector.flows.values():
         accounted = (
             ledger.delivered + ledger.blackhole_drops + ledger.link_drops
@@ -314,11 +313,9 @@ def check_invariants(sim: Simulator) -> None:
                 f"but {accounted} accounted for"
             )
     for node in sim.nodes:
-        for name in OPEN_CONVERSATIONS:
-            if getattr(node, name):
-                raise SimulationError(
-                    f"node {node.id}: {name} still open for {sorted(getattr(node, name))}"
-                )
+        if node.open:
+            still = ", ".join(f"{i} ({type(s).__name__})" for i, s in sorted(node.open.items()))
+            raise SimulationError(f"node {node.id}: conversations still open: {still}")
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunRecord:

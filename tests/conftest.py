@@ -83,6 +83,30 @@ def vet(sim: Simulator, scheme: str, source: int, path) -> VettingResult:
     return done[0]
 
 
+def replaying_first_reply(handle, before: int | None, drop_first: bool):
+    """A stand-in for the reply handler ``handle`` and the list of replies
+    it has been handed at their asker.  It withholds the first reply when
+    ``drop_first``, and hands ``handle`` that first reply again just before
+    reply number ``before``, asserting that the replay queues no event and
+    sends no vetting message.  Replies on a relay leg pass straight on."""
+    replies: list[Packet] = []
+
+    def intercept(node, pkt):
+        if pkt.pos > 0:
+            handle(node, pkt)
+            return
+        replies.append(pkt)
+        if len(replies) == before:
+            sim = node.sim
+            state = queued(sim), sim.collector.vet_messages
+            handle(node, replies[0])
+            assert (queued(sim), sim.collector.vet_messages) == state
+        if len(replies) > 1 or not drop_first:
+            handle(node, pkt)
+
+    return intercept, replies
+
+
 @pytest.fixture
 def honest_line():
     sim = line_sim(4)

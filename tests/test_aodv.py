@@ -102,7 +102,7 @@ def test_rrep_for_unknown_discovery_is_dropped():
         payload=RrepPayload(request_id=77, dest_seq=3, path=(0, 1, 2), hops=2),
     )
     aodv.handle_rrep(node, stray)
-    assert node.discoveries == {}
+    assert node.open == {}
 
 
 def test_discovery_keeps_the_first_reply_along_each_path():

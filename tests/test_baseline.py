@@ -1,13 +1,13 @@
 import pytest
 
-from relsim import adversary, aodv
+from relsim import adversary, aodv, baseline
 from relsim.baseline import baseline_update, flags
 from relsim.defense import VetStatus, record_data_packet
 from relsim.packets import PacketKind
 from relsim.runner import ScenarioRun
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, vet, warm_up
+from conftest import blackhole, line_sim, replaying_first_reply, vet, warm_up
 
 
 # -- flags read off the count table --------------------------------------------
@@ -157,6 +157,32 @@ def test_silent_voucher_burns_timers_to_untrusted(monkeypatch):
     assert (2, int(PacketKind.BASE_REQ), 0) in deliveries
     assert not any(kind == PacketKind.BASE_REP and origin == 2
                    for _, kind, origin in deliveries)
+
+
+@pytest.mark.parametrize("before, drop_first", [
+    (2, False),  # hop 1's flags answer, while hop 1's onward-hop question waits
+    (4, False),  # the same answer, while hop 2's flags question waits
+    (2, True),  # the lost first answer, after a strike (k_r=1) asked again
+], ids=["earlier-piece", "earlier-hop", "earlier-attempt"])
+def test_reply_to_a_superseded_question_is_dropped(monkeypatch, before, drop_first):
+    """The source's first BASE reply, replayed while a later question
+    waits, queues nothing: the verdict, vet_msgs and event log equal a run
+    without the replay."""
+    handle = baseline.handle_base_rep
+
+    def run(replay_before):
+        intercept, replies = replaying_first_reply(handle, replay_before, drop_first)
+        monkeypatch.setattr(baseline, "handle_base_rep", intercept)
+        sim = line_sim(4, k_r=1)
+        warm_up(sim)
+        sim.event_log = []
+        result = vet(sim, "baseline", 0, (0, 1, 2, 3))
+        assert len(replies) == 6 + drop_first  # three pieces for each of two hops
+        return result, sim.collector.vet_messages, sim.event_log
+
+    replayed = run(before)
+    assert replayed[0].status is VetStatus.TRUSTED
+    assert replayed == run(None)
 
 
 def test_message_overhead_exceeds_count_scheme_per_hop(honest_line):

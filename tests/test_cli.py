@@ -183,6 +183,44 @@ def test_cli_run_failure_exit_code(tmp_path, capsys):
     assert main(args) == 2
 
 
+def test_cli_run_failure_writes_its_nan_row_to_out(tmp_path, capsys):
+    """A failed run writes the header and its nan row to --out, as sweep
+    and compare do, and still exits 2: three nodes 100 km apart never
+    connect."""
+    out = tmp_path / "out.csv"
+    assert main(["run", "--nodes", "3", "--area_side", "100000", "--out", str(out)]) == 2
+    assert "run failed: no connected topology" in capsys.readouterr().err
+    header, row = out.read_text().splitlines()
+    assert header == CSV_HEADER
+    assert row.split(",")[1:] == ["proposed", "0", "1", *["nan"] * 4, "0", "0", "0"]
+
+
+def _exit_code(args: list[str]) -> int:
+    """The status ``relsim`` exits with: ``main``'s return value, or the
+    code of the ``SystemExit`` that argparse raises."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--seeds", "abc"], "argument --seeds: invalid int value: 'abc'"),
+    (["run", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["run", "--scheme", "nope"], "config error: scheme: must be one of"),
+], ids=["bad-int", "unknown-flag", "unknown-scheme"])
+def test_cli_usage_errors_exit_1(args, message, tmp_path, capsys, monkeypatch):
+    """A usage error is a configuration error, exit 1, not the run-failure
+    code 2 argparse would use; an unknown scheme is reported by
+    ``ScenarioConfig.validate`` like any other bad key, and -h exits 0."""
+    monkeypatch.setattr("relsim.cli.run_scenario", lambda cfg: pytest.fail("a run started"))
+    out = tmp_path / "x.csv"
+    assert _exit_code([*args, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert _exit_code([args[0], "-h"]) == 0
+
+
 def test_sweep_isolates_failed_runs_and_exits_2(tmp_path, capsys, monkeypatch):
     """With black-hole drops left uncounted the ledger check fails each run
     that loses data to a hole; those runs become nan rows, every other row

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsim import adversary
+from relsim import adversary, defense
 from relsim.defense import (
     DriEntry,
     VetStatus,
@@ -18,7 +18,7 @@ from relsim.defense import (
 from relsim.errors import NoRouteError
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, vet, warm_up
+from conftest import blackhole, line_sim, replaying_first_reply, vet, warm_up
 
 CFG = ScenarioConfig()
 
@@ -267,7 +267,29 @@ def test_strike_counter_monotone_and_absorbing(monkeypatch):
     result = vet(sim, "proposed", 0, (0, 1, 2, 3, 4))
     assert result.status is VetStatus.UNTRUSTED
     # walk is over; no pending probes remain anywhere
-    assert all(not node.rel_pending for node in sim.nodes)
+    assert all(not node.open for node in sim.nodes)
+
+
+def test_reply_to_an_attempt_a_strike_replaced_changes_nothing(monkeypatch):
+    """The first DRI reply is lost, so the feedback timer burns a strike
+    (``k_r=1``) and asks again; that first reply, carrying attempt 1, then
+    arrives just before the answer to attempt 2.  It queues nothing, and
+    the verdict, vet_msgs and event log equal a run where it never came."""
+    handle = defense.handle_dri_rep
+
+    def run(before):
+        intercept, replies = replaying_first_reply(handle, before, drop_first=True)
+        monkeypatch.setattr(defense, "handle_dri_rep", intercept)
+        sim = line_sim(4, k_r=1)
+        warm_up(sim)
+        sim.event_log = []
+        result = vet(sim, "proposed", 0, (0, 1, 2, 3))
+        assert len(replies) == 3  # two to the source, one to the next holder
+        return result, sim.collector.vet_messages, sim.event_log
+
+    replayed = run(before=2)
+    assert replayed[0].status is VetStatus.TRUSTED
+    assert replayed == run(before=None)
 
 
 def test_mirror_invariant_after_traffic_drains():

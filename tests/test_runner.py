@@ -118,8 +118,9 @@ def test_unbalanced_ledger_raises_naming_the_flow():
 
 def test_conversation_left_open_raises_naming_node_and_map():
     run = ScenarioRun(_cfg(scheme="proposed"))
-    run.sim.nodes[5].discoveries[999] = aodv.DiscoveryState(lambda c: None)  # no timer behind it
-    with pytest.raises(SimulationError, match=r"node 5: discoveries still open for \[999\]"):
+    run.sim.nodes[5].open[999] = aodv.DiscoveryState(lambda c: None)  # no timer behind it
+    with pytest.raises(SimulationError,
+                       match=r"node 5: conversations still open: 999 \(DiscoveryState\)"):
         run.execute()
 
 
