@@ -105,6 +105,10 @@ def blackhole_on_data(node: Node, pkt: Packet) -> None:
     node.sim.collector.on_blackhole_drop(pkt)
 
 
+def blackhole_on_probe(node: Node, probe: tuple[int, int]) -> None:
+    """Absorb a warm-up probe: it belongs to no flow, so no drop is counted."""
+
+
 def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
     sent, received = fabricated_counts(node, node.sim.profiles[pkt.origin])

@@ -10,16 +10,21 @@ Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
 link jitter and loss are always drawn from the *sender's* stream.
 
 The per-hop path is flat: ``broadcast`` floods a route request, all a
-run ever floods, with one bucket for all its copies; ``ack`` sends a
-probe's ACK; and ``_send`` is the one path of every other unicast, with
-its jitter draw and enqueue inline and the only transmission accounting:
-it bumps the sender's DRI ``sent`` count for a DATA copy itself, before
-the loss draw, and counts vetting messages.  A DATA hop is one
-``Node._on_data`` call, which counts the copy received and then either
-relays the same packet, its ``pos`` moved on, through
-``transmit_or_drop`` (a forged path may name a hop that does not exist)
-or acknowledges a probe through ``ack``.  Warm-up probes go straight to
-``_send``, since each probe's edge is a topology edge.
+run ever floods, with one bucket for all its copies; ``probe`` sends a
+warm-up probe and ``ack`` its ACK; and ``_send`` is the one path of
+every other unicast, with its jitter draw and enqueue inline: it bumps
+the sender's DRI ``sent`` count for a DATA copy itself, before the loss
+draw, and counts vetting messages.  A DATA hop is one ``Node._on_data``
+call, which counts the copy received and then either relays the same
+packet, its ``pos`` moved on, through ``transmit_or_drop`` (a forged
+path may name a hop that does not exist) or hands it to the collector
+as delivered; every DATA packet belongs to a flow.  A warm-up probe is
+no DATA packet: ``probe`` bumps the sender's ``sent`` count and takes
+``_send``'s draws, with no adjacency test, as each probe's edge is a
+topology edge, and queues a ``PROBE`` event that carries only the
+sender and the probe's sequence number.  The receiver's ``"probe"``
+handler counts it received and acknowledges it through ``ack``, or, at a
+black hole, absorbs it.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
@@ -27,14 +32,17 @@ a node that no copy of that request has been queued for yet, and ``ack``
 neither builds nor queues an ACK whose prober already holds the
 acknowledgement flag for the sender.  An unqueued copy still takes every
 draw a queued one takes, and the radio still sent it, so a count of
-transmissions or of energy must be taken in ``broadcast``, ``_send`` and
-``ack``, not at dispatch; the event log records only the queued copies.
+transmissions or of energy must be taken in ``broadcast``, ``_send``,
+``ack`` and ``probe``, not at dispatch; the event log records only the
+queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
 tuple per dispatched event; production runs leave it ``None``.  A
 delivery's tuple copies the header fields it logs, never the packet, as
-a DATA relay moves the packet's ``pos`` after dispatch.
+a DATA relay moves the packet's ``pos`` after dispatch.  A probe is
+logged as a DATA delivery from its sender, the tuple the pinned event
+logs of ``tests/test_golden.py`` hold for it.
 
 ``run`` also turns CPython's cyclic garbage collector off for its loop and
 back on only if it was on.  Warm-up queues tens of thousands of events
@@ -56,7 +64,7 @@ from random import Random
 from typing import TYPE_CHECKING, Callable
 
 from .errors import SchedulingError, UndeliverableError
-from .packets import VETTING_KINDS, Packet, PacketKind
+from .packets import VETTING_KINDS, DataPayload, Packet, PacketKind
 from .topology import Topology
 
 if TYPE_CHECKING:
@@ -85,10 +93,11 @@ class EventKind(IntEnum):
     DELIVER = 0
     TIMER = 1
     APP = 2
+    PROBE = 3
 
 
 # kinds are queued as plain ints, cheaper to look up and compare than members
-_DELIVER, _TIMER = int(EventKind.DELIVER), int(EventKind.TIMER)
+_DELIVER, _TIMER, _PROBE = int(EventKind.DELIVER), int(EventKind.TIMER), int(EventKind.PROBE)
 # a module global is read about ten times faster than an enum member
 _DATA, _ACK = PacketKind.DATA, PacketKind.ACK
 
@@ -216,10 +225,11 @@ class Simulator:
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
-        This is the path of every unicast but a probe's ACK, which ``ack``
-        sends.  A DATA copy bumps the sender's ``dri[dst].sent`` before the
-        loss draw, so the count reflects what was transmitted, lost or not;
-        the table is a ``defaultdict``, so the first copy makes the entry.
+        This is the path of every unicast but a warm-up probe and its ACK,
+        which ``probe`` and ``ack`` send.  A DATA copy bumps the sender's
+        ``dri[dst].sent`` before the loss draw, so the count reflects what
+        was transmitted, lost or not; the table is a ``defaultdict``, so the
+        first copy makes the entry.
 
         The jitter draw is ``randint(0, jitter_us)`` written out: the
         rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
@@ -290,6 +300,42 @@ class Simulator:
             heappush(self._times, time_us)
         bucket.append((_DELIVER, dst, Packet(_ACK, src, seq)))
 
+    def probe(self, payload: DataPayload, seq: int) -> None:
+        """Send one warm-up probe along the edge ``payload.path``, from its
+        sender with ``seq`` as the probe's sequence number.  The probe bumps
+        the sender's ``dri[receiver].sent`` and takes ``_send``'s loss draw
+        and then its jitter draw from the sender's stream, in lines copied
+        from ``_send`` (``tests/test_engine.py`` pins the two together).  A
+        lost probe reaches the collector's ``on_link_drop`` as a built DATA
+        packet, as a lost ACK does.
+
+        A probe that survives both draws is queued as a ``PROBE`` event
+        carrying ``(sender, seq)``, all that its receiver's ``"probe"``
+        handler and the event log read; no packet is built.  Every probe's
+        edge is a topology edge, so the edge is not checked.
+        """
+        src, dst = payload.path
+        self.nodes[src].dri[dst].sent += 1
+        rng = self.rngs[src]
+        loss = self.loss
+        if loss > 0.0 and rng.random() < loss:
+            self.collector.on_link_drop(Packet(_DATA, src, seq, payload, 1))
+            return
+        time_us = self.now_us + self.delay_us
+        bound = self._jitter_bound
+        if bound > 1:
+            bits = self._jitter_bits
+            getrandbits = rng.getrandbits
+            draw = getrandbits(bits)
+            while draw >= bound:
+                draw = getrandbits(bits)
+            time_us += draw
+        bucket = self._buckets.get(time_us)
+        if bucket is None:
+            bucket = self._buckets[time_us] = deque()
+            heappush(self._times, time_us)
+        bucket.append((_PROBE, dst, (src, seq)))
+
     # -- main loop ----------------------------------------------------
 
     def run(self, until_us: int | None = None) -> None:
@@ -331,6 +377,12 @@ class Simulator:
                                 pkt.seq_no,
                             ))
                         nodes[node_id].on_packet(payload)
+                    elif kind == _PROBE:
+                        if event_log is not None:
+                            # as a DATA delivery: the pinned event logs hold that tuple
+                            event_log.append((time_us, "deliver", node_id, 0, *payload))
+                        node = nodes[node_id]
+                        node.handlers["probe"](node, payload)
                     elif kind == _TIMER:
                         if event_log is not None:
                             event_log.append((time_us, "timer", node_id, payload[0]))

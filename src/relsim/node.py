@@ -81,25 +81,27 @@ class Node:
             handler(self, payload)
 
     def _on_data(self, pkt: Packet) -> None:
-        # one unpack reads the fields faster than NamedTuple attribute reads
-        flow_id, _, path = payload = pkt.payload
+        # one unpack reads the field faster than a NamedTuple attribute read
+        _, _, path = pkt.payload
         pos = pkt.pos
-        sender = path[pos - 1]
-        self.dri[sender].received += 1
+        self.dri[path[pos - 1]].received += 1
         if pos == len(path) - 1:
-            # delivered; probes (negative flow ids) are acknowledged so the
-            # prober gains transfer evidence for its through flag.  The
-            # sender just transmitted to us, so the ACK's link exists.
-            if flow_id < 0:
-                self._packet_seq = seq = self._packet_seq + 1
-                self.sim.ack(self.id, sender, seq)
-            else:
-                self.sim.collector.on_delivered(pkt, self.sim.now_us)
+            self.sim.collector.on_delivered(pkt, self.sim.now_us)
             return
         # relayed in place: a unicast copy is queued once, and this one has
         # been dequeued, so no other reference reads its ``pos``
         pkt.pos = pos = pos + 1
         self.sim.transmit_or_drop(self.id, path[pos], pkt)
+
+
+def _on_probe(node: Node, probe: tuple[int, int]) -> None:
+    """Count the warm-up probe ``(sender, seq)`` received and acknowledge
+    it, so the prober gains transfer evidence for its through flag.  The
+    sender just transmitted to this node, so the ACK's link exists."""
+    sender = probe[0]
+    node.dri[sender].received += 1
+    node._packet_seq = seq = node._packet_seq + 1
+    node.sim.ack(node.id, sender, seq)
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:
@@ -121,7 +123,8 @@ def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
 
 def event_handlers(blackhole: bool) -> dict:
     """One role's handlers, each called as ``handler(node, packet)`` per
-    ``PacketKind`` or ``handler(node, timer_payload)`` per timer tag.
+    ``PacketKind``, ``handler(node, timer_payload)`` per timer tag, or, under
+    ``"probe"``, ``handler(node, (sender, seq))`` per warm-up probe.
 
     Handlers are read off their modules when the table is built, so build
     it per simulator: a function replaced on its module then still runs.
@@ -138,6 +141,7 @@ def event_handlers(blackhole: bool) -> dict:
         PacketKind.REL: defense.handle_rel,
         PacketKind.BASE_REQ: baseline.handle_base_req,
         PacketKind.BASE_REP: baseline.handle_base_rep,
+        "probe": _on_probe,
         "rel_tf": defense.handle_feedback_timer,
         "vet_deadline": defense.handle_vet_deadline,
         "base_tf": baseline.handle_base_timer,
@@ -148,6 +152,7 @@ def event_handlers(blackhole: bool) -> dict:
     if blackhole:
         # the remaining control kinds are relayed or consumed normally
         handlers.update(dict.fromkeys(DATA_PLANE, adversary.blackhole_on_data))
+        handlers["probe"] = adversary.blackhole_on_probe
         handlers[PacketKind.RREQ] = adversary.blackhole_on_rreq
         handlers[PacketKind.DRI_REQ] = adversary.blackhole_on_dri_request
         handlers[PacketKind.BASE_REQ] = _blackhole_on_base_req

@@ -25,6 +25,12 @@ originator (``pkt.origin``).  Control-plane kinds are relayed even by
 misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE`` are the
 ones a black hole silently absorbs.
 
+A warm-up probe is no packet.  ``Simulator.probe``, not ``_send``,
+sends it and queues it as an event of its own that carries only its
+sender and sequence number; it builds a DATA packet only for a probe the
+link loses, to hand to the collector.  So every DATA packet belongs to a
+flow.
+
 Payloads are frozen slotted dataclasses, except ``DataPayload``: one is
 built per flow packet (and per directed edge for warm-up probes, whose
 rounds share it), so it is a ``NamedTuple``,

@@ -20,7 +20,7 @@ from .adversary import assign_adversaries
 from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, Simulator,
                      derive_stream)
 from .errors import SimulationError, UndefinedMetricError
-from .packets import DataPayload, Packet, PacketKind
+from .packets import DataPayload, PacketKind
 from .scenario import SCHEME_TABLE, ScenarioConfig
 from .topology import build_connected_topology
 
@@ -105,11 +105,14 @@ class ScenarioRun:
         """Queue one app event per probe round: round ``j`` fires at
         ``WARMUP_START_MS + j * PROBE_SPACING_MS`` and sends a probe each
         way on every edge, in ``edges()`` order, black holes staying mute.
+        Each probe goes through ``Simulator.probe``, not ``_send``: it is
+        queued as a one-hop event of its own, not as a DATA packet.
 
-        Queuing every probe on its own would run them in this same order,
-        back to back: all were queued before anything else, so they carry
-        the lowest ``seq`` of their time.  Only the queue shrinks, not the
-        traffic: a transmission is not always a delivery.  Every probe is
+        Queuing every probe's send as an app event of its own would run
+        them in this same order, back to back: all were queued before
+        anything else, so they carry the lowest ``seq`` of their time.  Only
+        the queue shrinks, not the traffic: a transmission is not always a
+        delivery.  Every probe is
         still transmitted and answered, but ``Simulator.ack`` neither builds
         nor queues an ACK whose prober already holds the flag it would set,
         and ``Simulator.broadcast`` queues no second copy of a route request
@@ -119,7 +122,7 @@ class ScenarioRun:
         first round's time, and shared by every round: nothing reads a
         probe's ``created_us``, as its flow id, -1, has no flow ledger.  The
         last round drops the list, so the payloads live no longer than the
-        probes that carry them.
+        rounds that send them.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
@@ -161,12 +164,11 @@ class ScenarioRun:
 
     def _probe_round(self, j: int) -> None:
         nodes = self.sim.nodes
-        send = self.sim._send  # every probe's edge is a topology edge
+        probe = self.sim.probe
         for payload in self._probes:
-            sender, receiver = payload.path
-            node = nodes[sender]
+            node = nodes[payload.path[0]]
             node._packet_seq = seq = node._packet_seq + 1
-            send(sender, receiver, Packet(_DATA, sender, seq, payload, 1))
+            probe(payload, seq)
         if j == self.cfg.warmup_packets - 1:
             del self._probes
 

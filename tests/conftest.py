@@ -7,7 +7,7 @@ import pytest
 from relsim.adversary import AdversaryProfile, honest_profiles
 from relsim.defense import VettingResult
 from relsim.engine import EventKind, Simulator
-from relsim.packets import DataPayload, Packet, PacketKind
+from relsim.packets import DataPayload, Packet
 from relsim.scenario import SCHEME_TABLE, ScenarioConfig
 from relsim.topology import topology_from_positions
 
@@ -49,14 +49,7 @@ def warm_up(sim: Simulator, packets: int = 10) -> None:
 
     def app(payload):
         _, sender, receiver = payload
-        node = sim.nodes[sender]
-        pkt = Packet(
-            kind=PacketKind.DATA,
-            origin=sender,
-            seq_no=node.next_seq(),
-            payload=DataPayload(-1, sim.now_us, (sender, receiver)), pos=1,
-        )
-        sim.transmit(sender, receiver, pkt)
+        sim.probe(DataPayload(-1, sim.now_us, (sender, receiver)), sim.nodes[sender].next_seq())
 
     previous = sim._app_handler
     sim.set_app_handler(app)

@@ -17,17 +17,19 @@ from relsim.engine import (
     derive_stream,
 )
 from relsim.errors import SchedulingError, UndeliverableError
-from relsim.metrics import RunCollector
+from relsim.metrics import FlowLedger, RunCollector
 from relsim.node import Node
 from relsim.packets import DataPayload, DriReqPayload, Packet, PacketKind, RreqPayload
 from relsim.runner import ScenarioRun
 from relsim.scenario import SCHEMES, ScenarioConfig
 from relsim.topology import topology_from_positions
 
-from conftest import line_sim, queued
+from conftest import blackhole, line_sim, queued
 
 
-def _probe(sim, src, dst, flow=-1):
+def _one_hop_data(sim, src, dst, flow=-1):
+    """A DATA packet whose path is the edge ``(src, dst)``, of flow ``flow``:
+    by default one with no ledger, as every run's flow ids are 0 and up."""
     node = sim.nodes[src]
     return Packet(
         kind=PacketKind.DATA,
@@ -133,13 +135,13 @@ def test_scheduling_in_the_past_is_fatal():
 
 def test_fixed_delay_without_jitter_or_loss():
     sim = line_sim(2, link_delay_ms=2, link_jitter_ms=0, link_loss=0.0)
-    sim.transmit(0, 1, _probe(sim, 0, 1))
+    sim.transmit(0, 1, _one_hop_data(sim, 0, 1))
     assert queued(sim)[0][0] == 2_000
 
 
 def test_certain_loss_schedules_nothing():
     sim = line_sim(2, link_loss=1.0)
-    sim.transmit(0, 1, _probe(sim, 0, 1))
+    sim.transmit(0, 1, _one_hop_data(sim, 0, 1))
     assert sim.idle()
 
 
@@ -156,13 +158,13 @@ def test_broadcast_fans_out_to_every_neighbor():
 def test_unicast_to_non_neighbor_raises():
     sim = line_sim(3)
     with pytest.raises(UndeliverableError):
-        sim.transmit(0, 2, _probe(sim, 0, 2))
+        sim.transmit(0, 2, _one_hop_data(sim, 0, 2))
 
 
 def test_transmit_or_drop_counts_undeliverable_flow_packets():
     sim = line_sim(3)
     sim.collector.register_flow(0)
-    sim.transmit_or_drop(0, 2, _probe(sim, 0, 2, flow=0))
+    sim.transmit_or_drop(0, 2, _one_hop_data(sim, 0, 2, flow=0))
     assert sim.collector.flows[0].undeliverable == 1
 
 
@@ -170,7 +172,7 @@ def test_lossless_unicast_conservation():
     """With loss 0 and no adversaries every transmission delivers once."""
     sim = line_sim(2, link_jitter_ms=0)
     for _ in range(50):
-        sim.transmit(0, 1, _probe(sim, 0, 1))
+        sim.transmit(0, 1, _one_hop_data(sim, 0, 1))
     sim.run()
     assert sim.nodes[0].dri[1].sent == 50
     assert sim.nodes[1].dri[0].received == 50
@@ -184,7 +186,7 @@ def test_identical_seeds_reproduce_event_log():
             sim.schedule_at(j * 100, EventKind.APP, 0, ("noop",))
         sim.set_app_handler(lambda payload: None)
         for j in range(10):
-            sim.transmit(0, 1, _probe(sim, 0, 1))
+            sim.transmit(0, 1, _one_hop_data(sim, 0, 1))
         sim.run()
         return sim.event_log
 
@@ -228,7 +230,7 @@ def test_transmit_jitter_draws_what_randint_draws(jitter, loss):
     stream ends where a twin making those calls ends."""
     seed = 1_000 + jitter
     sim = line_sim(2, seed=seed, link_delay_ms=2, link_jitter_ms=jitter / 1000, link_loss=loss)
-    packets = [_probe(sim, 0, 1) for _ in range(3_000)]
+    packets = [_one_hop_data(sim, 0, 1) for _ in range(3_000)]
     for pkt in packets:
         sim.transmit(0, 1, pkt)
     arrival = {id(payload): t for t, _, _, payload in queued(sim)}
@@ -355,6 +357,57 @@ def test_ack_takes_the_draws_of_an_uncounted_send(seed):
     assert len({t for t, _, _, _ in queued(acks)}) > 1
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
+    """``probe``'s count, loss and jitter lines are a copy of ``_send``'s:
+    32 probes and 32 DATA unicasts from one sender leave its stream in one
+    state and its ``sent`` count equal, report the same lost packets to
+    ``on_link_drop`` and queue the rest at the same times."""
+
+    def sent(send_one) -> Simulator:
+        sim = line_sim(2, seed=seed, link_loss=0.5, link_jitter_ms=10)
+        sim.collector = _DropLog()
+        payload = DataPayload(-1, 0, (1, 0))
+        for seq in range(1, 33):
+            send_one(sim, payload, seq)
+        return sim
+
+    probes = sent(lambda sim, payload, seq: sim.probe(payload, seq))
+    sends = sent(lambda sim, payload, seq: sim._send(
+        1, 0, Packet(PacketKind.DATA, 1, seq, payload, 1)))
+    assert probes.rngs[1].getstate() == sends.rngs[1].getstate()
+    assert probes.nodes[1].dri[0].sent == sends.nodes[1].dri[0].sent == 32
+    assert probes.collector.drops == sends.collector.drops
+    assert queued(probes) == [
+        (t, EventKind.PROBE, 0, (1, p.seq_no)) for t, _, _, p in queued(sends)
+    ]
+    assert 0 < len(probes.collector.drops) < 32
+    assert len({t for t, _, _, _ in queued(probes)}) > 1
+
+
+@pytest.mark.parametrize("hole", [False, True])
+def test_probe_is_acknowledged_by_an_honest_node_and_absorbed_by_a_hole(hole):
+    """A probe to an honest node is counted received there and draws an
+    ACK; a probe to a black hole makes no evidence entry at the hole and
+    queues nothing.  Neither touches a flow ledger, and each is logged as a
+    DATA delivery from its sender, the tuple the golden event logs pin."""
+    sim = line_sim(2, {1: blackhole()} if hole else {}, link_jitter_ms=0)
+    sim.event_log = []
+    sim.collector.register_flow(0)
+    sim.probe(DataPayload(-1, 0, (0, 1)), sim.nodes[0].next_seq())
+    sim.run()
+    assert sim.nodes[0].dri[1].sent == 1
+    assert sim.collector.flows[0] == FlowLedger(0)
+    probe = (sim.delay_us, "deliver", 1, 0, 0, 1)
+    if hole:
+        assert sim.nodes[1].dri == {}
+        assert sim.event_log == [probe]
+    else:
+        assert sim.nodes[1].dri[0].received == 1
+        assert sim.event_log == [probe, (2 * sim.delay_us, "deliver", 0, 1, 1, 1)]
+        assert sim.nodes[0].dri[1].acked
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, scheme):
     """Every directed edge (a, b) has ``a``'s ``peer_acked`` about ``b``
@@ -445,7 +498,7 @@ def test_data_unicast_counts_every_copy_as_sent_lost_or_not():
     for seed in range(16):
         sim = _lossy_star(seed)
         for leaf in (1, 2, 3):
-            sim.transmit(0, leaf, _probe(sim, 0, leaf))
+            sim.transmit(0, leaf, _one_hop_data(sim, 0, leaf))
         assert [sim.nodes[0].dri[leaf].sent for leaf in (1, 2, 3)] == [1, 1, 1]
         lost += 3 - len(queued(sim))
     assert lost > 0
@@ -455,7 +508,7 @@ def test_lost_data_copy_is_still_counted_sent():
     """The sent count is bumped before the loss draw, so a sender's mirror
     count includes copies the link lost."""
     sim = line_sim(2, link_loss=1.0)
-    sim.transmit(0, 1, _probe(sim, 0, 1))
+    sim.transmit(0, 1, _one_hop_data(sim, 0, 1))
     assert sim.nodes[0].dri[1].sent == 1
     assert queued(sim) == []
 

@@ -23,7 +23,7 @@ TIMER_TAGS = {"rel_tf", "vet_deadline", "base_tf", "base_deadline", "discovery",
 
 @pytest.mark.parametrize("is_blackhole", [False, True])
 def test_role_table_covers_every_kind_and_timer_tag(is_blackhole):
-    assert set(event_handlers(is_blackhole)) == set(PacketKind) | TIMER_TAGS
+    assert set(event_handlers(is_blackhole)) == set(PacketKind) | TIMER_TAGS | {"probe"}
 
 
 def test_blackhole_table_overrides_only_what_a_hole_mishandles():
@@ -31,7 +31,7 @@ def test_blackhole_table_overrides_only_what_a_hole_mishandles():
     overridden = {key for key in honest if hole[key] is not honest[key]}
     assert overridden == {
         PacketKind.DATA, PacketKind.ACK, PacketKind.PING, PacketKind.PONG,
-        PacketKind.RREQ, PacketKind.DRI_REQ, PacketKind.BASE_REQ,
+        PacketKind.RREQ, PacketKind.DRI_REQ, PacketKind.BASE_REQ, "probe",
     }
 
 
@@ -57,16 +57,19 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     a receiver never has to check that it is the addressee, and every DATA
     copy is sent by ``path[pos - 1]``, so its receiver knows the sender.
     Every hop of one DATA packet carries the payload object its source
-    built.  Each unicast copy, warm-up probes included, passes through
-    ``Simulator._send``, so that is where this is checked, and the run
+    built.  Each unicast copy but a warm-up probe passes through
+    ``Simulator._send``, so that is where this is checked, and every DATA
+    copy there belongs to a flow.  A probe passes through
+    ``Simulator.probe`` alone, from ``path[0]`` to ``path[1]`` of its
+    payload, so it is checked there to cross a topology edge.  The run
     must have shown it probes and relayed DATA hops."""
     seen = []
     data_payloads = {}
     probes = relays = 0
-    send = Simulator._send
+    send, probe = Simulator._send, Simulator.probe
 
     def checked(sim, src, dst, pkt):
-        nonlocal probes, relays
+        nonlocal relays
         if pkt.kind in SOURCE_ROUTED:
             seen.append(pkt.kind)
             path = pkt.payload.path
@@ -75,13 +78,22 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
                 assert src == path[pkt.pos - 1], (pkt, src, dst)
                 first = data_payloads.setdefault((pkt.origin, pkt.seq_no), pkt.payload)
                 assert pkt.payload is first, (pkt, first)
-                if pkt.payload.flow_id < 0:
-                    probes += 1
-                elif pkt.pos >= 2:
+                assert pkt.payload.flow_id >= 0, pkt
+                if pkt.pos >= 2:
                     relays += 1
         return send(sim, src, dst, pkt)
 
+    def checked_probe(sim, payload, seq):
+        nonlocal probes
+        src, dst = payload.path
+        assert payload.flow_id < 0 and dst in sim.topology.neighbors[src], payload
+        first = data_payloads.setdefault((src, seq), payload)
+        assert payload is first, (payload, first)
+        probes += 1
+        return probe(sim, payload, seq)
+
     monkeypatch.setattr(Simulator, "_send", checked)
+    monkeypatch.setattr(Simulator, "probe", checked_probe)
     record = run_scenario(ScenarioConfig(
         nodes=30, area_side=775.0, flows=8, blackholes=2, colluding_pairs=2,
         duration=10.0, seed=3, scheme=scheme, link_loss=loss,

@@ -6,12 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from relsim import aodv, baseline, defense, runner
+from relsim import aodv, baseline, defense, node, runner
 from relsim.defense import VetStatus
 from relsim.errors import SimulationError
 from relsim.engine import MICROS_PER_MS, MICROS_PER_S, Simulator
 from relsim.metrics import FlowLedger
-from relsim.node import Node
 from relsim.packets import DataPayload
 from relsim.runner import FIRST_FLOW_START_S, WARMUP_START_MS, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
@@ -265,25 +264,34 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
 
 def test_warmup_rounds_share_one_payload_per_directed_edge(monkeypatch):
     """Every probe on a directed edge carries the one payload built for it,
-    and probes touch no flow ledger, lost, absorbed or delivered."""
-    received = {}
-    real = Node._on_data
+    and probes touch no flow ledger, lost, absorbed or delivered.  A probe
+    reaches its receiver's ``"probe"`` handler as ``(sender, seq)``, so
+    the payloads are read where ``Simulator.probe`` sends them."""
+    sent, received = {}, {}
+    probe, on_probe = Simulator.probe, node._on_probe
 
-    def spy(node, pkt):
-        if pkt.payload.flow_id < 0:
-            received.setdefault(pkt.payload.path, []).append(pkt.payload)
-        real(node, pkt)
+    def sent_spy(sim, payload, seq):
+        sent.setdefault(payload.path, []).append(payload)
+        probe(sim, payload, seq)
 
-    monkeypatch.setattr(Node, "_on_data", spy)
+    def received_spy(receiver, event):
+        path = (event[0], receiver.id)
+        received[path] = received.get(path, 0) + 1
+        on_probe(receiver, event)
+
+    monkeypatch.setattr(Simulator, "probe", sent_spy)
+    monkeypatch.setattr(node, "_on_probe", received_spy)
     run = _warmup_run(link_loss=0.05, warmup_packets=3)
     probes = run._probes
     run.sim.run()
     assert not hasattr(run, "_probes")  # dropped by the last round
     honest = [p.path for p in probes if not run.sim.profiles[p.path[1]].is_blackhole]
     assert sorted(received) == sorted(honest)
-    assert max(map(len, received.values())) == 3
+    assert max(received.values()) == 3
+    assert sorted(sent) == sorted(p.path for p in probes)
     start = WARMUP_START_MS * MICROS_PER_MS
-    for path, payloads in received.items():
+    for path, payloads in sent.items():
+        assert len(payloads) == 3
         assert payloads[0] == DataPayload(-1, start, path)
         assert all(p is payloads[0] for p in payloads)
     assert sorted(run.sim.collector.flows) == [f.flow_id for f in run.flows]
