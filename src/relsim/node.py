@@ -9,10 +9,10 @@ The evidence table is a ``defaultdict(DriEntry)``: recording traffic
 writes ``dri[neighbor]``, which makes the entry on first use, while every
 read (a vetting reply, a flag, a route score) uses
 ``dri.get(neighbor, EMPTY_ENTRY)``, so only traffic creates entries.  It
-hands every packet and timer to the handler its role's table names, so a
-black hole's behavior is fixed when the node is built, not decided at
-receipt: data-plane packets are absorbed, route requests are answered
-with forgeries, table queries with lies.  Control packets merely passing
+hands every packet, timer and warm-up probe to the handler its role's
+table names, so a black hole's behavior is fixed when the node is built,
+not decided at receipt: data-plane packets and probes are absorbed,
+route requests are answered with forgeries, table queries with lies.  Control packets merely passing
 through a black hole are relayed normally, which is what keeps the
 lying path alive long enough to be interrogated.
 """

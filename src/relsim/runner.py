@@ -112,11 +112,10 @@ class ScenarioRun:
         them in this same order, back to back: all were queued before
         anything else, so they carry the lowest ``seq`` of their time.  Only
         the queue shrinks, not the traffic: a transmission is not always a
-        delivery.  Every probe is
-        still transmitted and answered, but ``Simulator.ack`` neither builds
-        nor queues an ACK whose prober already holds the flag it would set,
-        and ``Simulator.broadcast`` queues no second copy of a route request
-        for a node.  An energy count charges those unqueued copies too.
+        delivery.  Every probe is still transmitted and answered, but
+        ``Simulator.ack`` neither builds nor queues an ACK whose prober
+        already holds the flag it would set, and ``Simulator.broadcast``
+        queues no second copy of a route request for a node.  An energy count charges those unqueued copies too.
 
         Each directed edge's probe payload is built once, stamped with the
         first round's time, and shared by every round: nothing reads a
