@@ -4,27 +4,29 @@ Time is integer microseconds.  Events are totally ordered by time, and
 events at one time by insertion order, so two runs over the same scenario
 and seed replay the exact same trace.  The queue is the simplest calendar
 queue (R. Brown, CACM 31(10), 1988): a heap of the distinct pending times
-and, per time, a FIFO bucket of its events.  Events that share a time (a
-broadcast's copies, a warm-up round's probes) share one heap entry.
+and, per time, a bucket of its events.  Events that share a time (a
+broadcast's copies, a warm-up round's probes) share one heap entry.  Most
+events are alone at their time, so a bucket is a plain list, which ``run``
+iterates over: it keeps its dispatched events until it is drained.
 Every node owns a pseudo-random stream derived from ``(seed, node_id)``;
 link jitter and loss are always drawn from the *sender's* stream.
 
 The per-hop path is flat: ``broadcast`` floods a route request, all a
-run ever floods, with one bucket for all its copies; ``probe`` sends a
-warm-up probe and ``ack`` its ACK; and ``_send`` is the one path of
-every other unicast, with its jitter draw and enqueue inline: it bumps
-the sender's DRI ``sent`` count for a DATA copy itself, before the loss
-draw, and counts vetting messages.  A DATA hop is one ``Node._on_data``
-call, which counts the copy received and then either relays the same
-packet, its ``pos`` moved on, through ``transmit_or_drop`` (a forged
-path may name a hop that does not exist) or hands it to the collector
-as delivered; every DATA packet belongs to a flow.  A warm-up probe is
-no DATA packet: ``probe`` bumps the sender's ``sent`` count and takes
-``_send``'s draws, with no adjacency test, as each probe's edge is a
-topology edge, and queues a ``PROBE`` event that carries only the
-sender and the probe's sequence number.  The receiver's ``"probe"``
-handler counts it received and acknowledges it through ``ack``, or, at a
-black hole, absorbs it.
+run ever floods, with one bucket for all its copies; ``probe_round``
+sends a warm-up round's probes and ``ack`` a probe's ACK; and ``_send``
+is the one path of every other unicast, with its jitter draw and enqueue
+inline: it bumps the sender's DRI ``sent`` count for a DATA copy itself,
+before the loss draw, and counts vetting messages.  A DATA hop is one
+``Node._on_data`` call, which counts the copy received and then either
+relays the same packet, its ``pos`` moved on, through
+``transmit_or_drop`` (a forged path may name a hop that does not exist)
+or hands it to the collector as delivered; every DATA packet belongs to
+a flow.  A warm-up probe is no DATA packet: ``probe_round`` bumps each
+sender's ``sent`` count and takes ``_send``'s draws, with no adjacency
+test, as each probe's edge is a topology edge, and queues a ``PROBE``
+event that carries only the sender and the probe's sequence number.
+The receiver's ``"probe"`` handler counts it received and acknowledges
+it through ``ack``, or, at a black hole, absorbs it.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
@@ -33,8 +35,8 @@ neither builds nor queues an ACK whose prober already holds the
 acknowledgement flag for the sender.  An unqueued copy still takes every
 draw a queued one takes, and the radio still sent it, so a count of
 transmissions or of energy must be taken in ``broadcast``, ``_send``,
-``ack`` and ``probe``, not at dispatch; the event log records only the
-queued copies.
+``ack`` and ``probe_round``, not at dispatch; the event log records only
+the queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
@@ -42,7 +44,8 @@ tuple per dispatched event; production runs leave it ``None``.  A
 delivery's tuple copies the header fields it logs, never the packet, as
 a DATA relay moves the packet's ``pos`` after dispatch.  A probe is
 logged as a DATA delivery from its sender, the tuple the pinned event
-logs of ``tests/test_golden.py`` hold for it.
+logs of ``tests/test_golden.py`` hold for it.  A run whose handler
+raised is never resumed: ``run_scenario`` and ``sweep_records`` discard it.
 
 ``run`` also turns CPython's cyclic garbage collector off for its loop and
 back on only if it was on.  Warm-up queues tens of thousands of events
@@ -56,7 +59,6 @@ run leaves, its ``Simulator``/``Node`` graph, once per run.
 from __future__ import annotations
 
 import gc
-from collections import deque
 from enum import IntEnum
 from heapq import heappop, heappush
 from itertools import count
@@ -68,6 +70,8 @@ from .packets import VETTING_KINDS, DataPayload, Packet, PacketKind
 from .topology import Topology
 
 if TYPE_CHECKING:
+    from .defense import DriEntry
+    from .node import Node
     from .scenario import ScenarioConfig
 
 MICROS_PER_MS = 1_000
@@ -129,10 +133,10 @@ class Simulator:
         self.profiles = profiles
         # set to a list to record every dispatched event (tests, fingerprints)
         self.event_log: list[tuple] | None = None
-        # every time in the heap has a bucket; only the bucket being
-        # drained may be empty, until its time leaves the heap
+        # every time in the heap has a bucket, never empty; the bucket being
+        # drained keeps its dispatched events until its time leaves the heap
         self._times: list[int] = []
-        self._buckets: dict[int, deque[tuple[int, int, object]]] = {}
+        self._buckets: dict[int, list[tuple[int, int, object]]] = {}
         # ``next_id()`` hands out conversation ids (see ``node``), one counter per run
         self.next_id = count(1).__next__
         # route request (origin, request_id) -> nodes a copy has been queued for
@@ -153,16 +157,17 @@ class Simulator:
             raise SchedulingError(
                 f"event at t={time_us}us is before current time {self.now_us}us"
             )
-        # behind every event already queued at ``time_us``
-        self._bucket(time_us).append((int(kind), node_id, payload))
+        self._queue(time_us, [(int(kind), node_id, payload)])
 
-    def _bucket(self, time_us: int) -> deque[tuple[int, int, object]]:
-        """The bucket of ``time_us``, made and its time pushed if new."""
+    def _queue(self, time_us: int, events: list[tuple[int, int, object]]) -> None:
+        """Queue ``events`` behind every event already at ``time_us``; a new
+        time takes the list itself as its bucket and is pushed on the heap."""
         bucket = self._buckets.get(time_us)
         if bucket is None:
-            bucket = self._buckets[time_us] = deque()
+            self._buckets[time_us] = events
             heappush(self._times, time_us)
-        return bucket
+        else:
+            bucket.extend(events)
 
     def schedule_timer(self, node_id: int, delay_us: int, payload) -> None:
         self.schedule_at(self.now_us + delay_us, EventKind.TIMER, node_id, payload)
@@ -212,15 +217,15 @@ class Simulator:
             reached = self._rreq_reached[key] = {packet.origin}
         loss = self.loss
         random = self.rngs[src].random
-        bucket = None
+        copies = []
         for dst in self.topology.neighbors[src]:
             if loss > 0.0 and random() < loss:
                 self.collector.on_link_drop(packet)
             elif dst not in reached:
                 reached.add(dst)
-                if bucket is None:
-                    bucket = self._bucket(self.now_us + self.delay_us)
-                bucket.append((_DELIVER, dst, packet))
+                copies.append((_DELIVER, dst, packet))
+        if copies:
+            self._queue(self.now_us + self.delay_us, copies)
 
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
@@ -254,12 +259,13 @@ class Simulator:
             while draw >= bound:
                 draw = getrandbits(bits)
             time_us += draw
-        # ``_bucket`` inlined, as this runs once per unicast
+        # ``_queue`` inlined, as this runs once per unicast
         bucket = self._buckets.get(time_us)
         if bucket is None:
-            bucket = self._buckets[time_us] = deque()
+            self._buckets[time_us] = [(_DELIVER, dst, packet)]
             heappush(self._times, time_us)
-        bucket.append((_DELIVER, dst, packet))
+        else:
+            bucket.append((_DELIVER, dst, packet))
 
     def ack(self, src: int, dst: int, seq: int) -> None:
         """Acknowledge a probe that ``src`` received from the prober
@@ -296,45 +302,54 @@ class Simulator:
             return
         bucket = self._buckets.get(time_us)
         if bucket is None:
-            bucket = self._buckets[time_us] = deque()
+            self._buckets[time_us] = [(_DELIVER, dst, Packet(_ACK, src, seq))]
             heappush(self._times, time_us)
-        bucket.append((_DELIVER, dst, Packet(_ACK, src, seq)))
+        else:
+            bucket.append((_DELIVER, dst, Packet(_ACK, src, seq)))
 
-    def probe(self, payload: DataPayload, seq: int) -> None:
-        """Send one warm-up probe along the edge ``payload.path``, from its
-        sender with ``seq`` as the probe's sequence number.  The probe bumps
-        the sender's ``dri[receiver].sent`` and takes ``_send``'s loss draw
-        and then its jitter draw from the sender's stream, in lines copied
-        from ``_send`` (``tests/test_engine.py`` pins the two together).  A
-        lost probe reaches the collector's ``on_link_drop`` as a built DATA
-        packet, as a lost ACK does.
+    def probe_round(self, records: list[tuple[Node, int, DriEntry]]) -> None:
+        """Send one warm-up round: for each record ``(sender, receiver,
+        entry)`` in order, a probe from the node ``sender`` to ``receiver``
+        with the sender's next sequence number.  It bumps ``entry``, the
+        sender's ``dri[receiver]``, and takes ``_send``'s loss draw and then
+        its jitter draw from the sender's stream, in lines copied from
+        ``_send`` (``tests/test_engine.py`` pins the two together).  A lost
+        probe reaches ``on_link_drop`` as a DATA packet of flow id -1.
 
         A probe that survives both draws is queued as a ``PROBE`` event
-        carrying ``(sender, seq)``, all that its receiver's ``"probe"``
-        handler and the event log read; no packet is built.  Every probe's
+        carrying ``(sender id, seq)``, all that its receiver's ``"probe"``
+        handler and the event log read; no packet is built.  Every record's
         edge is a topology edge, so the edge is not checked.
         """
-        src, dst = payload.path
-        self.nodes[src].dri[dst].sent += 1
-        rng = self.rngs[src]
+        now_us = self.now_us
+        base_us = now_us + self.delay_us
         loss = self.loss
-        if loss > 0.0 and rng.random() < loss:
-            self.collector.on_link_drop(Packet(_DATA, src, seq, payload, 1))
-            return
-        time_us = self.now_us + self.delay_us
         bound = self._jitter_bound
-        if bound > 1:
-            bits = self._jitter_bits
-            getrandbits = rng.getrandbits
-            draw = getrandbits(bits)
-            while draw >= bound:
+        bits = self._jitter_bits
+        buckets = self._buckets
+        times = self._times
+        for node, dst, entry in records:
+            entry.sent += 1
+            node._packet_seq = seq = node._packet_seq + 1
+            rng = node.rng
+            if loss > 0.0 and rng.random() < loss:
+                src = node.id
+                self.collector.on_link_drop(
+                    Packet(_DATA, src, seq, DataPayload(-1, now_us, (src, dst)), 1))
+                continue
+            time_us = base_us
+            if bound > 1:
+                getrandbits = rng.getrandbits
                 draw = getrandbits(bits)
-            time_us += draw
-        bucket = self._buckets.get(time_us)
-        if bucket is None:
-            bucket = self._buckets[time_us] = deque()
-            heappush(self._times, time_us)
-        bucket.append((_PROBE, dst, (src, seq)))
+                while draw >= bound:
+                    draw = getrandbits(bits)
+                time_us += draw
+            bucket = buckets.get(time_us)
+            if bucket is None:
+                buckets[time_us] = [(_PROBE, dst, (node.id, seq))]
+                heappush(times, time_us)
+            else:
+                bucket.append((_PROBE, dst, (node.id, seq)))
 
     # -- main loop ----------------------------------------------------
 
@@ -344,10 +359,12 @@ class Simulator:
         queued; ``until_us`` is checked once per time.
 
         An event queued at ``now_us`` during dispatch joins the tail of the
-        bucket being drained, and a time leaves the heap once its bucket is
-        empty.  When ``event_log`` is a list, each dispatched event is
-        appended to it.  ``event_log`` and the app handler are read once per
-        call.
+        bucket being drained.  A bucket keeps its dispatched events until it
+        is drained and deleted, so a run whose handler raised is never
+        resumed, which would dispatch them again: ``runner.run_scenario``
+        and ``cli.sweep_records`` discard it.  When ``event_log`` is a list,
+        each dispatched event is appended to it.  ``event_log`` and the app
+        handler are read once per call.
 
         The cyclic garbage collector is off while the loop runs and is
         turned back on afterwards only if it was on, whether the loop
@@ -366,9 +383,7 @@ class Simulator:
                 if until_us is not None and time_us > until_us:
                     break
                 self.now_us = time_us
-                bucket = buckets[time_us]
-                while bucket:
-                    kind, node_id, payload = bucket.popleft()
+                for kind, node_id, payload in buckets[time_us]:
                     if kind == _DELIVER:
                         if event_log is not None:
                             pkt: Packet = payload  # type: ignore[assignment]

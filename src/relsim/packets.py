@@ -25,15 +25,15 @@ originator (``pkt.origin``).  Control-plane kinds are relayed even by
 misbehaving nodes; the data-plane kinds listed in ``DATA_PLANE`` are the
 ones a black hole silently absorbs.
 
-A warm-up probe is no packet.  ``Simulator.probe``, not ``_send``,
-sends it and queues it as an event of its own that carries only its
-sender and sequence number; it builds a DATA packet only for a probe the
-link loses, to hand to the collector.  So every DATA packet belongs to a
-flow.
+A warm-up probe is no packet and has no payload.
+``Simulator.probe_round``, not ``_send``, sends it and queues it as an
+event of its own that carries only its sender and sequence number; it
+builds a DATA packet, with a payload of flow id -1, only for a probe the
+link loses, to hand to the collector.  So every DATA packet queued
+belongs to a flow.
 
 Payloads are frozen slotted dataclasses, except ``DataPayload``: one is
-built per flow packet (and per directed edge for warm-up probes, whose
-rounds share it), so it is a ``NamedTuple``,
+built per flow packet, so it is a ``NamedTuple``,
 just as immutable and with the same fields and repr, but built in well
 under half the time (about 0.4 against 1.0 us on CPython 3.11).
 """

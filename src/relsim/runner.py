@@ -105,8 +105,8 @@ class ScenarioRun:
         """Queue one app event per probe round: round ``j`` fires at
         ``WARMUP_START_MS + j * PROBE_SPACING_MS`` and sends a probe each
         way on every edge, in ``edges()`` order, black holes staying mute.
-        Each probe goes through ``Simulator.probe``, not ``_send``: it is
-        queued as a one-hop event of its own, not as a DATA packet.
+        A round is one ``Simulator.probe_round`` call, which queues each
+        probe as a one-hop event of its own, not as a DATA packet.
 
         Queuing every probe's send as an app event of its own would run
         them in this same order, back to back: all were queued before
@@ -115,26 +115,26 @@ class ScenarioRun:
         delivery.  Every probe is still transmitted and answered, but
         ``Simulator.ack`` neither builds nor queues an ACK whose prober
         already holds the flag it would set, and ``Simulator.broadcast``
-        queues no second copy of a route request for a node.  An energy count charges those unqueued copies too.
+        queues no second copy of a route request for a node.  An energy
+        count charges those unqueued copies too.
 
-        Each directed edge's probe payload is built once, stamped with the
-        first round's time, and shared by every round: nothing reads a
-        probe's ``created_us``, as its flow id, -1, has no flow ledger.  The
-        last round drops the list, so the payloads live no longer than the
-        rounds that send them.
+        Each directed edge's record, ``(sender node, receiver, the sender's
+        dri entry for it)``, is built once, shared by every round and
+        dropped by the last.  Making the entry here changes no read: nothing
+        reads ``dri`` before the first round, which makes every such entry.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
         profiles = self.sim.profiles
-        start = WARMUP_START_MS * MICROS_PER_MS
-        # a payload is all a round needs of a probe: its path names the edge
+        nodes = self.sim.nodes
         self._probes = [
-            DataPayload(-1, start, (sender, receiver))
+            (nodes[sender], receiver, nodes[sender].dri[receiver])
             for u, v in self.topology.edges()
             for sender, receiver in ((u, v), (v, u))
             if not profiles[sender].is_blackhole  # black holes originate no traffic
         ]
+        start = WARMUP_START_MS * MICROS_PER_MS
         spacing = PROBE_SPACING_MS * MICROS_PER_MS
         for j in range(cfg.warmup_packets):
             # a round belongs to no single node
@@ -153,23 +153,15 @@ class ScenarioRun:
     def _on_app_event(self, payload: tuple) -> None:
         tag = payload[0]
         if tag == "warmup":
-            self._probe_round(payload[1])
+            self.sim.probe_round(self._probes)
+            if payload[1] == self.cfg.warmup_packets - 1:
+                del self._probes
         elif tag == "flow_start":
             flow = self.flows[payload[1]]
             self._generate_packet(flow, 0)
             self._acquire_route(flow)
         elif tag == "flow_send":
             self._generate_packet(self.flows[payload[1]], payload[2])
-
-    def _probe_round(self, j: int) -> None:
-        nodes = self.sim.nodes
-        probe = self.sim.probe
-        for payload in self._probes:
-            node = nodes[payload.path[0]]
-            node._packet_seq = seq = node._packet_seq + 1
-            probe(payload, seq)
-        if j == self.cfg.warmup_packets - 1:
-            del self._probes
 
     def _generate_packet(self, flow: _FlowDriver, index: int) -> None:
         self.sim.collector.on_generated(flow.flow_id)

@@ -7,7 +7,7 @@ import pytest
 from relsim.adversary import AdversaryProfile, honest_profiles
 from relsim.defense import VettingResult
 from relsim.engine import EventKind, Simulator
-from relsim.packets import DataPayload, Packet
+from relsim.packets import Packet
 from relsim.scenario import SCHEME_TABLE, ScenarioConfig
 from relsim.topology import topology_from_positions
 
@@ -44,12 +44,19 @@ def queued(sim: Simulator) -> list[tuple[int, int, int, object]]:
     ]
 
 
+def probe_record(sim: Simulator, sender: int, receiver: int) -> tuple:
+    """The ``Simulator.probe_round`` record of the directed edge
+    ``sender -> receiver``, as ``runner.schedule_warmup`` builds it."""
+    node = sim.nodes[sender]
+    return (node, receiver, node.dri[receiver])
+
+
 def warm_up(sim: Simulator, packets: int = 10) -> None:
     """Exchange probe data both ways on every edge; black holes stay mute."""
 
     def app(payload):
         _, sender, receiver = payload
-        sim.probe(DataPayload(-1, sim.now_us, (sender, receiver)), sim.nodes[sender].next_seq())
+        sim.probe_round([probe_record(sim, sender, receiver)])
 
     previous = sim._app_handler
     sim.set_app_handler(app)

@@ -24,7 +24,7 @@ from relsim.runner import ScenarioRun
 from relsim.scenario import SCHEMES, ScenarioConfig
 from relsim.topology import topology_from_positions
 
-from conftest import blackhole, line_sim, queued
+from conftest import blackhole, line_sim, probe_record, queued
 
 
 def _one_hop_data(sim, src, dst, flow=-1):
@@ -359,24 +359,26 @@ def test_ack_takes_the_draws_of_an_uncounted_send(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
-    """``probe``'s count, loss and jitter lines are a copy of ``_send``'s:
-    32 probes and 32 DATA unicasts from one sender leave its stream in one
-    state and its ``sent`` count equal, report the same lost packets to
-    ``on_link_drop`` and queue the rest at the same times."""
+    """``probe_round``'s count, loss and jitter lines are a copy of
+    ``_send``'s: a round of 32 probes and 32 DATA unicasts from one sender
+    leave its stream in one state and its ``sent`` count and sequence
+    number equal, report the same lost packets to ``on_link_drop`` and
+    queue the rest at the same times."""
 
-    def sent(send_one) -> Simulator:
+    def fresh() -> Simulator:
         sim = line_sim(2, seed=seed, link_loss=0.5, link_jitter_ms=10)
         sim.collector = _DropLog()
-        payload = DataPayload(-1, 0, (1, 0))
-        for seq in range(1, 33):
-            send_one(sim, payload, seq)
         return sim
 
-    probes = sent(lambda sim, payload, seq: sim.probe(payload, seq))
-    sends = sent(lambda sim, payload, seq: sim._send(
-        1, 0, Packet(PacketKind.DATA, 1, seq, payload, 1)))
+    probes = fresh()
+    probes.probe_round([probe_record(probes, 1, 0)] * 32)
+    sends = fresh()
+    payload = DataPayload(-1, 0, (1, 0))
+    for _ in range(32):
+        sends._send(1, 0, Packet(PacketKind.DATA, 1, sends.nodes[1].next_seq(), payload, 1))
     assert probes.rngs[1].getstate() == sends.rngs[1].getstate()
     assert probes.nodes[1].dri[0].sent == sends.nodes[1].dri[0].sent == 32
+    assert probes.nodes[1]._packet_seq == sends.nodes[1]._packet_seq == 32
     assert probes.collector.drops == sends.collector.drops
     assert queued(probes) == [
         (t, EventKind.PROBE, 0, (1, p.seq_no)) for t, _, _, p in queued(sends)
@@ -394,7 +396,7 @@ def test_probe_is_acknowledged_by_an_honest_node_and_absorbed_by_a_hole(hole):
     sim = line_sim(2, {1: blackhole()} if hole else {}, link_jitter_ms=0)
     sim.event_log = []
     sim.collector.register_flow(0)
-    sim.probe(DataPayload(-1, 0, (0, 1)), sim.nodes[0].next_seq())
+    sim.probe_round([probe_record(sim, 0, 1)])
     sim.run()
     assert sim.nodes[0].dri[1].sent == 1
     assert sim.collector.flows[0] == FlowLedger(0)
@@ -406,6 +408,49 @@ def test_probe_is_acknowledged_by_an_honest_node_and_absorbed_by_a_hole(hole):
         assert sim.nodes[1].dri[0].received == 1
         assert sim.event_log == [probe, (2 * sim.delay_us, "deliver", 0, 1, 1, 1)]
         assert sim.nodes[0].dri[1].acked
+
+
+@pytest.mark.parametrize("jitter_ms", [0, 0.002])
+def test_probe_round_queues_survivors_in_record_order(monkeypatch, jitter_ms):
+    """At loss 0.5, one round over every directed edge of a line, each edge
+    twice, queues its surviving probes in record order within each time,
+    each with its sender's next sequence number, and hands every lost one
+    to ``on_link_drop`` as a one-hop DATA packet of no flow, while no flow
+    ledger moves.  A 2 us jitter makes three arrival times, so times are
+    shared and mixed."""
+    drops = []
+    on_link_drop = RunCollector.on_link_drop
+
+    def dropped(collector, pkt):
+        drops.append(pkt)
+        on_link_drop(collector, pkt)
+
+    monkeypatch.setattr(RunCollector, "on_link_drop", dropped)
+    sim = line_sim(6, seed=4, link_loss=0.5, link_jitter_ms=jitter_ms)
+    sim.collector.register_flow(0)
+    sim.now_us = 1_000
+    edges = [(s, r) for u, v in sim.topology.edges() for s, r in ((u, v), (v, u))] * 2
+    sim.probe_round([probe_record(sim, s, r) for s, r in edges])
+    seqs = {}
+    probes = []  # (sender, receiver, seq) in record order
+    for s, r in edges:
+        seqs[s] = seqs.get(s, 0) + 1
+        probes.append((s, r, seqs[s]))
+    lost = [(p.origin, p.payload.path[1], p.seq_no) for p in drops]
+    for pkt in drops:
+        assert pkt == Packet(PacketKind.DATA, pkt.origin, pkt.seq_no,
+                             DataPayload(-1, 1_000, (pkt.origin, pkt.payload.path[1])), 1)
+    events = queued(sim)
+    survived = [(payload[0], node_id, payload[1]) for _, _, node_id, payload in events]
+    assert {kind for _, kind, _, _ in events} == {EventKind.PROBE}
+    assert sorted(lost + survived) == sorted(probes)
+    for time_us in {t for t, _, _, _ in events}:
+        at = [probes.index(p) for (t, _, _, _), p in zip(events, survived) if t == time_us]
+        assert at == sorted(at)
+    assert 0 < len(lost) < len(probes)
+    assert len({t for t, _, _, _ in events}) == (1 if jitter_ms == 0 else 3)
+    assert all(sim.nodes[s].dri[r].sent == 2 for s, r in edges)
+    assert sim.collector.flows[0] == FlowLedger(0)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -60,13 +60,14 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     built.  Each unicast copy but a warm-up probe passes through
     ``Simulator._send``, so that is where this is checked, and every DATA
     copy there belongs to a flow.  A probe passes through
-    ``Simulator.probe`` alone, from ``path[0]`` to ``path[1]`` of its
-    payload, so it is checked there to cross a topology edge.  The run
-    must have shown it probes and relayed DATA hops."""
+    ``Simulator.probe_round`` alone, as a record naming its sender, its
+    receiver and the sender's evidence entry for the receiver, so it is
+    checked there to cross a topology edge.  The run must have shown it
+    probes and relayed DATA hops."""
     seen = []
     data_payloads = {}
     probes = relays = 0
-    send, probe = Simulator._send, Simulator.probe
+    send, probe_round = Simulator._send, Simulator.probe_round
 
     def checked(sim, src, dst, pkt):
         nonlocal relays
@@ -83,17 +84,16 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
                     relays += 1
         return send(sim, src, dst, pkt)
 
-    def checked_probe(sim, payload, seq):
+    def checked_probe_round(sim, records):
         nonlocal probes
-        src, dst = payload.path
-        assert payload.flow_id < 0 and dst in sim.topology.neighbors[src], payload
-        first = data_payloads.setdefault((src, seq), payload)
-        assert payload is first, (payload, first)
-        probes += 1
-        return probe(sim, payload, seq)
+        for sender, receiver, entry in records:
+            assert receiver in sim.topology.neighbors[sender.id], (sender.id, receiver)
+            assert entry is sender.dri[receiver], (sender.id, receiver)
+        probes += len(records)
+        return probe_round(sim, records)
 
     monkeypatch.setattr(Simulator, "_send", checked)
-    monkeypatch.setattr(Simulator, "probe", checked_probe)
+    monkeypatch.setattr(Simulator, "probe_round", checked_probe_round)
     record = run_scenario(ScenarioConfig(
         nodes=30, area_side=775.0, flows=8, blackholes=2, colluding_pairs=2,
         duration=10.0, seed=3, scheme=scheme, link_loss=loss,
@@ -108,8 +108,9 @@ def test_data_relayed_in_place_is_delivered_to_path_at_pos(monkeypatch, scheme):
     """A DATA relay moves the ``pos`` of the packet it received and sends
     that object on.  With slow, lossy links keeping many copies in flight,
     every DATA delivery still reaches ``path[pos]``, and the delivered
-    object is in no bucket of the queue, so nothing queued sees its ``pos``
-    move."""
+    object occurs exactly once in the whole queue: in the slot being
+    dispatched, which stays in the bucket of the current time until that
+    bucket is drained.  So no pending copy sees its ``pos`` move."""
     deliveries = relayed = 0
     on_packet = Node.on_packet
 
@@ -119,10 +120,12 @@ def test_data_relayed_in_place_is_delivered_to_path_at_pos(monkeypatch, scheme):
             deliveries += 1
             relayed += pkt.pos >= 2
             assert node.id == pkt.payload.path[pkt.pos], (pkt, node.id)
-            assert not any(
-                queued is pkt
-                for bucket in node.sim._buckets.values() for _, _, queued in bucket
-            ), pkt
+            slots = [
+                time_us
+                for time_us, bucket in node.sim._buckets.items()
+                for _, _, queued in bucket if queued is pkt
+            ]
+            assert slots == [node.sim.now_us], (pkt, slots)
         on_packet(node, pkt)
 
     monkeypatch.setattr(Node, "on_packet", checked)

@@ -11,8 +11,7 @@ from relsim.defense import VetStatus
 from relsim.errors import SimulationError
 from relsim.engine import MICROS_PER_MS, MICROS_PER_S, Simulator
 from relsim.metrics import FlowLedger
-from relsim.packets import DataPayload
-from relsim.runner import FIRST_FLOW_START_S, WARMUP_START_MS, ScenarioRun, run_scenario
+from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
 from conftest import blackhole, line_sim, queued, vet, warm_up
@@ -262,38 +261,61 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
     assert [r.getstate() for r in run.sim.rngs] == [r.getstate() for r in oracle.rngs]
 
 
-def test_warmup_rounds_share_one_payload_per_directed_edge(monkeypatch):
-    """Every probe on a directed edge carries the one payload built for it,
-    and probes touch no flow ledger, lost, absorbed or delivered.  A probe
-    reaches its receiver's ``"probe"`` handler as ``(sender, seq)``, so
-    the payloads are read where ``Simulator.probe`` sends them."""
-    sent, received = {}, {}
-    probe, on_probe = Simulator.probe, node._on_probe
+def test_no_warmup_makes_no_evidence_entry_before_traffic():
+    """Without warm-up no probe record is built, so no node holds a
+    ``dri`` entry when the first flow starts."""
+    run = _warmup_run(warmup_packets=0)
+    assert not hasattr(run, "_probes")
+    run.schedule_flows()
+    run.sim.run(until_us=min(f.start_us for f in run.flows) - 1)
+    assert not any(n.dri for n in run.sim.nodes)
+    assert not run.sim.idle()
 
-    def sent_spy(sim, payload, seq):
-        sent.setdefault(payload.path, []).append(payload)
-        probe(sim, payload, seq)
+
+def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
+    """Every round sends one record per directed edge from an honest node,
+    each the one object built for its edge and shared by all rounds, and
+    the last round drops them; honest receivers count every probe, and
+    probes touch no flow ledger, lost, absorbed or delivered.  A probe
+    reaches its receiver's ``"probe"`` handler as ``(sender, seq)``, so
+    the records are read where ``Simulator.probe_round`` sends them."""
+    rounds, received = [], {}
+    probe_round, on_probe = Simulator.probe_round, node._on_probe
+
+    def sent_spy(sim, records):
+        rounds.append(list(records))
+        probe_round(sim, records)
 
     def received_spy(receiver, event):
         path = (event[0], receiver.id)
         received[path] = received.get(path, 0) + 1
         on_probe(receiver, event)
 
-    monkeypatch.setattr(Simulator, "probe", sent_spy)
+    monkeypatch.setattr(Simulator, "probe_round", sent_spy)
     monkeypatch.setattr(node, "_on_probe", received_spy)
     run = _warmup_run(link_loss=0.05, warmup_packets=3)
-    probes = run._probes
+    records = run._probes
     run.sim.run()
     assert not hasattr(run, "_probes")  # dropped by the last round
-    honest = [p.path for p in probes if not run.sim.profiles[p.path[1]].is_blackhole]
+    profiles = run.sim.profiles
+    edges = [(sender.id, receiver) for sender, receiver, _ in records]
+    assert sorted(edges) == sorted(
+        (s, r) for u, v in run.topology.edges() for s, r in ((u, v), (v, u))
+        if not profiles[s].is_blackhole
+    )
+    assert len(set(edges)) == len(edges)
+    assert len(rounds) == 3
+    for sent in rounds:
+        assert len(sent) == len(records)
+        assert all(ours is first for ours, first in zip(sent, records))
+    for sender, receiver, entry in records:
+        assert entry is sender.dri[receiver]
+        assert entry.sent == 3
+    honest = [e for e in edges if not profiles[e[1]].is_blackhole]
     assert sorted(received) == sorted(honest)
     assert max(received.values()) == 3
-    assert sorted(sent) == sorted(p.path for p in probes)
-    start = WARMUP_START_MS * MICROS_PER_MS
-    for path, payloads in sent.items():
-        assert len(payloads) == 3
-        assert payloads[0] == DataPayload(-1, start, path)
-        assert all(p is payloads[0] for p in payloads)
+    for s, r in honest:
+        assert run.sim.nodes[r].dri[s].received == received[(s, r)]
     assert sorted(run.sim.collector.flows) == [f.flow_id for f in run.flows]
     for flow_id, ledger in run.sim.collector.flows.items():
         assert ledger == FlowLedger(flow_id)
