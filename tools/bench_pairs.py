@@ -12,8 +12,12 @@ within a pair favours neither side.
 
 Standard output is one JSON object: per end-to-end metric, the quartiles
 of each side, how many pairs the change (this checkout) won, the ratio of
-the medians, the parent's quartile spread and the metric's bound from
-``BENCHMARK.json``, plus each side's run counts and every run's values.
+the medians, the parent's quartile spread, the metric's bound from
+``BENCHMARK.json`` and whether a claimed gain would be met
+(``gain_rule_met``: the change won at least 9 in 10 pairs in the
+metric's better direction, a tie winning for neither side, and its
+median is better than the parent's by more than the parent's quartile
+spread), plus each side's run counts and every run's values.
 These are the figures a ``BENCH_*.json`` records.  Progress goes to
 standard error.
 
@@ -87,16 +91,21 @@ def summary(runs: dict[str, list[dict]], bounds: list[dict]) -> dict:
         )
         parent, change = quartiles(values["parent"]), quartiles(values["change"])
         ratio = change["median"] / parent["median"] if parent["median"] else float("nan")
+        parent_iqr = parent["q3"] - parent["q1"]
+        gain = change["median"] - parent["median"]  # > 0: the change is better
+        if lower:
+            gain = -gain
         out["end_to_end"][name] = {
             "parent": parent,
             "change": change,
             "change_wins": f"{wins}/{pairs}",
             "median_ratio": ratio,
-            "parent_iqr": parent["q3"] - parent["q1"],
-            "median_gap": abs(parent["median"] - change["median"]),
+            "parent_iqr": parent_iqr,
+            "median_gap": abs(gain),
             "bound": metric["bound"],
             "within_bound": ratio <= 1 + metric["bound"] if lower
             else ratio >= 1 - metric["bound"],
+            "gain_rule_met": 10 * wins >= 9 * pairs and gain > parent_iqr,
         }
     out["runs"] = {side: [r["metrics"] for r in side_runs] for side, side_runs in runs.items()}
     return out
