@@ -71,6 +71,7 @@ def fabricated_counts(node: Node, subject_profile: AdversaryProfile | None) -> t
     ):
         story = collusion_story(node.sim.cfg.seed, profile.collusion_group)
         return story, story
+    node.sim.settle(node)
     value = node.rng.randint(FABRICATED_LOW, FABRICATED_HIGH)
     return value, value
 
@@ -84,10 +85,6 @@ def blackhole_on_rreq(node: Node, pkt: Packet) -> None:
     """
     payload: RreqPayload = pkt.payload
     profile = node.profile
-    key = (pkt.origin, payload.request_id)
-    if key in node.seen_rreqs:
-        return  # one forgery per request is plenty of lure
-    node.seen_rreqs.add(key)
     if profile.collusion_partner is not None and profile.collusion_partner != payload.target:
         tail: tuple[int, ...] = (node.id, profile.collusion_partner, payload.target)
     else:
@@ -105,7 +102,7 @@ def blackhole_on_data(node: Node, pkt: Packet) -> None:
     node.sim.collector.on_blackhole_drop(pkt)
 
 
-def blackhole_on_probe(node: Node, probe: tuple[int, int]) -> None:
+def blackhole_on_probe(node: Node, probe: tuple) -> None:
     """Absorb a warm-up probe: it belongs to no flow, so no drop is counted."""
 
 

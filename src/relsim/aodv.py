@@ -1,13 +1,16 @@
 """On-demand route discovery: request flooding, replies, and ping checks.
 
-Route requests flood with duplicate suppression and accumulate the node
-sequence they traverse, so every reply hands the source a complete
-candidate path.  Replies travel the recorded path backwards, installing
-forward routes at the relays.  The reply itself is the candidate: a
-discovery keeps the first ``RrepPayload`` along each distinct path and,
-when its window closes, hands them to its caller ranked by highest
-destination sequence number, then fewest advertised hops, then lowest
-next-hop id; this is exactly the ordering a forged reply is built to win.
+Route requests flood with duplicate suppression, which
+``Simulator.broadcast`` applies by queuing one copy of a request per
+node, so a handler only ever sees its node's first copy.  They
+accumulate the node sequence they traverse, so every reply hands the
+source a complete candidate path.  Replies travel the recorded path
+backwards, installing forward routes at the relays.  The reply itself is
+the candidate: a discovery keeps the first ``RrepPayload`` along each
+distinct path and, when its window closes, hands them to its caller
+ranked by highest destination sequence number, then fewest advertised
+hops, then lowest next-hop id; this is exactly the ordering a forged
+reply is built to win.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ def initiate_discovery(
 
 def handle_rreq(node: Node, pkt: Packet) -> None:
     payload: RreqPayload = pkt.payload
-    key = (pkt.origin, payload.request_id)
-    if key in node.seen_rreqs:
-        return
-    node.seen_rreqs.add(key)
     if payload.target == node.id:
         node.seq_no += 1
         _send_rrep(node, payload.path + (node.id,), node.seq_no, payload.request_id)

@@ -43,7 +43,7 @@ class DriEntry:
 
     ``peer_acked`` is link-layer bookkeeping, not evidence, and no vetting
     reads it: it mirrors the neighbor's own ``acked`` flag about this node,
-    so that ``Simulator.ack`` can skip an ACK the neighbor already holds by
+    so that ``node._on_probe`` can skip an ACK the neighbor already holds by
     reading this node's table.  ``node._on_ack`` sets the two together."""
 
     sent: int = 0

@@ -13,8 +13,8 @@ link jitter and loss are always drawn from the *sender's* stream.
 
 The per-hop path is flat: ``broadcast`` floods a route request, all a
 run ever floods, with one bucket for all its copies; ``probe_round``
-sends a warm-up round's probes and ``ack`` a probe's ACK; and ``_send``
-is the one path of every other unicast, with its jitter draw and enqueue
+sends a warm-up round's probes; and ``_send`` is the one path of every
+other unicast, a probe's ACK included, with its jitter draw and enqueue
 inline: it bumps the sender's DRI ``sent`` count for a DATA copy itself,
 before the loss draw, and counts vetting messages.  A DATA hop is one
 ``Node._on_data`` call, which counts the copy received and then either
@@ -24,19 +24,24 @@ or hands it to the collector as delivered; every DATA packet belongs to
 a flow.  A warm-up probe is no DATA packet: ``probe_round`` bumps each
 sender's ``sent`` count and takes ``_send``'s draws, with no adjacency
 test, as each probe's edge is a topology edge, and queues a ``PROBE``
-event that carries only the sender and the probe's sequence number.
-The receiver's ``"probe"`` handler counts it received and acknowledges
-it through ``ack``, or, at a black hole, absorbs it.
+event that carries the sender, the probe's sequence number and the
+receiver's evidence entry for the sender.  The receiver's ``"probe"``
+handler counts it received and acknowledges it, or, at a black hole,
+absorbs it.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
-a node that no copy of that request has been queued for yet, and ``ack``
-neither builds nor queues an ACK whose prober already holds the
-acknowledgement flag for the sender.  An unqueued copy still takes every
-draw a queued one takes, and the radio still sent it, so a count of
-transmissions or of energy must be taken in ``broadcast``, ``_send``,
-``ack`` and ``probe_round``, not at dispatch; the event log records only
-the queued copies.
+a node that no copy of that request has been queued for yet, and an ACK
+whose prober already holds the acknowledgement flag for the sender is
+neither built nor queued: ``node._on_probe`` owes its draws to the
+sender's stream, and ``settle`` takes them before the stream's next draw.
+No owed value is read, and a stream yields one sequence of words
+whenever they are taken (Matsumoto and Nishimura, ACM TOMACS 8(1),
+1998), so every stream is as if each ACK had drawn when sent; draws
+still owed when a run ends are never taken.  The radio still sent every
+unqueued copy, so a count of transmissions or of energy must be taken
+in ``broadcast``, ``_send`` and ``probe_round``, and where an ACK is
+owed, not at dispatch; the event log records only the queued copies.
 
 ``run`` is the one loop: it drains the queue, or stops before the first
 time past ``until_us``.  Setting ``event_log`` to a list records one
@@ -215,8 +220,11 @@ class Simulator:
         reached = self._rreq_reached.get(key)
         if reached is None:
             reached = self._rreq_reached[key] = {packet.origin}
+        node = self.nodes[src]
+        if node.owed_acks:
+            self.settle(node)
         loss = self.loss
-        random = self.rngs[src].random
+        random = node.rng.random
         copies = []
         for dst in self.topology.neighbors[src]:
             if loss > 0.0 and random() < loss:
@@ -230,8 +238,8 @@ class Simulator:
     def _send(self, src: int, dst: int, packet: Packet) -> None:
         """Unicast one copy: count it, draw its loss and then its jitter
         from the sender's stream, and queue its delivery unless it was lost.
-        This is the path of every unicast but a warm-up probe and its ACK,
-        which ``probe`` and ``ack`` send.  A DATA copy bumps the sender's
+        This is the path of every unicast but a warm-up probe, which
+        ``probe_round`` sends.  A DATA copy bumps the sender's
         ``dri[dst].sent`` before the loss draw, so the count reflects what
         was transmitted, lost or not; the table is a ``defaultdict``, so the
         first copy makes the entry.
@@ -240,12 +248,15 @@ class Simulator:
         rejection loop ``Random._randbelow`` runs on ``getrandbits``, so it
         takes the same draws (``tests/test_engine.py`` pins both).
         """
+        node = self.nodes[src]
+        if node.owed_acks:
+            self.settle(node)
         kind = packet.kind
         if kind is _DATA:
-            self.nodes[src].dri[dst].sent += 1
+            node.dri[dst].sent += 1
         elif kind in VETTING_KINDS:
             self.collector.on_vet_message(packet)
-        rng = self.rngs[src]
+        rng = node.rng
         loss = self.loss
         if loss > 0.0 and rng.random() < loss:
             self.collector.on_link_drop(packet)
@@ -269,57 +280,52 @@ class Simulator:
 
     def ack(self, src: int, dst: int, seq: int) -> None:
         """Acknowledge a probe that ``src`` received from the prober
-        ``dst``, with ``seq`` as the ACK's sequence number.  The ACK takes
-        ``_send``'s loss draw and then its jitter draw from ``src``'s
-        stream, in lines copied from ``_send`` (``tests/test_engine.py``
-        pins the two together), and a lost ACK reaches the collector's
-        ``on_link_drop`` as a built packet.
-
-        An ACK that survives both draws is built and queued only if
-        ``src``'s own ``dri[dst].peer_acked`` is false.  That flag mirrors
-        the prober's ``acked`` flag for ``src``, as ``node._on_ack`` sets
-        both, and neither is ever cleared, so a later ACK would change
-        nothing.  The rule reads the flag as it is now, not whether an
-        earlier ACK was queued, since jitter can deliver a later ACK first,
-        and reads it with ``get``, which makes no entry.
+        ``dst``, with ``seq`` as the ACK's sequence number: an uncounted
+        ``_send``, so a lost ACK reaches ``on_link_drop`` as a packet.
+        ``node._on_probe`` calls this only while ``src``'s own
+        ``dri[dst].peer_acked`` is false.  That flag mirrors the prober's
+        ``acked`` flag for ``src``, as ``node._on_ack`` sets both, and
+        neither is ever cleared, so a later ACK would change nothing: its
+        draws are owed to ``src``'s stream instead (see ``settle``).
         """
-        rng = self.rngs[src]
-        loss = self.loss
-        if loss > 0.0 and rng.random() < loss:
-            self.collector.on_link_drop(Packet(_ACK, src, seq))
-            return
-        time_us = self.now_us + self.delay_us
-        bound = self._jitter_bound
-        if bound > 1:
-            bits = self._jitter_bits
-            getrandbits = rng.getrandbits
-            draw = getrandbits(bits)
-            while draw >= bound:
-                draw = getrandbits(bits)
-            time_us += draw
-        entry = self.nodes[src].dri.get(dst)
-        if entry is not None and entry.peer_acked:
-            return
-        bucket = self._buckets.get(time_us)
-        if bucket is None:
-            self._buckets[time_us] = [(_DELIVER, dst, Packet(_ACK, src, seq))]
-            heappush(self._times, time_us)
-        else:
-            bucket.append((_DELIVER, dst, Packet(_ACK, src, seq)))
+        self._send(src, dst, Packet(_ACK, src, seq))
 
-    def probe_round(self, records: list[tuple[Node, int, DriEntry]]) -> None:
+    def settle(self, node: Node) -> None:
+        """Take the draws of the ACKs ``node`` owes its stream: each takes
+        ``_send``'s loss draw and, unless that lost it, its jitter rejection
+        loop.  No value is read, so only the words taken matter, and a lost
+        owed ACK reports no link drop, as it has no flow ledger.  Every
+        other function that draws from a node stream calls this first
+        (``tests/test_engine.py`` checks the source for it).
+        """
+        rng = node.rng
+        loss = self.loss
+        bound = self._jitter_bound
+        bits = self._jitter_bits
+        for _ in range(node.owed_acks):
+            if loss > 0.0 and rng.random() < loss:
+                continue
+            if bound > 1:
+                while rng.getrandbits(bits) >= bound:
+                    pass
+        node.owed_acks = 0
+
+    def probe_round(self, records: list[tuple[Node, int, DriEntry, DriEntry | None]]) -> None:
         """Send one warm-up round: for each record ``(sender, receiver,
-        entry)`` in order, a probe from the node ``sender`` to ``receiver``
-        with the sender's next sequence number.  It bumps ``entry``, the
-        sender's ``dri[receiver]``, and takes ``_send``'s loss draw and then
-        its jitter draw from the sender's stream, in lines copied from
-        ``_send`` (``tests/test_engine.py`` pins the two together).  A lost
-        probe reaches ``on_link_drop`` as a DATA packet of flow id -1.
+        entry, receiver_entry)`` in order, a probe from the node ``sender``
+        to ``receiver`` with the sender's next sequence number.  It settles
+        the sender's owed draws, bumps ``entry``, the sender's
+        ``dri[receiver]``, and takes ``_send``'s loss draw and then its
+        jitter draw from the sender's stream, in lines copied from ``_send``
+        (``tests/test_engine.py`` pins the two together).  A lost probe
+        reaches ``on_link_drop`` as a DATA packet of flow id -1.
 
         A probe that survives both draws is queued as a ``PROBE`` event
-        carrying ``(sender id, seq)``, all that its receiver's ``"probe"``
-        handler and the event log read; no packet is built.  Every record's
-        edge is a topology edge, so the edge is not checked.
+        carrying ``(sender id, seq, receiver_entry)``: the receiver's
+        ``dri[sender]``, or ``None`` at a black hole, is all that its
+        ``"probe"`` handler reads besides, so delivery looks nothing up,
+        and no packet is built.  Every record's edge is a topology edge, so
+        the edge is not checked.
         """
         now_us = self.now_us
         base_us = now_us + self.delay_us
@@ -328,7 +334,9 @@ class Simulator:
         bits = self._jitter_bits
         buckets = self._buckets
         times = self._times
-        for node, dst, entry in records:
+        for node, dst, entry, receiver_entry in records:
+            if node.owed_acks:
+                self.settle(node)
             entry.sent += 1
             node._packet_seq = seq = node._packet_seq + 1
             rng = node.rng
@@ -346,10 +354,10 @@ class Simulator:
                 time_us += draw
             bucket = buckets.get(time_us)
             if bucket is None:
-                buckets[time_us] = [(_PROBE, dst, (node.id, seq))]
+                buckets[time_us] = [(_PROBE, dst, (node.id, seq, receiver_entry))]
                 heappush(times, time_us)
             else:
-                bucket.append((_PROBE, dst, (node.id, seq)))
+                bucket.append((_PROBE, dst, (node.id, seq, receiver_entry)))
 
     # -- main loop ----------------------------------------------------
 
@@ -395,7 +403,8 @@ class Simulator:
                     elif kind == _PROBE:
                         if event_log is not None:
                             # as a DATA delivery: the pinned event logs hold that tuple
-                            event_log.append((time_us, "deliver", node_id, 0, *payload))
+                            event_log.append(
+                                (time_us, "deliver", node_id, 0, payload[0], payload[1]))
                         node = nodes[node_id]
                         node.handlers["probe"](node, payload)
                     elif kind == _TIMER:

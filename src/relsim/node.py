@@ -31,8 +31,8 @@ if TYPE_CHECKING:
 
 class Node:
     __slots__ = (
-        "sim", "id", "profile", "neighbors", "handlers", "rng", "seq_no", "_packet_seq",
-        "dri", "routes", "seen_rreqs", "open",
+        "sim", "id", "profile", "neighbors", "handlers", "rng", "owed_acks", "seq_no",
+        "_packet_seq", "dri", "routes", "seen_rreqs", "open",
     )
 
     def __init__(self, sim: Simulator, node_id: int, profile, neighbors: tuple[int, ...],
@@ -43,10 +43,13 @@ class Node:
         self.neighbors = neighbors
         self.handlers = handlers  # the role's table from ``event_handlers``
         self.rng = sim.rngs[node_id]
+        self.owed_acks = 0  # ACKs whose draws ``sim.settle`` has yet to take from ``rng``
         self.seq_no = 0  # AODV destination sequence number
         self._packet_seq = 0
         self.dri: defaultdict[int, defense.DriEntry] = defaultdict(defense.DriEntry)
         self.routes = aodv.RoutingTable()
+        # stays empty, as no node is handed a request twice (see ``aodv``);
+        # the benchmark's duplicate counter reads it
         self.seen_rreqs: set[tuple[int, int]] = set()
         # every conversation this node waits on, by its ``sim.next_id()``
         self.open: dict[int, object] = {}
@@ -94,19 +97,27 @@ class Node:
         self.sim.transmit_or_drop(self.id, path[pos], pkt)
 
 
-def _on_probe(node: Node, probe: tuple[int, int]) -> None:
-    """Count the warm-up probe ``(sender, seq)`` received and acknowledge
-    it, so the prober gains transfer evidence for its through flag.  The
-    sender just transmitted to this node, so the ACK's link exists."""
-    sender = probe[0]
-    node.dri[sender].received += 1
+def _on_probe(node: Node, probe: tuple[int, int, defense.DriEntry]) -> None:
+    """Count the warm-up probe ``(sender, seq, entry)`` received into
+    ``entry``, this node's ``dri[sender]``, which the probe carries, and
+    acknowledge it, so the prober gains transfer evidence for its through
+    flag.  The sender just transmitted to this node, so the ACK's link
+    exists.  While ``entry.peer_acked`` is false the ACK goes to
+    ``Simulator.ack``; once it is set the prober already holds the flag
+    the ACK would set, so the ACK is neither built nor queued, and its
+    draws are owed to this node's stream for ``Simulator.settle``."""
+    sender, _, entry = probe
+    entry.received += 1
     node._packet_seq = seq = node._packet_seq + 1
-    node.sim.ack(node.id, sender, seq)
+    if entry.peer_acked:
+        node.owed_acks += 1
+    else:
+        node.sim.ack(node.id, sender, seq)
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:
     """Set the prober's ``acked`` flag for the ACK's sender and, in the same
-    step, the sender's ``peer_acked`` mirror of it, which ``Simulator.ack``
+    step, the sender's ``peer_acked`` mirror of it, which ``_on_probe``
     reads."""
     sender = pkt.origin
     baseline.baseline_update(node.dri, sender)
@@ -124,7 +135,7 @@ def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
 def event_handlers(blackhole: bool) -> dict:
     """One role's handlers, each called as ``handler(node, packet)`` per
     ``PacketKind``, ``handler(node, timer_payload)`` per timer tag, or, under
-    ``"probe"``, ``handler(node, (sender, seq))`` per warm-up probe.
+    ``"probe"``, ``handler(node, (sender, seq, entry))`` per warm-up probe.
 
     Handlers are read off their modules when the table is built, so build
     it per simulator: a function replaced on its module then still runs.

@@ -27,7 +27,8 @@ ones a black hole silently absorbs.
 
 A warm-up probe is no packet and has no payload.
 ``Simulator.probe_round``, not ``_send``, sends it and queues it as an
-event of its own that carries only its sender and sequence number; it
+event of its own that carries its sender, its sequence number and the
+receiver's evidence entry for the sender (``None`` at a black hole); it
 builds a DATA packet, with a payload of flow id -1, only for a probe the
 link loses, to hand to the collector.  So every DATA packet queued
 belongs to a flow.

@@ -112,27 +112,34 @@ class ScenarioRun:
         them in this same order, back to back: all were queued before
         anything else, so they carry the lowest ``seq`` of their time.  Only
         the queue shrinks, not the traffic: a transmission is not always a
-        delivery.  Every probe is still transmitted and answered, but
-        ``Simulator.ack`` neither builds nor queues an ACK whose prober
-        already holds the flag it would set, and ``Simulator.broadcast``
-        queues no second copy of a route request for a node.  An energy
-        count charges those unqueued copies too.
+        delivery.  Every probe is still transmitted and answered, but an
+        ACK whose prober already holds the flag it would set is neither
+        built nor queued (``node._on_probe`` owes its draws instead), and
+        ``Simulator.broadcast`` queues no second copy of a route request
+        for a node.  An energy count charges those unqueued copies too.
 
         Each directed edge's record, ``(sender node, receiver, the sender's
-        dri entry for it)``, is built once, shared by every round and
-        dropped by the last.  Making the entry here changes no read: nothing
-        reads ``dri`` before the first round, which makes every such entry.
+        dri entry for it, the receiver's dri entry for the sender)``, is
+        built once, shared by every round and dropped by the last.  Making
+        the entries here changes no read: nothing reads ``dri`` before the
+        first round, which makes every such entry.  Every honest node
+        probes every neighbor, so an honest receiver's entry is one of the
+        sender entries; a black hole's is ``None``, and it makes none.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
         profiles = self.sim.profiles
         nodes = self.sim.nodes
-        self._probes = [
+        sent = [
             (nodes[sender], receiver, nodes[sender].dri[receiver])
             for u, v in self.topology.edges()
             for sender, receiver in ((u, v), (v, u))
             if not profiles[sender].is_blackhole  # black holes originate no traffic
+        ]
+        self._probes = [
+            (node, receiver, entry, nodes[receiver].dri.get(node.id))
+            for node, receiver, entry in sent
         ]
         start = WARMUP_START_MS * MICROS_PER_MS
         spacing = PROBE_SPACING_MS * MICROS_PER_MS

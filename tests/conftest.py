@@ -46,9 +46,13 @@ def queued(sim: Simulator) -> list[tuple[int, int, int, object]]:
 
 def probe_record(sim: Simulator, sender: int, receiver: int) -> tuple:
     """The ``Simulator.probe_round`` record of the directed edge
-    ``sender -> receiver``, as ``runner.schedule_warmup`` builds it."""
+    ``sender -> receiver``, as ``runner.schedule_warmup`` builds it: the
+    sender node, the receiver, the sender's ``dri[receiver]`` and the
+    receiver's ``dri[sender]``, or ``None`` at a black hole, which makes no
+    entry."""
     node = sim.nodes[sender]
-    return (node, receiver, node.dri[receiver])
+    hole = sim.profiles[receiver].is_blackhole
+    return (node, receiver, node.dri[receiver], None if hole else sim.nodes[receiver].dri[sender])
 
 
 def warm_up(sim: Simulator, packets: int = 10) -> None:

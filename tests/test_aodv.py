@@ -221,29 +221,36 @@ def test_reverse_path_soundness_on_random_topology():
 
 
 def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
-    """On a 60-node random field at loss 0.1, with six floods in flight
-    at once, no node is ever handed a copy of a request it has seen."""
+    """On a 60-node random field at loss 0.1, with two solo black holes,
+    a colluding pair and six floods in flight at once, no node, honest or
+    hole, is ever handed a second copy of a request, so neither request
+    handler needs a duplicate guard."""
     import random
 
-    from relsim.adversary import honest_profiles
+    from relsim import adversary
     from relsim.engine import Simulator
     from relsim.topology import build_connected_topology
 
     deliveries = []
 
-    def handle_rreq(node, pkt):
-        key = (pkt.origin, pkt.payload.request_id)
-        deliveries.append((node.id, key, key in node.seen_rreqs))
-        handle(node, pkt)
+    def spied(handle):
+        def handle_rreq(node, pkt):
+            deliveries.append((node.id, (pkt.origin, pkt.payload.request_id)))
+            handle(node, pkt)
+        return handle_rreq
 
-    handle = aodv.handle_rreq
-    monkeypatch.setattr(aodv, "handle_rreq", handle_rreq)
+    monkeypatch.setattr(aodv, "handle_rreq", spied(aodv.handle_rreq))
+    monkeypatch.setattr(adversary, "blackhole_on_rreq", spied(adversary.blackhole_on_rreq))
     topo = build_connected_topology(60, 1100.0, 250.0, random.Random(3))
-    sim = Simulator(topo, honest_profiles(60), ScenarioConfig(seed=3, link_loss=0.1))
+    sources = set(range(6)) | {59 - source for source in range(6)}
+    profiles = adversary.assign_adversaries(random.Random(3), topo, sources, 2, 1)
+    holes = {i for i, profile in enumerate(profiles) if profile.is_blackhole}
+    sim = Simulator(topo, profiles, ScenarioConfig(seed=3, link_loss=0.1))
     for source in range(6):
         aodv.initiate_discovery(sim.nodes[source], 59 - source, lambda cands: None)
     sim.run()
-    assert not [d for d in deliveries if d[2]]
-    reached = {(node_id, key) for node_id, key, _ in deliveries}
-    assert len(reached) == len(deliveries) > 6 * 40
-    assert all(node_id != key[0] for node_id, key, _ in deliveries)
+    assert len(set(deliveries)) == len(deliveries) > 6 * 40
+    assert all(node_id != key[0] for node_id, key in deliveries)
+    assert len(holes) == 4
+    assert {node_id for node_id, _ in deliveries} >= holes
+    assert all(not n.seen_rreqs for n in sim.nodes)

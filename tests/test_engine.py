@@ -1,11 +1,14 @@
+import ast
 import gc
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relsim import engine
+from relsim import adversary, engine
+from relsim import node as node_module
 from relsim.adversary import honest_profiles
 from relsim.defense import EMPTY_ENTRY, DriEntry
 from relsim.engine import (
@@ -291,8 +294,17 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
 
 
+def _probes_to_node_1(sim: Simulator, count: int) -> None:
+    """Deliver ``count`` warm-up probes from node 0 to node 1's ``"probe"``
+    handler, each carrying node 1's ``dri[0]``, as ``probe_round`` queues
+    them."""
+    receiver = sim.nodes[1]
+    for seq in range(1, count + 1):
+        node_module._on_probe(receiver, (0, seq, receiver.dri[0]))
+
+
 def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
-    """Node 1 sends 32 ACKs to its prober, node 0, at loss 0.5; the
+    """Node 1 answers 32 probes from its prober, node 0, at loss 0.5; the
     prober's ``acked`` flag for node 1, and node 1's ``peer_acked`` mirror
     of it, are set beforehand or not."""
     sim = line_sim(2, seed=seed, link_loss=0.5)
@@ -300,37 +312,157 @@ def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
     if prober_holds_flag:
         sim.nodes[0].dri[1] = DriEntry(acked=True)
         sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
-    for seq in range(1, 33):
-        sim.ack(1, 0, seq)
+    _probes_to_node_1(sim, 32)
     return sim
 
 
 def test_unqueued_ack_still_takes_its_loss_and_jitter_draws():
-    """An ACK its prober already holds is never queued, yet the sender's
-    stream and the link drops the collector hears of are those of a run
-    in which every surviving ACK was queued."""
+    """An ACK its prober already holds is never queued, and its draws are
+    owed to the sender's stream: once settled, that stream is the one of a
+    run in which every ACK drew when sent and every survivor was queued.
+    The link drops differ by design: a lost owed ACK reports none, as an
+    ACK has no flow ledger."""
     for seed in range(8):
         sim = _acks_to_prober(seed, prober_holds_flag=True)
         twin = _acks_to_prober(seed, prober_holds_flag=False)
         assert sim.idle()
         assert queued(twin)
+        assert sim.nodes[1].owed_acks == 32
+        assert twin.nodes[1].owed_acks == 0
+        assert sim.rngs[1].getstate() != twin.rngs[1].getstate()
+        sim.settle(sim.nodes[1])
         assert sim.rngs[1].getstate() == twin.rngs[1].getstate()
-        assert sim.collector.drops == twin.collector.drops
-        assert 0 < len(sim.collector.drops) < 32
+        assert sim.collector.drops == []
+        assert 0 < len(twin.collector.drops) < 32
 
 
 def test_ack_is_queued_while_its_prober_lacks_the_flag():
-    """The rule reads the flag when the ACK is sent: every ACK sent before
-    the first arrival is queued, however many are in flight, since jitter
-    may deliver a later one first; none is queued after it."""
+    """The rule reads the flag when the probe arrives: the ACK of every
+    probe received before the first ACK arrives is queued, however many
+    are in flight, since jitter may deliver a later one first; none is
+    queued after it, and its draws are owed instead."""
     sim = line_sim(2, link_delay_ms=2, link_jitter_ms=10)
-    for seq in range(1, 4):
-        sim.ack(1, 0, seq)
+    _probes_to_node_1(sim, 3)
     assert len(queued(sim)) == 3
     sim.run()
     assert sim.nodes[0].dri[1].acked
-    sim.ack(1, 0, 4)
+    node_module._on_probe(sim.nodes[1], (0, 4, sim.nodes[1].dri[0]))
     assert sim.idle()
+    assert sim.nodes[1].owed_acks == 1
+    assert sim.nodes[1]._packet_seq == 4
+
+
+def _draw_acks(rng: random.Random, count: int, loss: float, jitter_us: int) -> None:
+    """Take ``count`` ACKs' draws from ``rng`` as each one sent would: its
+    loss draw and, if it survived, ``randint(0, jitter_us)``; no jitter
+    takes no draw."""
+    for _ in range(count):
+        if loss > 0.0 and rng.random() < loss:
+            continue
+        if jitter_us:
+            rng.randint(0, jitter_us)
+
+
+@pytest.mark.parametrize("loss", [0.0, 0.5])
+@pytest.mark.parametrize("jitter_ms", [0, 10])
+def test_settling_owed_acks_takes_the_draws_of_acks_sent(loss, jitter_ms):
+    """k owed ACKs, once settled, leave the sender's stream where k ACKs
+    drawn when sent leave it, and owe nothing more."""
+    for seed in range(8):
+        k = seed + 1
+        sim = line_sim(2, seed=seed, link_loss=loss, link_jitter_ms=jitter_ms)
+        sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
+        _probes_to_node_1(sim, k)
+        assert sim.nodes[1].owed_acks == k
+        assert sim.idle()
+        sim.settle(sim.nodes[1])
+        assert sim.nodes[1].owed_acks == 0
+        eager = derive_stream(seed, 1)
+        _draw_acks(eager, k, loss, sim.jitter_us)
+        assert sim.rngs[1].getstate() == eager.getstate()
+
+
+DRAW_SITES = {
+    "broadcast": lambda sim: sim.broadcast(
+        1, Packet(PacketKind.RREQ, 1, 9, RreqPayload(1, 2, 0, (1,)))),
+    "_send": lambda sim: sim._send(1, 0, Packet(PacketKind.PING, 1, 9)),
+    "ack": lambda sim: sim.ack(1, 0, 9),
+    "probe_round": lambda sim: sim.probe_round([probe_record(sim, 1, 2)] * 4),
+    "fabricated_counts": lambda sim: adversary.fabricated_counts(sim.nodes[1], None),
+}
+
+
+@pytest.mark.parametrize("site", DRAW_SITES)
+def test_every_draw_site_settles_first(site):
+    """Node 1 owes three ACKs when a site draws from its stream; the site
+    leaves the stream, its result, the queue and the link drops as a twin
+    whose three ACKs drew when sent, and node 1 owes nothing after it."""
+    for seed in range(8):
+        sims = []
+        for eager in (False, True):
+            sim = line_sim(3, seed=seed, link_loss=0.5, link_jitter_ms=10)
+            sim.collector = _DropLog()
+            sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
+            _probes_to_node_1(sim, 3)
+            if eager:
+                sim.nodes[1].owed_acks = 0
+                _draw_acks(sim.rngs[1], 3, sim.loss, sim.jitter_us)
+            result = DRAW_SITES[site](sim)
+            assert sim.nodes[1].owed_acks == 0
+            sims.append((sim, result))
+        (owing, owed_result), (twin, twin_result) = sims
+        assert owing.rngs[1].getstate() == twin.rngs[1].getstate()
+        assert owed_result == twin_result
+        assert [e[:3] for e in queued(owing)] == [e[:3] for e in queued(twin)]
+        assert owing.collector.drops == twin.collector.drops
+
+
+def _stream_readers(tree: ast.Module):
+    """Each function in ``tree``, by qualified name, with whether it reads
+    a node stream (``.rng`` or ``.rngs[...]``) and whether it calls a
+    ``settle`` method."""
+    def functions(body, prefix):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                yield from functions(stmt.body, f"{prefix}{stmt.name}.")
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{prefix}{stmt.name}", stmt
+
+    for name, function in functions(tree.body, ""):
+        nodes = list(ast.walk(function))
+        reads = any(
+            isinstance(n, ast.Attribute) and n.attr == "rng"
+            or isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+            and n.value.attr == "rngs"
+            for n in nodes
+        )
+        settles = any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "settle"
+            for n in nodes
+        )
+        yield name, reads, settles
+
+
+def test_every_function_that_reads_a_node_stream_settles_it():
+    """A node stream may owe ACK draws (``Simulator.settle``), so every
+    function under ``src/relsim`` that reads one calls ``settle``; only the
+    two constructors that build the streams and ``settle`` itself may not."""
+    exempt = {"engine.Simulator.__init__", "node.Node.__init__", "engine.Simulator.settle"}
+    readers, unsettled = set(), []
+    for path in sorted((Path(engine.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, reads, settles in _stream_readers(tree):
+            name = f"{path.stem}.{name}"
+            if reads:
+                readers.add(name)
+                if not settles and name not in exempt:
+                    unsettled.append(name)
+    assert not unsettled
+    assert readers >= {
+        "node.Node.__init__", "engine.Simulator.settle", "engine.Simulator.broadcast",
+        "engine.Simulator._send", "engine.Simulator.probe_round", "adversary.fabricated_counts",
+    }
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -372,6 +504,7 @@ def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
 
     probes = fresh()
     probes.probe_round([probe_record(probes, 1, 0)] * 32)
+    receiver_entry = probes.nodes[0].dri[1]
     sends = fresh()
     payload = DataPayload(-1, 0, (1, 0))
     for _ in range(32):
@@ -381,8 +514,9 @@ def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
     assert probes.nodes[1]._packet_seq == sends.nodes[1]._packet_seq == 32
     assert probes.collector.drops == sends.collector.drops
     assert queued(probes) == [
-        (t, EventKind.PROBE, 0, (1, p.seq_no)) for t, _, _, p in queued(sends)
+        (t, EventKind.PROBE, 0, (1, p.seq_no, receiver_entry)) for t, _, _, p in queued(sends)
     ]
+    assert all(payload[2] is receiver_entry for _, _, _, payload in queued(probes))
     assert 0 < len(probes.collector.drops) < 32
     assert len({t for t, _, _, _ in queued(probes)}) > 1
 
@@ -457,11 +591,12 @@ def test_probe_round_queues_survivors_in_record_order(monkeypatch, jitter_ms):
 def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, scheme):
     """Every directed edge (a, b) has ``a``'s ``peer_acked`` about ``b``
     equal to ``b``'s ``acked`` about ``a``, at every ACK delivery and when
-    the run ends, and ``ack`` builds a packet only for an ACK it queues or
-    loses: the ACK packets built are the ACK deliveries plus the ACK link
-    drops."""
-    counts = {"built": 0, "acks": 0, "delivered": 0, "dropped": 0}
-    build, ack = engine.Packet, Simulator.ack
+    the run ends.  Every honest probe delivery either calls ``ack`` or owes
+    an ACK's draws, and an ACK packet is built only by ``ack``, for an ACK
+    it queues or loses: the ACK packets built are the ACK deliveries plus
+    the ACK link drops."""
+    counts = {"built": 0, "acks": 0, "delivered": 0, "dropped": 0, "probes": 0, "owed": 0}
+    build, ack, on_probe = engine.Packet, Simulator.ack, node_module._on_probe
     on_packet, on_link_drop = Node.on_packet, RunCollector.on_link_drop
 
     def counted_build(kind, *args):
@@ -471,6 +606,12 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
     def counted_ack(sim, *args):
         counts["acks"] += 1
         ack(sim, *args)
+
+    def counted_probe(receiver, probe):
+        counts["probes"] += 1
+        owed = receiver.owed_acks
+        on_probe(receiver, probe)
+        counts["owed"] += receiver.owed_acks == owed + 1
 
     def mirrored(nodes):
         for a, node in enumerate(nodes):
@@ -495,6 +636,7 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
 
     monkeypatch.setattr(engine, "Packet", counted_build)
     monkeypatch.setattr(Simulator, "ack", counted_ack)
+    monkeypatch.setattr(node_module, "_on_probe", counted_probe)
     monkeypatch.setattr(Node, "on_packet", checked_delivery)
     monkeypatch.setattr(RunCollector, "on_link_drop", counted_drop)
     run = ScenarioRun(ScenarioConfig(
@@ -505,7 +647,9 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
     assert not record.failed, record.failure_reason
     mirrored(run.sim.nodes)
     assert counts["built"] == counts["delivered"] + counts["dropped"], counts
-    assert 0 < counts["dropped"] < counts["built"] < counts["acks"], counts
+    assert counts["built"] == counts["acks"], counts
+    assert counts["acks"] + counts["owed"] == counts["probes"], counts
+    assert 0 < counts["dropped"] < counts["built"] < counts["owed"], counts
 
 
 def _lossless_star_rreq() -> tuple[Simulator, Packet]:

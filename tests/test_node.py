@@ -61,9 +61,10 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
     ``Simulator._send``, so that is where this is checked, and every DATA
     copy there belongs to a flow.  A probe passes through
     ``Simulator.probe_round`` alone, as a record naming its sender, its
-    receiver and the sender's evidence entry for the receiver, so it is
-    checked there to cross a topology edge.  The run must have shown it
-    probes and relayed DATA hops."""
+    receiver, the sender's evidence entry for the receiver and the
+    receiver's for the sender (``None`` at a black hole), so it is checked
+    there to cross a topology edge.  The run must have shown it probes and
+    relayed DATA hops."""
     seen = []
     data_payloads = {}
     probes = relays = 0
@@ -86,9 +87,11 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
 
     def checked_probe_round(sim, records):
         nonlocal probes
-        for sender, receiver, entry in records:
+        for sender, receiver, entry, receiver_entry in records:
             assert receiver in sim.topology.neighbors[sender.id], (sender.id, receiver)
             assert entry is sender.dri[receiver], (sender.id, receiver)
+            assert receiver_entry is sim.nodes[receiver].dri.get(sender.id), (sender.id, receiver)
+            assert (receiver_entry is None) == sim.profiles[receiver].is_blackhole
         probes += len(records)
         return probe_round(sim, records)
 

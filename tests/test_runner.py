@@ -248,7 +248,8 @@ def test_warmup_queues_one_event_per_round():
 def test_warmup_rounds_match_one_app_event_per_probe(loss):
     """A warm-up sent in rounds leaves every count, packet sequence number
     and RNG stream as ``conftest.warm_up`` does, which queues every probe
-    as an app event of its own."""
+    as an app event of its own; streams are compared once their owed ACK
+    draws are settled."""
     run = _warmup_run(link_loss=loss)
     run.sim.run(until_us=int(FIRST_FLOW_START_S * MICROS_PER_S))
     assert run.sim.idle()
@@ -258,6 +259,9 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
     for ours, theirs in zip(run.sim.nodes, oracle.nodes, strict=True):
         assert ours.dri == theirs.dri
         assert ours._packet_seq == theirs._packet_seq
+    for sim in (run.sim, oracle):
+        for n in sim.nodes:
+            sim.settle(n)
     assert [r.getstate() for r in run.sim.rngs] == [r.getstate() for r in oracle.rngs]
 
 
@@ -275,10 +279,12 @@ def test_no_warmup_makes_no_evidence_entry_before_traffic():
 def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
     """Every round sends one record per directed edge from an honest node,
     each the one object built for its edge and shared by all rounds, and
-    the last round drops them; honest receivers count every probe, and
-    probes touch no flow ledger, lost, absorbed or delivered.  A probe
-    reaches its receiver's ``"probe"`` handler as ``(sender, seq)``, so
-    the records are read where ``Simulator.probe_round`` sends them."""
+    the last round drops them; each record carries the receiver's entry
+    for the sender, ``None`` at a black hole; honest receivers count every
+    probe, and probes touch no flow ledger, lost, absorbed or delivered.
+    A probe reaches its receiver's ``"probe"`` handler as ``(sender, seq,
+    entry)``, so the records are read where ``Simulator.probe_round``
+    sends them."""
     rounds, received = [], {}
     probe_round, on_probe = Simulator.probe_round, node._on_probe
 
@@ -298,7 +304,7 @@ def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
     run.sim.run()
     assert not hasattr(run, "_probes")  # dropped by the last round
     profiles = run.sim.profiles
-    edges = [(sender.id, receiver) for sender, receiver, _ in records]
+    edges = [(sender.id, receiver) for sender, receiver, _, _ in records]
     assert sorted(edges) == sorted(
         (s, r) for u, v in run.topology.edges() for s, r in ((u, v), (v, u))
         if not profiles[s].is_blackhole
@@ -308,9 +314,11 @@ def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
     for sent in rounds:
         assert len(sent) == len(records)
         assert all(ours is first for ours, first in zip(sent, records))
-    for sender, receiver, entry in records:
+    for sender, receiver, entry, receiver_entry in records:
         assert entry is sender.dri[receiver]
         assert entry.sent == 3
+        assert receiver_entry is run.sim.nodes[receiver].dri.get(sender.id)
+        assert (receiver_entry is None) == profiles[receiver].is_blackhole
     honest = [e for e in edges if not profiles[e[1]].is_blackhole]
     assert sorted(received) == sorted(honest)
     assert max(received.values()) == 3
