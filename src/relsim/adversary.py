@@ -5,19 +5,21 @@ the pre-vetting route ranking, silently drops every data-plane packet it
 receives, and answers count-table queries with fabricated numbers.
 Colluding pairs keep their fabrications mutually mirror-consistent so
 they can vouch for each other, which still cannot survive a cross-check
-against an honest predecessor's true counts.
+against an honest predecessor's true counts.  ``ROLE_TABLE`` defines
+every node role, the honest one included, and no other module names one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import baseline
 from .engine import COLLUSION_STREAM, derive_stream
 from .errors import TopologyError
 from .packets import (
+    DATA_PLANE,
     BaseReqPayload,
     DriRepPayload,
     DriReqPayload,
@@ -41,7 +43,7 @@ CLAIMED_HOP_COUNT = 1
 
 @dataclass(slots=True)
 class AdversaryProfile:
-    is_blackhole: bool = False
+    role: str = "honest"  # a key of ``ROLE_TABLE``
     collusion_group: int | None = None
     collusion_partner: int | None = None
 
@@ -108,7 +110,7 @@ def blackhole_on_probe(node: Node, probe: tuple) -> None:
 
 def blackhole_on_dri_request(node: Node, pkt: Packet) -> None:
     payload: DriReqPayload = pkt.payload
-    sent, received = fabricated_counts(node, node.sim.profiles[pkt.origin])
+    sent, received = fabricated_counts(node, node.sim.nodes[pkt.origin].profile)
     node.send(PacketKind.DRI_REP, pkt.origin,
               DriRepPayload(payload.probe_id, payload.attempt, sent, received))
 
@@ -118,6 +120,39 @@ def blackhole_on_base_request(node: Node, pkt: Packet) -> None:
     payload: BaseReqPayload = pkt.payload
     value = payload.expected_next if payload.piece == 2 else (True, True)
     baseline.answer(node, payload, value)
+
+
+def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
+    """Lie when asked as the voucher; relay the charade otherwise."""
+    if pkt.pos == len(pkt.payload.path) - 1:
+        blackhole_on_base_request(node, pkt)
+    else:
+        baseline.handle_base_req(node, pkt)
+
+
+@dataclass(frozen=True, slots=True)
+class Role:
+    """A node role: ``overrides()`` gives the handlers that replace honest
+    ones in ``node.event_handlers``, read off their modules as a simulator
+    builds its tables, so that wrappers installed on a module apply.  A
+    ``hole`` originates no traffic, and ground truth scores it 0."""
+
+    overrides: Callable[[], dict]
+    hole: bool
+
+
+#: The one place a node role is defined.
+ROLE_TABLE = {
+    "honest": Role(dict, hole=False),
+    # the remaining control kinds are relayed or consumed normally
+    "blackhole": Role(lambda: {
+        **dict.fromkeys(DATA_PLANE, blackhole_on_data),
+        "probe": blackhole_on_probe,
+        PacketKind.RREQ: blackhole_on_rreq,
+        PacketKind.DRI_REQ: blackhole_on_dri_request,
+        PacketKind.BASE_REQ: _blackhole_on_base_req,
+    }, hole=True),
+}
 
 
 def assign_adversaries(
@@ -139,12 +174,12 @@ def assign_adversaries(
         second = rng.choice([v for v in topology.neighbors[first] if v in free])
         for member, partner in ((first, second), (second, first)):
             profiles[member] = AdversaryProfile(
-                is_blackhole=True, collusion_group=group, collusion_partner=partner,
+                "blackhole", collusion_group=group, collusion_partner=partner,
             )
         free -= {first, second}
     remaining = sorted(free)
     if blackholes > len(remaining):
         raise TopologyError("not enough eligible nodes for the requested black holes")
     for member in rng.sample(remaining, blackholes):
-        profiles[member] = AdversaryProfile(is_blackhole=True)
+        profiles[member] = AdversaryProfile("blackhole")
     return profiles

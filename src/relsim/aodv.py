@@ -137,8 +137,7 @@ def _send_rrep(node: Node, path: tuple[int, ...], dest_seq: int, request_id: int
 def handle_rrep(node: Node, pkt: Packet) -> None:
     payload: RrepPayload = pkt.payload
     pos = pkt.pos
-    if not node.profile.is_blackhole:
-        node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
+    node.routes.upsert(RouteEntry(payload.path[pos:], payload.dest_seq))
     if pos == 0:
         state = node.open.get(payload.request_id)
         if state is None:

@@ -39,17 +39,13 @@ if TYPE_CHECKING:
 @dataclass(slots=True)
 class DriEntry:
     """Evidence about one neighbor: counts of data packets exchanged with
-    it, and whether data sent to it was ever acknowledged.
-
-    ``peer_acked`` is link-layer bookkeeping, not evidence, and no vetting
-    reads it: it mirrors the neighbor's own ``acked`` flag about this node,
-    so that ``node._on_probe`` can skip an ACK the neighbor already holds by
-    reading this node's table.  ``node._on_ack`` sets the two together."""
+    it, and whether data sent to it was ever acknowledged.  A warm-up probe
+    carries its sender's entry for the receiver, so that
+    ``node._on_probe`` skips an ACK whose ``acked`` flag is already set."""
 
     sent: int = 0
     received: int = 0
     acked: bool = False
-    peer_acked: bool = False
 
 
 EMPTY_ENTRY = DriEntry()

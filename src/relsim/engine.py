@@ -24,10 +24,9 @@ or hands it to the collector as delivered; every DATA packet belongs to
 a flow.  A warm-up probe is no DATA packet: ``probe_round`` bumps each
 sender's ``sent`` count and takes ``_send``'s draws, with no adjacency
 test, as each probe's edge is a topology edge, and queues a ``PROBE``
-event that carries the sender, the probe's sequence number and the
-receiver's evidence entry for the sender.  The receiver's ``"probe"``
-handler counts it received and acknowledges it, or, at a black hole,
-absorbs it.
+event that carries the sender, the probe's sequence number and both
+ends' evidence entries for each other.  The receiver's ``"probe"``
+handler counts it received and acknowledges it, or, at a hole, absorbs it.
 
 A transmission is not always a delivery.  The link layer queues only
 copies that can change their receiver: a route request copy goes only to
@@ -122,6 +121,7 @@ class Simulator:
     """
 
     def __init__(self, topology: Topology, profiles, cfg: ScenarioConfig):
+        from .adversary import ROLE_TABLE
         from .metrics import RunCollector
         from .node import Node, event_handlers
 
@@ -135,7 +135,6 @@ class Simulator:
         self._jitter_bits = self._jitter_bound.bit_length()
         self.now_us = 0
         self.collector = RunCollector()
-        self.profiles = profiles
         # set to a list to record every dispatched event (tests, fingerprints)
         self.event_log: list[tuple] | None = None
         # every time in the heap has a bucket, never empty; the bucket being
@@ -149,9 +148,9 @@ class Simulator:
         self._app_handler: Callable[[object], None] | None = None
         self.rngs = [derive_stream(cfg.seed, i) for i in range(topology.node_count)]
         # built per simulator, so that handlers replaced on their modules apply
-        tables = {role: event_handlers(role) for role in (False, True)}
+        tables = {role: event_handlers(role) for role in ROLE_TABLE}
         self.nodes = [
-            Node(self, i, profiles[i], topology.neighbors[i], tables[profiles[i].is_blackhole])
+            Node(self, i, profiles[i], topology.neighbors[i], tables[profiles[i].role])
             for i in range(topology.node_count)
         ]
 
@@ -282,11 +281,10 @@ class Simulator:
         """Acknowledge a probe that ``src`` received from the prober
         ``dst``, with ``seq`` as the ACK's sequence number: an uncounted
         ``_send``, so a lost ACK reaches ``on_link_drop`` as a packet.
-        ``node._on_probe`` calls this only while ``src``'s own
-        ``dri[dst].peer_acked`` is false.  That flag mirrors the prober's
-        ``acked`` flag for ``src``, as ``node._on_ack`` sets both, and
-        neither is ever cleared, so a later ACK would change nothing: its
-        draws are owed to ``src``'s stream instead (see ``settle``).
+        ``node._on_probe`` calls this only while the prober's ``acked``
+        flag for ``src``, which the probe carries, is false: ``_on_ack``
+        sets it and nothing clears it, so a later ACK would change nothing,
+        and its draws are owed to ``src``'s stream instead (see ``settle``).
         """
         self._send(src, dst, Packet(_ACK, src, seq))
 
@@ -321,11 +319,11 @@ class Simulator:
         reaches ``on_link_drop`` as a DATA packet of flow id -1.
 
         A probe that survives both draws is queued as a ``PROBE`` event
-        carrying ``(sender id, seq, receiver_entry)``: the receiver's
-        ``dri[sender]``, or ``None`` at a black hole, is all that its
-        ``"probe"`` handler reads besides, so delivery looks nothing up,
-        and no packet is built.  Every record's edge is a topology edge, so
-        the edge is not checked.
+        carrying ``(sender id, seq, receiver_entry, entry)``: the
+        receiver's ``dri[sender]``, or ``None`` at a hole, and the sender's
+        ``entry``, whose ``acked`` flag its ``"probe"`` handler reads, so
+        delivery looks nothing up, and no packet is built.  Every record's
+        edge is a topology edge, so the edge is not checked.
         """
         now_us = self.now_us
         base_us = now_us + self.delay_us
@@ -354,10 +352,10 @@ class Simulator:
                 time_us += draw
             bucket = buckets.get(time_us)
             if bucket is None:
-                buckets[time_us] = [(_PROBE, dst, (node.id, seq, receiver_entry))]
+                buckets[time_us] = [(_PROBE, dst, (node.id, seq, receiver_entry, entry))]
                 heappush(times, time_us)
             else:
-                bucket.append((_PROBE, dst, (node.id, seq, receiver_entry)))
+                bucket.append((_PROBE, dst, (node.id, seq, receiver_entry, entry)))
 
     # -- main loop ----------------------------------------------------
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .adversary import ROLE_TABLE
 from .defense import (
     EMPTY_ENTRY,
     VetStatus,
@@ -175,8 +176,8 @@ class RunCollector:
 def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
     """Measurement-side route score from true node state, no messages.
 
-    Walks the path the way vetting would: any intermediate that is a
-    black hole zeroes the route (its report could never mirror its honest
+    Walks the path the way vetting would: any intermediate whose role is
+    a hole zeroes the route (its report could never mirror its honest
     predecessor's counts); otherwise each intermediate contributes its
     true send/receive ratio toward the mean.
     """
@@ -186,7 +187,7 @@ def ground_truth_route_mrr(sim, path: tuple[int, ...]) -> float:
         return 1.0
     rel = 0.0
     for prev, cur in zip(path, inner):
-        if sim.profiles[cur].is_blackhole:
+        if ROLE_TABLE[sim.nodes[cur].profile.role].hole:
             return 0.0
         entry = sim.nodes[cur].dri.get(prev, EMPTY_ENTRY)
         rel = accumulate_rel(rel, reliability_ratio(entry, cfg))

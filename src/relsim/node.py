@@ -10,11 +10,13 @@ writes ``dri[neighbor]``, which makes the entry on first use, while every
 read (a vetting reply, a flag, a route score) uses
 ``dri.get(neighbor, EMPTY_ENTRY)``, so only traffic creates entries.  It
 hands every packet, timer and warm-up probe to the handler its role's
-table names, so a black hole's behavior is fixed when the node is built,
-not decided at receipt: data-plane packets and probes are absorbed,
-route requests are answered with forgeries, table queries with lies.  Control packets merely passing
-through a black hole are relayed normally, which is what keeps the
-lying path alive long enough to be interrogated.
+table names, the honest table with the overrides of its
+``adversary.ROLE_TABLE`` entry, so a node's behavior is fixed when it is
+built, not decided at receipt: a black hole absorbs data-plane packets
+and probes and answers route requests with forgeries, table queries with
+lies.  Control packets merely passing through a black hole are relayed
+normally, which is what keeps the lying path alive long enough to be
+interrogated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import defaultdict
 from typing import TYPE_CHECKING
 
 from . import adversary, aodv, baseline, defense
-from .packets import DATA_PLANE, Packet, PacketKind
+from .packets import Packet, PacketKind
 
 if TYPE_CHECKING:
     from .engine import Simulator
@@ -97,45 +99,34 @@ class Node:
         self.sim.transmit_or_drop(self.id, path[pos], pkt)
 
 
-def _on_probe(node: Node, probe: tuple[int, int, defense.DriEntry]) -> None:
-    """Count the warm-up probe ``(sender, seq, entry)`` received into
-    ``entry``, this node's ``dri[sender]``, which the probe carries, and
-    acknowledge it, so the prober gains transfer evidence for its through
-    flag.  The sender just transmitted to this node, so the ACK's link
-    exists.  While ``entry.peer_acked`` is false the ACK goes to
-    ``Simulator.ack``; once it is set the prober already holds the flag
-    the ACK would set, so the ACK is neither built nor queued, and its
-    draws are owed to this node's stream for ``Simulator.settle``."""
-    sender, _, entry = probe
+def _on_probe(node: Node, probe: tuple[int, int, defense.DriEntry, defense.DriEntry]) -> None:
+    """Count the warm-up probe ``(sender, seq, entry, prober_entry)``
+    received into ``entry``, this node's ``dri[sender]``, and acknowledge
+    it, so the prober gains transfer evidence for its through flag.  The
+    sender just transmitted to this node, so the ACK's link exists.
+    ``prober_entry`` is the sender's ``dri[this node]``: while its
+    ``acked`` flag is false the ACK goes to ``Simulator.ack``; once it is
+    set the ACK is neither built nor queued, and its draws are owed to
+    this node's stream for ``Simulator.settle``."""
+    sender, _, entry, prober_entry = probe
     entry.received += 1
     node._packet_seq = seq = node._packet_seq + 1
-    if entry.peer_acked:
+    if prober_entry.acked:
         node.owed_acks += 1
     else:
         node.sim.ack(node.id, sender, seq)
 
 
 def _on_ack(node: Node, pkt: Packet) -> None:
-    """Set the prober's ``acked`` flag for the ACK's sender and, in the same
-    step, the sender's ``peer_acked`` mirror of it, which ``_on_probe``
-    reads."""
-    sender = pkt.origin
-    baseline.baseline_update(node.dri, sender)
-    node.sim.nodes[sender].dri[node.id].peer_acked = True
+    """Set the prober's ``acked`` flag for the ACK's sender."""
+    baseline.baseline_update(node.dri, pkt.origin)
 
 
-def _blackhole_on_base_req(node: Node, pkt: Packet) -> None:
-    """Lie when asked as the voucher; relay the charade otherwise."""
-    if pkt.pos == len(pkt.payload.path) - 1:
-        adversary.blackhole_on_base_request(node, pkt)
-    else:
-        baseline.handle_base_req(node, pkt)
-
-
-def event_handlers(blackhole: bool) -> dict:
-    """One role's handlers, each called as ``handler(node, packet)`` per
-    ``PacketKind``, ``handler(node, timer_payload)`` per timer tag, or, under
-    ``"probe"``, ``handler(node, (sender, seq, entry))`` per warm-up probe.
+def event_handlers(role: str) -> dict:
+    """The ``adversary.ROLE_TABLE`` role ``role``'s handlers, the honest ones
+    updated with its overrides, each called as ``handler(node, packet)``
+    per ``PacketKind``, ``handler(node, timer_payload)`` per timer tag, or,
+    under ``"probe"``, ``handler(node, probe)`` per warm-up probe.
 
     Handlers are read off their modules when the table is built, so build
     it per simulator: a function replaced on its module then still runs.
@@ -160,11 +151,5 @@ def event_handlers(blackhole: bool) -> dict:
         "discovery": aodv.handle_discovery_timer,
         "ping": aodv.handle_ping_timer,
     }
-    if blackhole:
-        # the remaining control kinds are relayed or consumed normally
-        handlers.update(dict.fromkeys(DATA_PLANE, adversary.blackhole_on_data))
-        handlers["probe"] = adversary.blackhole_on_probe
-        handlers[PacketKind.RREQ] = adversary.blackhole_on_rreq
-        handlers[PacketKind.DRI_REQ] = adversary.blackhole_on_dri_request
-        handlers[PacketKind.BASE_REQ] = _blackhole_on_base_req
+    handlers.update(adversary.ROLE_TABLE[role].overrides())
     return handlers

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import aodv, defense, metrics
-from .adversary import assign_adversaries
+from .adversary import ROLE_TABLE, assign_adversaries
 from .engine import (MICROS_PER_MS, MICROS_PER_S, SCENARIO_STREAM, EventKind, Simulator,
                      derive_stream)
 from .errors import SimulationError, UndefinedMetricError
@@ -104,7 +104,8 @@ class ScenarioRun:
     def schedule_warmup(self) -> None:
         """Queue one app event per probe round: round ``j`` fires at
         ``WARMUP_START_MS + j * PROBE_SPACING_MS`` and sends a probe each
-        way on every edge, in ``edges()`` order, black holes staying mute.
+        way on every edge, in ``edges()`` order, from every node whose
+        ``adversary.ROLE_TABLE`` role is not a hole.
         A round is one ``Simulator.probe_round`` call, which queues each
         probe as a one-hop event of its own, not as a DATA packet.
 
@@ -124,18 +125,17 @@ class ScenarioRun:
         the entries here changes no read: nothing reads ``dri`` before the
         first round, which makes every such entry.  Every honest node
         probes every neighbor, so an honest receiver's entry is one of the
-        sender entries; a black hole's is ``None``, and it makes none.
+        sender entries; a hole's is ``None``, and it makes none.
         """
         cfg = self.cfg
         if cfg.warmup_packets == 0:
             return
-        profiles = self.sim.profiles
         nodes = self.sim.nodes
         sent = [
             (nodes[sender], receiver, nodes[sender].dri[receiver])
             for u, v in self.topology.edges()
             for sender, receiver in ((u, v), (v, u))
-            if not profiles[sender].is_blackhole  # black holes originate no traffic
+            if not ROLE_TABLE[nodes[sender].profile.role].hole  # holes originate no traffic
         ]
         self._probes = [
             (node, receiver, entry, nodes[receiver].dri.get(node.id))

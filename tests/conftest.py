@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from relsim.adversary import AdversaryProfile, honest_profiles
+from relsim.adversary import ROLE_TABLE, AdversaryProfile, honest_profiles
 from relsim.defense import VettingResult
 from relsim.engine import EventKind, Simulator
 from relsim.packets import Packet
@@ -15,7 +15,12 @@ PROBE_SPACING_US = 5_000
 
 
 def blackhole(**kwargs) -> AdversaryProfile:
-    return AdversaryProfile(is_blackhole=True, **kwargs)
+    return AdversaryProfile("blackhole", **kwargs)
+
+
+def is_hole(sim: Simulator, node_id: int) -> bool:
+    """Whether node ``node_id``'s role is a hole."""
+    return ROLE_TABLE[sim.nodes[node_id].profile.role].hole
 
 
 def line_sim(
@@ -51,8 +56,8 @@ def probe_record(sim: Simulator, sender: int, receiver: int) -> tuple:
     receiver's ``dri[sender]``, or ``None`` at a black hole, which makes no
     entry."""
     node = sim.nodes[sender]
-    hole = sim.profiles[receiver].is_blackhole
-    return (node, receiver, node.dri[receiver], None if hole else sim.nodes[receiver].dri[sender])
+    receiver_entry = None if is_hole(sim, receiver) else sim.nodes[receiver].dri[sender]
+    return (node, receiver, node.dri[receiver], receiver_entry)
 
 
 def warm_up(sim: Simulator, packets: int = 10) -> None:
@@ -66,7 +71,7 @@ def warm_up(sim: Simulator, packets: int = 10) -> None:
     sim.set_app_handler(app)
     for u, v in sim.topology.edges():
         for sender, receiver in ((u, v), (v, u)):
-            if sim.profiles[sender].is_blackhole:
+            if is_hole(sim, sender):
                 continue
             for j in range(packets):
                 sim.schedule_at(

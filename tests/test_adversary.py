@@ -1,9 +1,11 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
 from relsim import adversary, aodv
-from relsim.adversary import assign_adversaries, collusion_story, honest_profiles
+from relsim.adversary import ROLE_TABLE, assign_adversaries, collusion_story, honest_profiles
 from relsim.defense import VetStatus, cross_check, DriEntry
 from relsim.errors import TopologyError
 from relsim.packets import DataPayload, Packet, PacketKind
@@ -161,7 +163,7 @@ def test_assignment_respects_protected_nodes():
     topo = build_connected_topology(20, 500.0, 220.0, rng)
     protected = {0, 1, 2, 3}
     profiles = assign_adversaries(rng, topo, protected, 4, 2)
-    holes = [i for i, p in enumerate(profiles) if p.is_blackhole]
+    holes = [i for i, p in enumerate(profiles) if ROLE_TABLE[p.role].hole]
     assert len(holes) == 8
     assert not set(holes) & protected
     pairs = [(i, p) for i, p in enumerate(profiles) if p.collusion_group is not None]
@@ -177,3 +179,37 @@ def test_assignment_fails_without_room():
     topo = build_connected_topology(6, 300.0, 200.0, rng)
     with pytest.raises(TopologyError):
         assign_adversaries(rng, topo, {0, 1, 2, 3}, 5, 0)
+
+
+def _role_branches(tree: ast.Module, names: set[str]):
+    """Line numbers in ``tree`` of every comparison or ``case`` pattern that
+    reads a role name or a ``.role`` attribute, and of every ``is_blackhole``."""
+    def is_role(node):
+        return (isinstance(node, ast.Constant) and node.value in names
+                or isinstance(node, ast.Attribute) and node.attr == "role")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(map(is_role, [node.left, *node.comparators])):
+            yield node.lineno
+        elif isinstance(node, ast.MatchValue) and is_role(node.value):
+            yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr == "is_blackhole"
+              or isinstance(node, ast.Name) and node.id == "is_blackhole"):
+            yield node.lineno
+
+
+def test_roles_are_named_only_in_adversary_and_never_branched_on():
+    """Role-name string literals appear under ``src/relsim`` only in
+    ``adversary.py``, no code branches on a role name or a profile's
+    ``role``, and no ``is_blackhole`` is left: a reader asks the role's
+    ``ROLE_TABLE`` record instead."""
+    names = set(ROLE_TABLE)
+    named, branches = set(), []
+    for path in sorted(Path(adversary.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in names:
+                named.add(path.name)
+        branches += [f"{path.name}:{line}" for line in _role_branches(tree, names)]
+    assert named == {"adversary.py"}
+    assert branches == []

@@ -1,8 +1,10 @@
 import pytest
 
 from relsim import aodv
+from relsim.adversary import ROLE_TABLE
 from relsim.errors import NoRouteError
-from relsim.scenario import ScenarioConfig
+from relsim.runner import ScenarioRun
+from relsim.scenario import SCHEMES, ScenarioConfig
 from relsim.topology import bfs_hop_counts, topology_from_positions
 
 from conftest import blackhole, line_sim, warm_up
@@ -224,7 +226,9 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
     """On a 60-node random field at loss 0.1, with two solo black holes,
     a colluding pair and six floods in flight at once, no node, honest or
     hole, is ever handed a second copy of a request, so neither request
-    handler needs a duplicate guard."""
+    handler needs a duplicate guard.  Nor is a hole ever handed a route
+    reply: holes relay no request, so every reply retraces a path without
+    one, and ``handle_rrep`` needs no role guard."""
     import random
 
     from relsim import adversary
@@ -232,6 +236,11 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
     from relsim.topology import build_connected_topology
 
     deliveries = []
+    rrep_receivers = []
+
+    def rrep_spy(node, pkt):
+        rrep_receivers.append(node.id)
+        handle_rrep(node, pkt)
 
     def spied(handle):
         def handle_rreq(node, pkt):
@@ -239,12 +248,14 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
             handle(node, pkt)
         return handle_rreq
 
+    handle_rrep = aodv.handle_rrep
+    monkeypatch.setattr(aodv, "handle_rrep", rrep_spy)
     monkeypatch.setattr(aodv, "handle_rreq", spied(aodv.handle_rreq))
     monkeypatch.setattr(adversary, "blackhole_on_rreq", spied(adversary.blackhole_on_rreq))
     topo = build_connected_topology(60, 1100.0, 250.0, random.Random(3))
     sources = set(range(6)) | {59 - source for source in range(6)}
     profiles = adversary.assign_adversaries(random.Random(3), topo, sources, 2, 1)
-    holes = {i for i, profile in enumerate(profiles) if profile.is_blackhole}
+    holes = {i for i, profile in enumerate(profiles) if ROLE_TABLE[profile.role].hole}
     sim = Simulator(topo, profiles, ScenarioConfig(seed=3, link_loss=0.1))
     for source in range(6):
         aodv.initiate_discovery(sim.nodes[source], 59 - source, lambda cands: None)
@@ -254,3 +265,28 @@ def test_every_rreq_delivery_is_its_receivers_first_copy(monkeypatch):
     assert len(holes) == 4
     assert {node_id for node_id, _ in deliveries} >= holes
     assert all(not n.seen_rreqs for n in sim.nodes)
+    assert rrep_receivers and holes.isdisjoint(rrep_receivers)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_hole_is_ever_handed_a_route_reply(monkeypatch, scheme):
+    """A run of each scheme with solo holes and colluding pairs hands
+    route replies to many nodes, and never to a hole."""
+    receivers = []
+    handle_rrep = aodv.handle_rrep
+
+    def spied(node, pkt):
+        receivers.append(node.id)
+        handle_rrep(node, pkt)
+
+    monkeypatch.setattr(aodv, "handle_rrep", spied)
+    run = ScenarioRun(ScenarioConfig(
+        nodes=40, flows=10, blackholes=3, colluding_pairs=2, duration=10.0, seed=11,
+        link_loss=0.05, scheme=scheme,
+    ).validate())
+    record = run.execute()
+    assert not record.failed, record.failure_reason
+    holes = {n.id for n in run.sim.nodes if ROLE_TABLE[n.profile.role].hole}
+    assert len(holes) == 7
+    assert len(set(receivers)) > 7
+    assert holes.isdisjoint(receivers)

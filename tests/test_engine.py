@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from relsim import adversary, engine
 from relsim import node as node_module
 from relsim.adversary import honest_profiles
-from relsim.defense import EMPTY_ENTRY, DriEntry
+from relsim.defense import DriEntry
 from relsim.engine import (
     COLLUSION_STREAM,
     MAX_NODES,
@@ -294,24 +294,22 @@ def test_skipped_rreq_copy_still_takes_its_loss_draw():
     assert seen_dropped > 0  # some copy to a leaf that saw the request was lost
 
 
-def _probes_to_node_1(sim: Simulator, count: int) -> None:
-    """Deliver ``count`` warm-up probes from node 0 to node 1's ``"probe"``
-    handler, each carrying node 1's ``dri[0]``, as ``probe_round`` queues
-    them."""
-    receiver = sim.nodes[1]
-    for seq in range(1, count + 1):
-        node_module._on_probe(receiver, (0, seq, receiver.dri[0]))
+def _probes_to_node_1(sim: Simulator, count: int, first: int = 1) -> None:
+    """Deliver ``count`` warm-up probes from node 0, numbered from ``first``,
+    to node 1's ``"probe"`` handler, each carrying node 1's ``dri[0]`` and
+    node 0's ``dri[1]``, as ``probe_round`` queues them."""
+    receiver, prober = sim.nodes[1], sim.nodes[0]
+    for seq in range(first, first + count):
+        node_module._on_probe(receiver, (0, seq, receiver.dri[0], prober.dri[1]))
 
 
 def _acks_to_prober(seed: int, prober_holds_flag: bool) -> Simulator:
     """Node 1 answers 32 probes from its prober, node 0, at loss 0.5; the
-    prober's ``acked`` flag for node 1, and node 1's ``peer_acked`` mirror
-    of it, are set beforehand or not."""
+    prober's ``acked`` flag for node 1 is set beforehand or not."""
     sim = line_sim(2, seed=seed, link_loss=0.5)
     sim.collector = _DropLog()
     if prober_holds_flag:
         sim.nodes[0].dri[1] = DriEntry(acked=True)
-        sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
     _probes_to_node_1(sim, 32)
     return sim
 
@@ -346,7 +344,7 @@ def test_ack_is_queued_while_its_prober_lacks_the_flag():
     assert len(queued(sim)) == 3
     sim.run()
     assert sim.nodes[0].dri[1].acked
-    node_module._on_probe(sim.nodes[1], (0, 4, sim.nodes[1].dri[0]))
+    _probes_to_node_1(sim, 1, first=4)
     assert sim.idle()
     assert sim.nodes[1].owed_acks == 1
     assert sim.nodes[1]._packet_seq == 4
@@ -371,7 +369,7 @@ def test_settling_owed_acks_takes_the_draws_of_acks_sent(loss, jitter_ms):
     for seed in range(8):
         k = seed + 1
         sim = line_sim(2, seed=seed, link_loss=loss, link_jitter_ms=jitter_ms)
-        sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
+        sim.nodes[0].dri[1] = DriEntry(acked=True)
         _probes_to_node_1(sim, k)
         assert sim.nodes[1].owed_acks == k
         assert sim.idle()
@@ -402,7 +400,7 @@ def test_every_draw_site_settles_first(site):
         for eager in (False, True):
             sim = line_sim(3, seed=seed, link_loss=0.5, link_jitter_ms=10)
             sim.collector = _DropLog()
-            sim.nodes[1].dri[0] = DriEntry(peer_acked=True)
+            sim.nodes[0].dri[1] = DriEntry(acked=True)
             _probes_to_node_1(sim, 3)
             if eager:
                 sim.nodes[1].owed_acks = 0
@@ -504,7 +502,7 @@ def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
 
     probes = fresh()
     probes.probe_round([probe_record(probes, 1, 0)] * 32)
-    receiver_entry = probes.nodes[0].dri[1]
+    receiver_entry, entry = probes.nodes[0].dri[1], probes.nodes[1].dri[0]
     sends = fresh()
     payload = DataPayload(-1, 0, (1, 0))
     for _ in range(32):
@@ -514,9 +512,11 @@ def test_probe_takes_the_draws_and_the_count_of_a_data_send(seed):
     assert probes.nodes[1]._packet_seq == sends.nodes[1]._packet_seq == 32
     assert probes.collector.drops == sends.collector.drops
     assert queued(probes) == [
-        (t, EventKind.PROBE, 0, (1, p.seq_no, receiver_entry)) for t, _, _, p in queued(sends)
+        (t, EventKind.PROBE, 0, (1, p.seq_no, receiver_entry, entry))
+        for t, _, _, p in queued(sends)
     ]
-    assert all(payload[2] is receiver_entry for _, _, _, payload in queued(probes))
+    assert all(payload[2] is receiver_entry and payload[3] is entry
+               for _, _, _, payload in queued(probes))
     assert 0 < len(probes.collector.drops) < 32
     assert len({t for t, _, _, _ in queued(probes)}) > 1
 
@@ -588,13 +588,12 @@ def test_probe_round_queues_survivors_in_record_order(monkeypatch, jitter_ms):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, scheme):
-    """Every directed edge (a, b) has ``a``'s ``peer_acked`` about ``b``
-    equal to ``b``'s ``acked`` about ``a``, at every ACK delivery and when
-    the run ends.  Every honest probe delivery either calls ``ack`` or owes
-    an ACK's draws, and an ACK packet is built only by ``ack``, for an ACK
-    it queues or loses: the ACK packets built are the ACK deliveries plus
-    the ACK link drops."""
+def test_ack_is_sent_exactly_while_its_prober_lacks_the_flag(monkeypatch, scheme):
+    """At every honest probe delivery, the probe carries its prober's
+    ``dri`` entry for the receiver, and ``ack`` is called exactly when that
+    entry lacks ``acked``; otherwise an ACK's draws are owed.  An ACK
+    packet is built only by ``ack``, for an ACK it queues or loses: the ACK
+    packets built are the ACK deliveries plus the ACK link drops."""
     counts = {"built": 0, "acks": 0, "delivered": 0, "dropped": 0, "probes": 0, "owed": 0}
     build, ack, on_probe = engine.Packet, Simulator.ack, node_module._on_probe
     on_packet, on_link_drop = Node.on_packet, RunCollector.on_link_drop
@@ -607,28 +606,21 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
         counts["acks"] += 1
         ack(sim, *args)
 
-    def counted_probe(receiver, probe):
+    def checked_probe(receiver, probe):
+        prober_entry = probe[3]
+        assert prober_entry is receiver.sim.nodes[probe[0]].dri.get(receiver.id), probe
+        lacks_flag = not prober_entry.acked
         counts["probes"] += 1
-        owed = receiver.owed_acks
+        acks, owed = counts["acks"], receiver.owed_acks
         on_probe(receiver, probe)
-        counts["owed"] += receiver.owed_acks == owed + 1
+        # an ACK sent settles what its sender owed, so only an owed one is counted
+        assert counts["acks"] == acks + lacks_flag, probe
+        assert lacks_flag or receiver.owed_acks == owed + 1, probe
+        counts["owed"] += not lacks_flag
 
-    def mirrored(nodes):
-        for a, node in enumerate(nodes):
-            for b in node.neighbors:
-                assert (
-                    node.dri.get(b, EMPTY_ENTRY).peer_acked
-                    == nodes[b].dri.get(a, EMPTY_ENTRY).acked
-                ), (a, b)
-
-    def checked_delivery(node, pkt):
-        if pkt.kind is PacketKind.ACK:
-            counts["delivered"] += 1
-            mirrored(node.sim.nodes)
-            on_packet(node, pkt)
-            mirrored(node.sim.nodes)
-        else:
-            on_packet(node, pkt)
+    def counted_delivery(node, pkt):
+        counts["delivered"] += pkt.kind is PacketKind.ACK
+        on_packet(node, pkt)
 
     def counted_drop(collector, pkt):
         counts["dropped"] += pkt.kind is PacketKind.ACK
@@ -636,8 +628,8 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
 
     monkeypatch.setattr(engine, "Packet", counted_build)
     monkeypatch.setattr(Simulator, "ack", counted_ack)
-    monkeypatch.setattr(node_module, "_on_probe", counted_probe)
-    monkeypatch.setattr(Node, "on_packet", checked_delivery)
+    monkeypatch.setattr(node_module, "_on_probe", checked_probe)
+    monkeypatch.setattr(Node, "on_packet", counted_delivery)
     monkeypatch.setattr(RunCollector, "on_link_drop", counted_drop)
     run = ScenarioRun(ScenarioConfig(
         nodes=20, flows=10, blackholes=2, colluding_pairs=1, duration=10.0, seed=10,
@@ -645,7 +637,6 @@ def test_peer_acked_mirrors_acked_and_no_unqueued_ack_is_built(monkeypatch, sche
     ).validate())
     record = run.execute()
     assert not record.failed, record.failure_reason
-    mirrored(run.sim.nodes)
     assert counts["built"] == counts["delivered"] + counts["dropped"], counts
     assert counts["built"] == counts["acks"], counts
     assert counts["acks"] + counts["owed"] == counts["probes"], counts

@@ -1,9 +1,12 @@
 """Per-role dispatch tables: coverage, the black-hole overrides, and when
 the handlers are read off their modules."""
 
+import sys
+
 import pytest
 
-from relsim import adversary, aodv
+from relsim import aodv
+from relsim.adversary import ROLE_TABLE, AdversaryProfile
 from relsim.baseline import flags
 from relsim.engine import EventKind, Simulator
 from relsim.metrics import ground_truth_route_mrr
@@ -12,7 +15,7 @@ from relsim.packets import DriReqPayload, Packet, PacketKind
 from relsim.runner import run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, warm_up
+from conftest import is_hole, line_sim, warm_up
 
 SOURCE_ROUTED = {
     PacketKind.DATA, PacketKind.RREP, PacketKind.PING, PacketKind.PONG, PacketKind.REL,
@@ -21,27 +24,42 @@ SOURCE_ROUTED = {
 TIMER_TAGS = {"rel_tf", "vet_deadline", "base_tf", "base_deadline", "discovery", "ping"}
 
 
-@pytest.mark.parametrize("is_blackhole", [False, True])
-def test_role_table_covers_every_kind_and_timer_tag(is_blackhole):
-    assert set(event_handlers(is_blackhole)) == set(PacketKind) | TIMER_TAGS | {"probe"}
+@pytest.mark.parametrize("role", ROLE_TABLE)
+def test_role_table_covers_every_kind_and_timer_tag(role):
+    assert set(event_handlers(role)) == set(PacketKind) | TIMER_TAGS | {"probe"}
 
 
 def test_blackhole_table_overrides_only_what_a_hole_mishandles():
-    honest, hole = event_handlers(False), event_handlers(True)
-    overridden = {key for key in honest if hole[key] is not honest[key]}
-    assert overridden == {
-        PacketKind.DATA, PacketKind.ACK, PacketKind.PING, PacketKind.PONG,
-        PacketKind.RREQ, PacketKind.DRI_REQ, PacketKind.BASE_REQ, "probe",
+    """Each role's table differs from the honest one at exactly the keys
+    its overrides name, and the black hole's at exactly these eight."""
+    expected = {
+        "honest": set(),
+        "blackhole": {
+            PacketKind.DATA, PacketKind.ACK, PacketKind.PING, PacketKind.PONG,
+            PacketKind.RREQ, PacketKind.DRI_REQ, PacketKind.BASE_REQ, "probe",
+        },
     }
+    assert set(expected) == set(ROLE_TABLE)
+    honest = event_handlers("honest")
+    for role, keys in expected.items():
+        table = event_handlers(role)
+        assert {key for key in honest if table[key] is not honest[key]} == keys, role
+        assert set(ROLE_TABLE[role].overrides()) == keys, role
 
 
-@pytest.mark.parametrize("module, name, roles", [
-    (aodv, "handle_rreq", {}),
-    (adversary, "blackhole_on_rreq", {1: blackhole()}),
-])
+def _rreq_handler(role: str):
+    """Where the ``role`` table's route-request handler is read from."""
+    handler = event_handlers(role)[PacketKind.RREQ]
+    return sys.modules[handler.__module__], handler.__name__, {1: AdversaryProfile(role)}
+
+
+@pytest.mark.parametrize("module, name, roles", [_rreq_handler(role) for role in ROLE_TABLE])
 def test_handler_replaced_before_the_simulator_is_built_is_called(
     monkeypatch, module, name, roles
 ):
+    """For every role, node 1 of a line holding it is handed the request
+    of a discovery and calls the route-request handler that was on its
+    module when the simulator was built."""
     receivers = []
     monkeypatch.setattr(module, name, lambda node, pkt: receivers.append(node.id))
     sim = line_sim(3, roles)
@@ -91,7 +109,7 @@ def test_source_routed_packets_go_to_path_at_pos(monkeypatch, scheme, loss):
             assert receiver in sim.topology.neighbors[sender.id], (sender.id, receiver)
             assert entry is sender.dri[receiver], (sender.id, receiver)
             assert receiver_entry is sim.nodes[receiver].dri.get(sender.id), (sender.id, receiver)
-            assert (receiver_entry is None) == sim.profiles[receiver].is_blackhole
+            assert (receiver_entry is None) == is_hole(sim, receiver)
         probes += len(records)
         return probe_round(sim, records)
 

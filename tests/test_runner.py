@@ -14,7 +14,7 @@ from relsim.metrics import FlowLedger
 from relsim.runner import FIRST_FLOW_START_S, ScenarioRun, run_scenario
 from relsim.scenario import ScenarioConfig
 
-from conftest import blackhole, line_sim, queued, vet, warm_up
+from conftest import blackhole, is_hole, line_sim, queued, vet, warm_up
 
 
 def _cfg(**kwargs):
@@ -253,7 +253,7 @@ def test_warmup_rounds_match_one_app_event_per_probe(loss):
     run = _warmup_run(link_loss=loss)
     run.sim.run(until_us=int(FIRST_FLOW_START_S * MICROS_PER_S))
     assert run.sim.idle()
-    oracle = Simulator(run.topology, run.sim.profiles, run.cfg)
+    oracle = Simulator(run.topology, [n.profile for n in run.sim.nodes], run.cfg)
     warm_up(oracle, run.cfg.warmup_packets)
     assert any(node.dri for node in run.sim.nodes)
     for ours, theirs in zip(run.sim.nodes, oracle.nodes, strict=True):
@@ -283,8 +283,8 @@ def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
     for the sender, ``None`` at a black hole; honest receivers count every
     probe, and probes touch no flow ledger, lost, absorbed or delivered.
     A probe reaches its receiver's ``"probe"`` handler as ``(sender, seq,
-    entry)``, so the records are read where ``Simulator.probe_round``
-    sends them."""
+    receiver_entry, entry)``, so the records are read where
+    ``Simulator.probe_round`` sends them."""
     rounds, received = [], {}
     probe_round, on_probe = Simulator.probe_round, node._on_probe
 
@@ -303,11 +303,10 @@ def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
     records = run._probes
     run.sim.run()
     assert not hasattr(run, "_probes")  # dropped by the last round
-    profiles = run.sim.profiles
     edges = [(sender.id, receiver) for sender, receiver, _, _ in records]
     assert sorted(edges) == sorted(
         (s, r) for u, v in run.topology.edges() for s, r in ((u, v), (v, u))
-        if not profiles[s].is_blackhole
+        if not is_hole(run.sim, s)
     )
     assert len(set(edges)) == len(edges)
     assert len(rounds) == 3
@@ -318,8 +317,8 @@ def test_warmup_rounds_share_one_record_per_directed_edge(monkeypatch):
         assert entry is sender.dri[receiver]
         assert entry.sent == 3
         assert receiver_entry is run.sim.nodes[receiver].dri.get(sender.id)
-        assert (receiver_entry is None) == profiles[receiver].is_blackhole
-    honest = [e for e in edges if not profiles[e[1]].is_blackhole]
+        assert (receiver_entry is None) == is_hole(run.sim, receiver)
+    honest = [e for e in edges if not is_hole(run.sim, e[1])]
     assert sorted(received) == sorted(honest)
     assert max(received.values()) == 3
     for s, r in honest:
